@@ -14,7 +14,7 @@ from .engine import (CalibrationEstimate, RegretRecord, Transcript, benchmark_co
                      check_high_prob_bound, estimate_calibration, exact_binomial_mad,
                      regret, run_game, run_trials, sup_regret_mixture, write_csv)
 from .forecasters import (FollowTheLeader, Forecaster, PerturbedLeaderGeometric,
-                          PerturbedLeaderUniform, StaticForecaster, sample_geometric)
+                          PerturbedLeaderUniform, StaticForecaster)
 from .losses import (CustomLoss, LossValidationReport, MixtureLoss, ProperLoss,
                      SphericalLoss, SquaredLoss, TsallisLoss, VShapedLoss,
                      check_concavity, check_hessian_growth, check_proper, check_range,
@@ -35,7 +35,7 @@ __all__ = [
     "check_range", "closed_form", "dp_value", "estimate_calibration",
     "estimate_lipschitz", "exact_binomial_mad", "mean_of_counts", "one_hot",
     "optimal_q", "random_simplex_points", "regret", "run_game", "run_trials",
-    "sample_geometric", "simplex_mesh", "structural_identity_error",
+    "simplex_mesh", "structural_identity_error",
     "sup_regret_mixture", "uniform_point", "validate_outcome", "validate_simplex",
     "value_lower_bound", "write_csv",
 ]

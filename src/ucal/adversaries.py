@@ -2,8 +2,11 @@
 
 An adversary produces the outcome of round t given the round index, the
 forecasts of rounds 1..t-1, and a random generator.  Oblivious adversaries
-(fixed sequences, i.i.d. draws, alternation) ignore the past forecasts;
-``GreedyAdaptive`` is the one adaptive stress-tester and reads them.
+(fixed sequences, i.i.d. draws, alternation) ignore the past forecasts, so
+they also provide ``outcomes(horizon, rng)``, all T outcomes in one array,
+drawn from the generator exactly as T successive ``next_outcome`` calls
+would draw them.  ``GreedyAdaptive`` is the one adaptive stress-tester and
+reads the past forecasts.
 """
 
 from __future__ import annotations
@@ -49,10 +52,18 @@ class FixedSequence(Adversary):
             indices.append(value - 1)
         return cls(k, indices)
 
+    def _exhausted(self, t):
+        return ValueError(f"fixed sequence of length {len(self.sequence)} exhausted at round {t}")
+
     def next_outcome(self, t, past_forecasts, rng=None) -> int:
         if not 1 <= t <= len(self.sequence):
-            raise ValueError(f"fixed sequence of length {len(self.sequence)} exhausted at round {t}")
+            raise self._exhausted(t)
         return self.sequence[t - 1]
+
+    def outcomes(self, horizon, rng=None):
+        if horizon > len(self.sequence):
+            raise self._exhausted(len(self.sequence) + 1)
+        return np.array(self.sequence[:horizon], dtype=np.int64)
 
 
 class IidUniform(Adversary):
@@ -63,6 +74,9 @@ class IidUniform(Adversary):
     def next_outcome(self, t, past_forecasts, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.k))
 
+    def outcomes(self, horizon, rng):
+        return rng.integers(0, self.k, size=horizon)
+
 
 class Alternating(Adversary):
     """Outcome 0 on odd rounds, outcome 1 on even rounds."""
@@ -71,6 +85,9 @@ class Alternating(Adversary):
 
     def next_outcome(self, t, past_forecasts, rng=None) -> int:
         return 0 if t % 2 == 1 else 1
+
+    def outcomes(self, horizon, rng=None):
+        return np.arange(horizon, dtype=np.int64) % 2
 
 
 class GreedyAdaptive(Adversary):

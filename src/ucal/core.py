@@ -103,7 +103,9 @@ class RngStream:
     Identical ``(seed, stream_id)`` pairs always reproduce identical draw
     sequences; distinct pairs give statistically independent streams.  Monte
     Carlo trials use ``(base_seed, trial_index)`` so each trial is
-    independently reproducible regardless of execution order.
+    independently reproducible regardless of execution order.  A game reads
+    its stream in one layout: the forecaster's whole (T, K) noise block
+    first, then the adversary's outcomes.
     """
 
     seed: int

@@ -1,7 +1,8 @@
 """Protocol runner and regret/calibration measurements.
 
 ``run_game`` plays T rounds of forecast-then-outcome and returns a
-transcript.  Regret for a proper loss compares the forecaster's cumulative
+transcript; against an oblivious adversary it plays them as one vectorized
+block.  Regret for a proper loss compares the forecaster's cumulative
 bivariate loss against the mean-of-outcomes benchmark, which is the
 empirical risk minimizer for every proper loss simultaneously, so no
 numerical minimization is needed (a brute-force grid minimizer survives in
@@ -25,10 +26,10 @@ regret lower bound for the step-shaped loss.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .adversaries import Adversary
 from .core import RngStream, mean_of_counts
@@ -66,25 +67,61 @@ class CalibrationEstimate:
     std_error: float  # standard error of the per-trial sup values
 
 
+def _plays_in_one_block(adversary: Adversary) -> bool:
+    """Whether the adversary's ``outcomes`` is at least as specific as its ``next_outcome``.
+
+    A subclass that overrides only ``next_outcome`` (to react to the
+    forecasts, or just to watch them) is played round by round.
+    """
+    mro = type(adversary).__mro__
+
+    def owner(name):
+        return next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
+
+    return owner("outcomes") <= owner("next_outcome")
+
+
 def run_game(forecaster: Forecaster, adversary: Adversary, horizon: int,
              rng: np.random.Generator) -> Transcript:
-    """Play ``horizon`` rounds; each forecast is committed before its outcome."""
+    """Play ``horizon`` rounds; each forecast is committed before its outcome.
+
+    The game reads ``rng`` in one fixed layout: first the forecaster's whole
+    (horizon, K) noise block, then the adversary's outcomes.  An oblivious
+    adversary draws all outcomes at once, and every forecast comes from one
+    ``forecaster.rule`` call on the integer prefix counts.  Any other
+    adversary is played round by round: round t applies the same rule to
+    row t of the noise block and the counts so far, then asks the adversary,
+    which sees forecasts 1..t-1 only.  Both ways give the same transcript.
+    """
     if forecaster.k != adversary.k:
         raise ValueError(f"dimension mismatch: forecaster k={forecaster.k}, adversary k={adversary.k}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if forecaster.horizon < horizon:
+    if forecaster.horizon - forecaster.t + 1 < horizon:
         raise ValueError("forecaster horizon shorter than the game")
     k = forecaster.k
-    forecasts = np.empty((horizon, k))
-    outcomes = np.empty(horizon, dtype=np.int64)
-    for t in range(1, horizon + 1):
-        p_t = forecaster.predict(rng)
-        # the adversary sees forecasts 1..t-1 only
-        y_t = adversary.next_outcome(t, forecasts[: t - 1], rng)
-        forecasts[t - 1] = p_t
-        outcomes[t - 1] = y_t
-        forecaster.observe(y_t)
+    noise = forecaster.noise(horizon, rng)
+    if _plays_in_one_block(adversary):
+        outcomes = np.asarray(adversary.outcomes(horizon, rng), dtype=np.int64)
+        if outcomes.shape != (horizon,) or outcomes.min() < 0 or outcomes.max() >= k:
+            raise ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
+        # counts before round t: the outcome of round t first shows in row t + 1
+        prefix = np.zeros((horizon, k), dtype=np.int64)
+        prefix[np.arange(1, horizon), outcomes[:-1]] = 1
+        np.cumsum(prefix, axis=0, out=prefix)
+        prefix += forecaster.counts
+        forecasts = forecaster.rule(prefix, noise)
+        forecaster.counts[:] = prefix[-1]
+        forecaster.counts[outcomes[-1]] += 1
+        forecaster.t += horizon
+    else:
+        forecasts = np.empty((horizon, k))
+        outcomes = np.empty(horizon, dtype=np.int64)
+        for t in range(horizon):
+            forecasts[t] = forecaster.rule(forecaster.counts[None, :], noise[t:t + 1])[0]
+            y = adversary.next_outcome(t + 1, forecasts[:t], rng)
+            forecaster.observe(y)
+            outcomes[t] = y
     final_counts = np.bincount(outcomes, minlength=k).astype(np.int64)
     return Transcript(k=k, horizon=horizon, forecasts=forecasts,
                       outcomes=outcomes, final_counts=final_counts)
@@ -180,14 +217,26 @@ def check_high_prob_bound(regrets, k: int, horizon: int, delta: float) -> float:
 
 
 def exact_binomial_mad(trials: int, p: float) -> float:
-    """Exact E|X - n p| for X ~ Binomial(n, p), by summing the pmf."""
+    """Exact E|X - n p| for X ~ Binomial(n, p), by de Moivre's closed form.
+
+    E|X - n p| = 2 m C(n, m) p^m (1 - p)^(n - m + 1) with m = floor(n p) + 1
+    (Diaconis & Zabell 1991); m <= n because p < 1.  Up to n = 10^4 the
+    form is evaluated in exact integer arithmetic on the float ``p`` as a
+    ratio a/d and rounded once; beyond, through ``lgamma`` (relative error
+    about 1e-9 at n = 10^6).
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    ks = np.arange(trials + 1)
-    pmf = stats.binom.pmf(ks, trials, p)
-    return float(np.sum(np.abs(ks - trials * p) * pmf))
+    n = trials
+    a, d = float(p).as_integer_ratio()
+    m = n * a // d + 1
+    if n <= 10_000:
+        return 2 * m * math.comb(n, m) * a ** m * (d - a) ** (n - m + 1) / d ** (n + 1)
+    log_mad = (math.log(2 * m) + math.lgamma(n + 1) - math.lgamma(m + 1)
+               - math.lgamma(n - m + 1) + m * math.log(p) + (n - m + 1) * math.log1p(-p))
+    return math.exp(log_mad)
 
 
 def format_float(x: float) -> str:

@@ -1,9 +1,15 @@
 """Online forecasters for the sequential outcome-prediction protocol.
 
-Each forecaster owns K, a horizon T, the running outcome counts, and the
-1-based round index t.  A game round calls ``predict`` (which may consume
-randomness) and then ``observe`` with the revealed outcome.  States are
-cheap mutable values; use one instance per game.
+Every forecaster is one batched rule: ``rule(counts, noise)`` maps a stack
+of count vectors (n, K) and the hallucinated counts drawn for the same rows
+(n, K) to forecasts (n, K).  ``noise(horizon, rng)`` draws the hallucinated
+counts of a whole game as one (horizon, K) block, so a game engine can
+forecast every round of an oblivious game in one call.
+
+For online use a forecaster also owns K, a horizon T, the running outcome
+counts, and the 1-based round index t.  ``predict`` applies the rule to the
+current counts and one fresh noise row, and ``observe`` records the revealed
+outcome.  States are cheap mutable values; use one instance per game.
 
 ``FollowTheLeader``        forecasts the running mean of past outcomes, the
                            simultaneous empirical risk minimizer for every
@@ -24,29 +30,19 @@ import math
 
 import numpy as np
 
-from .core import uniform_point, validate_outcome, validate_simplex
+from .core import validate_outcome, validate_simplex
 
 
-def sample_geometric(q: float, rng: np.random.Generator, size=None):
-    """Geometric draw(s) on {1, 2, ...} with P(m = k) = q (1-q)^(k-1).
-
-    Inverse transform ceil(ln(U) / ln(1-q)) for U uniform on (0, 1); the
-    degenerate q = 1 always returns 1.  Mean is 1/q.
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"geometric parameter must lie in (0, 1], got {q}")
-    if q == 1.0:
-        return 1 if size is None else np.ones(size, dtype=np.int64)
-    u = 1.0 - rng.random(size)  # in (0, 1]
-    draws = np.ceil(np.log(u) / math.log1p(-q)).astype(np.int64)
-    draws = np.maximum(draws, 1)  # guard the measure-zero u == 1 case
-    if size is None:
-        return int(draws)
-    return draws
+def _normalize(totals: np.ndarray) -> np.ndarray:
+    """Rows of integer ``totals`` divided by their sums; all-zero rows become uniform."""
+    denom = totals.sum(axis=1, keepdims=True)
+    out = totals / np.maximum(denom, 1)
+    out[denom[:, 0] == 0] = 1.0 / totals.shape[1]
+    return out
 
 
 class Forecaster:
-    """Shared count/round bookkeeping for online forecasters."""
+    """Shared count/round bookkeeping and the one-row wrappers over ``rule``."""
 
     name = "forecaster"
 
@@ -60,8 +56,17 @@ class Forecaster:
         self.counts = np.zeros(self.k, dtype=np.int64)
         self.t = 1  # 1-based round about to be played
 
-    def predict(self, rng: np.random.Generator) -> np.ndarray:
+    def noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
+        """Hallucinated counts for ``horizon`` rounds, shape (horizon, K); none by default."""
+        return np.zeros((horizon, self.k), dtype=np.int64)
+
+    def rule(self, counts: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Forecasts (n, K) from integer counts (n, K) and hallucinated counts (n, K)."""
         raise NotImplementedError
+
+    def predict(self, rng: np.random.Generator = None) -> np.ndarray:
+        """Forecast for the current round from the counts so far and one noise row."""
+        return self.rule(self.counts[None, :], self.noise(1, rng))[0]
 
     def observe(self, y: int) -> None:
         """Record the revealed outcome of the current round."""
@@ -76,40 +81,11 @@ class FollowTheLeader(Forecaster):
 
     name = "ftl"
 
-    def predict(self, rng: np.random.Generator = None) -> np.ndarray:
-        if self.t == 1:
-            return uniform_point(self.k)
-        return self.counts / (self.t - 1)
+    def rule(self, counts, noise):
+        return _normalize(counts)
 
 
-class _BlockNoiseForecaster(Forecaster):
-    """Perturbed leader with per-round noise drawn from the rng in blocks.
-
-    Each round consumes one fresh row of hallucinated counts; batching the
-    draws only changes how many values are pulled from the generator at
-    once, not the noise distribution or the per-stream reproducibility.
-    """
-
-    _block = 256
-
-    def __init__(self, k: int, horizon: int):
-        super().__init__(k, horizon)
-        self._cache = None
-        self._pos = 0
-
-    def _draw_block(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def _next_noise(self, rng: np.random.Generator) -> np.ndarray:
-        if self._cache is None or self._pos >= len(self._cache):
-            self._cache = self._draw_block(rng)
-            self._pos = 0
-        row = self._cache[self._pos]
-        self._pos += 1
-        return row
-
-
-class PerturbedLeaderGeometric(_BlockNoiseForecaster):
+class PerturbedLeaderGeometric(Forecaster):
     """Leader over true counts plus fresh geometric hallucinated counts.
 
     q is clipped to 1 when T < K, which makes the noise deterministically 1
@@ -123,15 +99,15 @@ class PerturbedLeaderGeometric(_BlockNoiseForecaster):
         super().__init__(k, horizon)
         self.q = min(1.0, math.sqrt(self.k / self.horizon))
 
-    def _draw_block(self, rng):
-        return sample_geometric(self.q, rng, size=(self._block, self.k))
+    def noise(self, horizon, rng):
+        return rng.geometric(self.q, size=(horizon, self.k))
 
-    def predict(self, rng: np.random.Generator) -> np.ndarray:
-        totals = self.counts + self._next_noise(rng)
-        return totals / totals.sum()
+    def rule(self, counts, noise):
+        totals = counts + noise
+        return totals / totals.sum(axis=1, keepdims=True)
 
 
-class PerturbedLeaderUniform(_BlockNoiseForecaster):
+class PerturbedLeaderUniform(Forecaster):
     """Leader over true counts plus uniform noise on {0, ..., floor(sqrt(T))}."""
 
     name = "ftpl-uniform"
@@ -140,15 +116,11 @@ class PerturbedLeaderUniform(_BlockNoiseForecaster):
         super().__init__(k, horizon)
         self.noise_max = int(math.isqrt(self.horizon))
 
-    def _draw_block(self, rng):
-        return rng.integers(0, self.noise_max + 1, size=(self._block, self.k))
+    def noise(self, horizon, rng):
+        return rng.integers(0, self.noise_max + 1, size=(horizon, self.k))
 
-    def predict(self, rng: np.random.Generator) -> np.ndarray:
-        totals = self.counts + self._next_noise(rng)
-        denom = totals.sum()
-        if denom == 0:
-            return uniform_point(self.k)
-        return totals / denom
+    def rule(self, counts, noise):
+        return _normalize(counts + noise)
 
 
 class StaticForecaster(Forecaster):
@@ -160,5 +132,5 @@ class StaticForecaster(Forecaster):
         self.point = point
         self.name = "static:" + ",".join(f"{x:g}" for x in point)
 
-    def predict(self, rng: np.random.Generator = None) -> np.ndarray:
-        return self.point.copy()
+    def rule(self, counts, noise):
+        return np.tile(self.point, (len(counts), 1))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ucal import (Alternating, FixedSequence, FollowTheLeader, IidUniform, MixtureLoss,
-                  PerturbedLeaderGeometric, RngStream, SphericalLoss, SquaredLoss,
-                  StaticForecaster, TsallisLoss, VShapedLoss, benchmark_cost,
+from ucal import (Alternating, FixedSequence, FollowTheLeader, GreedyAdaptive, IidUniform,
+                  MixtureLoss, PerturbedLeaderGeometric, PerturbedLeaderUniform, RngStream,
+                  SphericalLoss, SquaredLoss, StaticForecaster, TsallisLoss, VShapedLoss,
+                  benchmark_cost,
                   check_high_prob_bound, estimate_calibration, exact_binomial_mad,
                   mean_of_counts, random_simplex_points, regret, run_game, run_trials,
                   sup_regret_mixture, write_csv)
@@ -56,6 +57,87 @@ class TestRunGame:
         adv = Recorder(2)
         run_game(FollowTheLeader(2, 6), adv, 6, _gen(0))
         assert adv.lengths == [0, 1, 2, 3, 4, 5]
+
+
+def _round_by_round(adversary_cls):
+    """A pass-through subclass: overriding next_outcome makes run_game loop over rounds."""
+
+    class Looped(adversary_cls):
+        def next_outcome(self, t, past_forecasts, rng=None):
+            self.calls = getattr(self, "calls", 0) + 1
+            return super().next_outcome(t, past_forecasts, rng)
+
+    return Looped
+
+
+FORECASTERS = {
+    "ftl": FollowTheLeader,
+    "ftpl-geometric": PerturbedLeaderGeometric,
+    "ftpl-uniform": PerturbedLeaderUniform,
+    "static": lambda k, horizon: StaticForecaster(np.arange(1, k + 1) / (k * (k + 1) / 2),
+                                                  horizon),
+}
+ADVERSARIES = {
+    "iid-uniform": lambda cls, k, horizon: cls(k),
+    "alternating": lambda cls, k, horizon: cls(k),
+    "fixed": lambda cls, k, horizon: cls(k, _gen(99).integers(0, k, size=horizon).tolist()),
+}
+ADVERSARY_CLASSES = {"iid-uniform": IidUniform, "alternating": Alternating,
+                     "fixed": FixedSequence}
+SHIPPED_LOSSES = [VShapedLoss(), SquaredLoss(1.0), SquaredLoss(0.5), SphericalLoss(),
+                  TsallisLoss(1.5), TsallisLoss(3.0),
+                  MixtureLoss(SquaredLoss(0.5), VShapedLoss(), 0.3)]
+
+
+class TestKernelMatchesRoundLoop:
+    """The one-block kernel and the round loop give bit-identical transcripts."""
+
+    @pytest.mark.parametrize("horizon", [1, 7, 256])
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+    @pytest.mark.parametrize("forecaster", sorted(FORECASTERS))
+    def test_identical_transcripts(self, forecaster, adversary, k, horizon):
+        cls = ADVERSARY_CLASSES[adversary]
+        kernel_adv = ADVERSARIES[adversary](cls, k, horizon)
+        loop_adv = ADVERSARIES[adversary](_round_by_round(cls), k, horizon)
+        f_kernel = FORECASTERS[forecaster](k, horizon)
+        f_loop = FORECASTERS[forecaster](k, horizon)
+        kernel = run_game(f_kernel, kernel_adv, horizon, _gen(31, horizon))
+        loop = run_game(f_loop, loop_adv, horizon, _gen(31, horizon))
+        assert loop_adv.calls == horizon and not hasattr(kernel_adv, "calls")
+        assert np.array_equal(kernel.forecasts, loop.forecasts)
+        assert np.array_equal(kernel.outcomes, loop.outcomes)
+        assert np.array_equal(kernel.final_counts, loop.final_counts)
+        assert np.array_equal(f_kernel.counts, f_loop.counts) and f_kernel.t == f_loop.t
+        kernel_regrets = [regret(kernel, loss).regret for loss in SHIPPED_LOSSES]
+        loop_regrets = [regret(loop, loss).regret for loss in SHIPPED_LOSSES]
+        assert np.array_equal(kernel_regrets, loop_regrets)
+        if forecaster == "ftl" and adversary == "alternating" and k == 2 and horizon % 2 == 0:
+            assert kernel_regrets[0] == horizon / 4  # vshaped, exactly
+
+    def test_forecaster_state_after_game(self):
+        f = PerturbedLeaderUniform(3, 40)
+        tr = run_game(f, IidUniform(3), 40, _gen(5))
+        np.testing.assert_array_equal(f.counts, tr.final_counts)
+        assert f.t == 41
+        with pytest.raises(ValueError, match="horizon exceeded"):
+            f.observe(0)
+
+    def test_greedy_plays_round_by_round(self):
+        loss = VShapedLoss()
+        tr = run_game(FollowTheLeader(2, 6), GreedyAdaptive(2, loss), 6, _gen(0))
+        f = FollowTheLeader(2, 6)
+        for t in range(6):
+            np.testing.assert_array_equal(tr.forecasts[t], f.predict())
+            past = tr.forecasts[:t]
+            assert tr.outcomes[t] == GreedyAdaptive(2, loss).next_outcome(t + 1, past)
+            f.observe(tr.outcomes[t])
+
+    @pytest.mark.parametrize("looped", [False, True])
+    def test_short_fixed_sequence_exhausted(self, looped):
+        cls = _round_by_round(FixedSequence) if looped else FixedSequence
+        with pytest.raises(ValueError, match="length 3 exhausted at round 4"):
+            run_game(FollowTheLeader(2, 5), cls(2, [0, 1, 0]), 5, _gen(0))
 
 
 class TestRegret:

@@ -3,41 +3,49 @@ import pytest
 
 from ucal import (FollowTheLeader, PerturbedLeaderGeometric, PerturbedLeaderUniform,
                   RngStream, SphericalLoss, SquaredLoss, StaticForecaster, TsallisLoss,
-                  mean_of_counts, sample_geometric, validate_simplex)
+                  mean_of_counts, validate_simplex)
 
 
 class TestSampleGeometric:
-    def test_degenerate_q_one(self):
-        rng = RngStream(0, 0).generator()
-        assert sample_geometric(1.0, rng) == 1
-        np.testing.assert_array_equal(sample_geometric(1.0, rng, size=10), np.ones(10))
+    """Geometric hallucinated counts, drawn by ``PerturbedLeaderGeometric.noise``."""
 
-    def test_parameter_domain(self):
-        rng = RngStream(0, 0).generator()
-        for q in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                sample_geometric(q, rng)
+    def test_degenerate_q_one(self):
+        # T < K clips q to 1, so every hallucinated count is exactly 1
+        f = PerturbedLeaderGeometric(3, 2)
+        noise = f.noise(10, RngStream(0, 0).generator())
+        np.testing.assert_array_equal(noise, np.ones((10, 3)))
 
     def test_pmf_at_one(self):
         # P(m=1) = q; binomial 3-sigma band around 0.5 at 1e6 draws is ~0.0015
-        rng = RngStream(11, 0).generator()
-        draws = sample_geometric(0.5, rng, size=1_000_000)
+        f = PerturbedLeaderGeometric(2, 8)
+        assert f.q == 0.5
+        draws = f.noise(500_000, RngStream(11, 0).generator())
+        assert draws.size == 1_000_000
         assert draws.min() >= 1
         assert np.mean(draws == 1) == pytest.approx(0.5, abs=0.002)
 
     def test_mean(self):
         # mean 1/q = 10; std of the sample mean is sqrt(1-q)/q/1000 ~ 0.0095
-        rng = RngStream(12, 0).generator()
-        draws = sample_geometric(0.1, rng, size=1_000_000)
+        f = PerturbedLeaderGeometric(2, 200)
+        assert f.q == pytest.approx(0.1, abs=1e-15)
+        draws = f.noise(500_000, RngStream(12, 0).generator())
         assert draws.mean() == pytest.approx(10.0, abs=0.1)
 
     def test_full_pmf_shape(self):
-        rng = RngStream(13, 0).generator()
-        draws = sample_geometric(0.3, rng, size=200_000)
+        f = PerturbedLeaderGeometric(9, 100)
+        assert f.q == pytest.approx(0.3, abs=1e-15)
+        draws = f.noise(22_222, RngStream(13, 0).generator())
         for m in range(1, 6):
             expected = 0.3 * 0.7 ** (m - 1)
             se = np.sqrt(expected * (1 - expected) / draws.size)
             assert np.mean(draws == m) == pytest.approx(expected, abs=4 * se + 1e-4)
+
+    def test_block_equals_row_by_row_draws(self):
+        f = PerturbedLeaderGeometric(5, 400)
+        block = f.noise(64, RngStream(14, 0).generator())
+        rng = RngStream(14, 0).generator()
+        rows = np.concatenate([f.noise(1, rng) for _ in range(64)])
+        np.testing.assert_array_equal(block, rows)
 
 
 class TestFollowTheLeader:
@@ -145,7 +153,7 @@ class TestPerturbedLeaderGeometric:
         # mean of the hallucinated counts is 1/q = sqrt(T/K) ~ 70.7
         f = PerturbedLeaderGeometric(2, 10_000)
         rng = RngStream(8, 0).generator()
-        draws = sample_geometric(f.q, rng, size=100_000)
+        draws = f.noise(50_000, rng)
         se = draws.std() / np.sqrt(draws.size)
         assert draws.mean() == pytest.approx(np.sqrt(10_000 / 2), abs=3 * se)
 
@@ -169,6 +177,15 @@ class TestPerturbedLeaderUniform:
     def test_noise_range(self):
         f = PerturbedLeaderUniform(2, 100)
         assert f.noise_max == 10
+
+    def test_noise_support_and_mean(self):
+        # uniform on {0, ..., floor(sqrt(50))} = {0, ..., 7}: mean 3.5, variance 63/12
+        f = PerturbedLeaderUniform(3, 50)
+        draws = f.noise(40_000, RngStream(15, 0).generator())
+        assert draws.shape == (40_000, 3)
+        np.testing.assert_array_equal(np.unique(draws), np.arange(8))
+        se = np.sqrt(63 / 12 / draws.size)
+        assert draws.mean() == pytest.approx(3.5, abs=4 * se)
 
     def test_zero_denominator_fallback(self):
         f = PerturbedLeaderUniform(2, 100)
