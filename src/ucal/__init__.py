@@ -12,7 +12,8 @@ from .core import (RngStream, mean_of_counts, one_hot, uniform_point,
                    validate_outcome, validate_simplex)
 from .engine import (CalibrationEstimate, RegretRecord, Transcript, benchmark_cost,
                      check_high_prob_bound, estimate_calibration, exact_binomial_mad,
-                     regret, run_game, run_trials, sup_regret_mixture, write_csv)
+                     play_games, regret, run_game, run_trials, summarize,
+                     sup_regret_mixture, write_csv)
 from .forecasters import (FollowTheLeader, Forecaster, PerturbedLeaderGeometric,
                           PerturbedLeaderUniform, StaticForecaster)
 from .losses import (CustomLoss, LossValidationReport, MixtureLoss, ProperLoss,
@@ -34,8 +35,8 @@ __all__ = [
     "check_concavity", "check_high_prob_bound", "check_hessian_growth", "check_proper",
     "check_range", "closed_form", "dp_value", "estimate_calibration",
     "estimate_lipschitz", "exact_binomial_mad", "mean_of_counts", "one_hot",
-    "optimal_q", "random_simplex_points", "regret", "run_game", "run_trials",
-    "simplex_mesh", "structural_identity_error",
+    "optimal_q", "play_games", "random_simplex_points", "regret", "run_game",
+    "run_trials", "simplex_mesh", "structural_identity_error", "summarize",
     "sup_regret_mixture", "uniform_point", "validate_outcome", "validate_simplex",
     "value_lower_bound", "write_csv",
 ]

@@ -7,6 +7,14 @@ they also provide ``outcomes(horizon, rng)``, all T outcomes in one array,
 drawn from the generator exactly as T successive ``next_outcome`` calls
 would draw them.  ``GreedyAdaptive`` is the one adaptive stress-tester and
 reads the past forecasts.
+
+The engine plays the trials of an adaptive game in lockstep and asks for
+the replies of all n games of a round in one ``next_outcomes`` call, with
+the past forecasts stacked as (t-1, n, K) and one generator per game.  The
+base class answers it with one ``next_outcome`` call per game, each with
+that game's own generator, so a subclass that only defines ``next_outcome``
+keeps its per-stream draws; ``GreedyAdaptive`` answers all n games from one
+``ProperLoss.outcome_losses`` table.
 """
 
 from __future__ import annotations
@@ -29,6 +37,11 @@ class Adversary:
 
     def next_outcome(self, t: int, past_forecasts, rng: np.random.Generator) -> int:
         raise NotImplementedError
+
+    def next_outcomes(self, t: int, past_forecasts: np.ndarray, rngs) -> np.ndarray:
+        """Round-t outcomes (n,) of n games from their past forecasts (t-1, n, K)."""
+        return np.array([self.next_outcome(t, past_forecasts[:, i], rng)
+                         for i, rng in enumerate(rngs)], dtype=np.int64)
 
 
 class FixedSequence(Adversary):
@@ -106,10 +119,16 @@ class GreedyAdaptive(Adversary):
         super().__init__(k)
         self.loss = loss
 
+    def _worst(self, proxies) -> np.ndarray:
+        """The outcome of largest loss for each proxy forecast, lowest index on ties."""
+        return np.argmax(self.loss.outcome_losses(proxies), axis=-1)
+
     def next_outcome(self, t, past_forecasts, rng=None) -> int:
         if len(past_forecasts) == 0:
-            proxy = uniform_point(self.k)
-        else:
-            proxy = np.asarray(past_forecasts[-1], dtype=float)
-        scores = self.loss.bivariate(proxy, np.arange(self.k))
-        return int(np.argmax(scores))
+            return int(self._worst(uniform_point(self.k)))
+        return int(self._worst(np.asarray(past_forecasts[-1], dtype=float)))
+
+    def next_outcomes(self, t, past_forecasts, rngs):
+        if len(past_forecasts) == 0:
+            return self._worst(np.tile(uniform_point(self.k), (len(rngs), 1)))
+        return self._worst(past_forecasts[-1])

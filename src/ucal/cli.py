@@ -12,15 +12,20 @@ Subcommands:
 Component specs are NAME or NAME:ARGS, e.g. ``ftl``, ``static:0.5,0.5``,
 ``tsallis:1.5``, ``fixed:outcomes.txt``, ``greedy:vshaped``.  A key=value
 config file can provide defaults for any long flag; explicit flags win.
-Exit codes: 0 success, 1 validation or assertion failure, 2 usage error.
-The UCAL_THREADS environment variable caps the trial worker count; results
-are byte-identical regardless of worker count because every trial owns its
-own RNG stream and rows are sorted before writing.
+Exit codes: 0 success, 1 validation or assertion failure, 2 usage error
+(a game above ``engine.MAX_GAME_CELLS`` is one, refused before any trial).
+``run`` and ``sweep`` hand each worker one contiguous block of trials per
+horizon, all through one process pool, and every block runs through
+``engine.run_trials``.  The UCAL_THREADS environment variable caps the
+worker count; results are byte-identical regardless of worker count
+because every trial owns its own RNG stream and rows are sorted before
+writing.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import math
 import os
 import sys
@@ -121,14 +126,14 @@ def make_adversary(spec: str, k: int) -> Adversary:
     raise UsageError(f"unknown adversary {spec!r} (try alternating, iid-uniform, fixed:PATH, greedy:LOSS)")
 
 
-def _trial_job(payload):
-    fspec, aspec, lspecs, k, horizon, base_seed, trial = payload
+def _block_job(job):
+    """Regrets (len(trials), len(lspecs)) of one contiguous block of trials at one horizon."""
+    fspec, aspec, lspecs, k, horizon, base_seed, trials = job
     losses = [make_loss(s) for s in lspecs]
     adversary = make_adversary(aspec, k)
-    forecaster = make_forecaster(fspec, k, horizon)
-    rng = RngStream(base_seed, trial).generator()
-    transcript = engine.run_game(forecaster, adversary, horizon, rng)
-    return trial, [engine.regret(transcript, loss).regret for loss in losses]
+    fresh = make_forecaster(fspec, k, horizon)
+    return engine.run_trials(lambda: copy.deepcopy(fresh), adversary, losses,
+                             horizon, trials, base_seed)
 
 
 def _worker_cap(requested: int) -> int:
@@ -141,24 +146,27 @@ def _worker_cap(requested: int) -> int:
     return max(1, requested)
 
 
-def _run_regret_matrix(fspec, aspec, lspecs, k, horizon, trials, base_seed, workers):
-    payloads = [(fspec, aspec, lspecs, k, horizon, base_seed, trial) for trial in range(trials)]
-    out = np.empty((trials, len(lspecs)))
-    workers = _worker_cap(workers)
-    if workers == 1 or trials == 1:
-        results = [_trial_job(p) for p in payloads]
+def _regret_matrices(args, lspecs, horizons) -> list:
+    """One regret matrix (trials, losses) per horizon, from every block mapped through one pool.
+
+    Each horizon's trials are cut into one contiguous block per worker;
+    a block resolves its specs once and runs through ``engine.run_trials``.
+    """
+    workers = min(_worker_cap(args.workers), args.trials)
+    cuts = [args.trials * i // workers for i in range(workers + 1)]
+    jobs = [(args.forecaster, args.adversary, lspecs, args.K, horizon, args.seed, range(a, b))
+            for horizon in horizons for a, b in zip(cuts, cuts[1:])]
+    if workers == 1:
+        blocks = [_block_job(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, trials)) as pool:
-            results = list(pool.map(_trial_job, payloads))
-    for trial, regrets in results:
-        out[trial] = regrets
-    return out
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_block_job, jobs))
+    return [np.concatenate(blocks[i:i + workers]) for i in range(0, len(blocks), workers)]
 
 
-def _emit_rows(args, loss_names, regrets, horizons=None):
+def _emit_rows(args, loss_names, regrets, horizon):
     rows = []
-    trials = regrets.shape[0]
-    for trial in range(trials):
+    for trial in range(regrets.shape[0]):
         for j, loss_name in enumerate(loss_names):
             rows.append({
                 "experiment": args.experiment,
@@ -166,7 +174,7 @@ def _emit_rows(args, loss_names, regrets, horizons=None):
                 "adversary": args.adversary,
                 "loss": loss_name,
                 "K": args.K,
-                "T": args.T if horizons is None else horizons[trial],
+                "T": horizon,
                 "trial": trial,
                 "seed": args.seed,
                 "regret": float(regrets[trial, j]),
@@ -182,36 +190,40 @@ def _write_output(text: str, path):
         sys.stdout.write(text)
 
 
-def _check_fixed_length(adversary, horizon):
-    if isinstance(adversary, FixedSequence) and len(adversary.sequence) < horizon:
-        raise UsageError(f"fixed sequence has {len(adversary.sequence)} outcomes, "
-                         f"horizon is {horizon}")
+def _resolve(args, horizons) -> tuple[list[str], list[ProperLoss]]:
+    """Resolve and check every spec at every horizon before any trial starts."""
+    lspecs = _loss_specs(args)
+    losses = [make_loss(s) for s in lspecs]
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+    adversary = make_adversary(args.adversary, args.K)
+    for horizon in horizons:
+        try:
+            engine.check_game_size(args.K, horizon)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        make_forecaster(args.forecaster, args.K, horizon)
+        if isinstance(adversary, FixedSequence) and len(adversary.sequence) < horizon:
+            raise UsageError(f"fixed sequence has {len(adversary.sequence)} outcomes, "
+                             f"horizon is {horizon}")
+    return lspecs, losses
 
 
 def cmd_run(args) -> int:
-    lspecs = _loss_specs(args)
-    losses = [make_loss(s) for s in lspecs]
-    _check_fixed_length(make_adversary(args.adversary, args.K), args.T)
-    make_forecaster(args.forecaster, args.K, args.T)  # fail fast on bad specs
-    regrets = _run_regret_matrix(args.forecaster, args.adversary, lspecs,
-                                 args.K, args.T, args.trials, args.seed, args.workers)
-    rows = _emit_rows(args, [loss.name for loss in losses], regrets)
-    text = engine.write_csv(rows)
+    lspecs, losses = _resolve(args, [args.T])
+    (regrets,) = _regret_matrices(args, lspecs, [args.T])
+    text = engine.write_csv(_emit_rows(args, [loss.name for loss in losses], regrets, args.T))
     _write_output(text, args.output)
-    per_loss = regrets.mean(axis=0)
-    sup = regrets.max(axis=1)
-    se = float(sup.std(ddof=1) / math.sqrt(args.trials)) if args.trials > 1 else 0.0
-    summary = (f"pucal={engine.format_float(float(per_loss.max()))} "
-               f"ucal={engine.format_float(float(sup.mean()))} "
-               f"std_error={engine.format_float(se)} trials={args.trials}")
+    est = engine.summarize(regrets, losses)
+    summary = (f"pucal={engine.format_float(est.pucal)} "
+               f"ucal={engine.format_float(est.ucal)} "
+               f"pucal_se={engine.format_float(est.pucal_se)} "
+               f"ucal_se={engine.format_float(est.std_error)} trials={est.trials}")
     print(summary, file=sys.stdout if args.output else sys.stderr)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    lspecs = _loss_specs(args)
-    losses = [make_loss(s) for s in lspecs]
-    make_adversary(args.adversary, args.K)
     horizons = []
     horizon = args.T_start
     while horizon <= args.T_stop:
@@ -220,20 +232,11 @@ def cmd_sweep(args) -> int:
         horizon = nxt if nxt > horizon else horizon + 1
     if not horizons:
         raise UsageError("empty horizon grid; check --T-start/--T-stop/--T-factor")
+    lspecs, losses = _resolve(args, horizons)
+    loss_names = [loss.name for loss in losses]
     rows = []
-    for horizon in horizons:
-        make_forecaster(args.forecaster, args.K, horizon)
-        _check_fixed_length(make_adversary(args.adversary, args.K), horizon)
-        regrets = _run_regret_matrix(args.forecaster, args.adversary, lspecs,
-                                     args.K, horizon, args.trials, args.seed, args.workers)
-        for trial in range(args.trials):
-            for j, loss in enumerate(losses):
-                rows.append({
-                    "experiment": args.experiment, "forecaster": args.forecaster,
-                    "adversary": args.adversary, "loss": loss.name,
-                    "K": args.K, "T": horizon, "trial": trial, "seed": args.seed,
-                    "regret": float(regrets[trial, j]),
-                })
+    for horizon, regrets in zip(horizons, _regret_matrices(args, lspecs, horizons)):
+        rows.extend(_emit_rows(args, loss_names, regrets, horizon))
     text = engine.write_csv(rows)
     _write_output(text, args.output)
     print(f"swept T={horizons} trials={args.trials}", file=sys.stdout if args.output else sys.stderr)

@@ -1,12 +1,19 @@
 """Protocol runner and regret/calibration measurements.
 
 ``run_game`` plays T rounds of forecast-then-outcome and returns a
-transcript; against an oblivious adversary it plays them as one vectorized
-block.  Regret for a proper loss compares the forecaster's cumulative
-bivariate loss against the mean-of-outcomes benchmark, which is the
-empirical risk minimizer for every proper loss simultaneously, so no
-numerical minimization is needed (a brute-force grid minimizer survives in
-the tests as an independent oracle).
+transcript.  ``play_games`` holds the engine's one block path and one round
+loop: an oblivious adversary's game is played as one vectorized block, and
+the trials of an adaptive game run in lockstep, one (trials, K) step per
+round.
+``run_trials`` is the one trial runner: it plays trial i on stream
+(base_seed, i), oblivious trials one at a time, adaptive trials in blocks
+of at most ``BLOCK_CELLS`` cells, and scores each with ``regret``.
+
+Regret for a proper loss compares the forecaster's cumulative bivariate
+loss against the mean-of-outcomes benchmark, which is the empirical risk
+minimizer for every proper loss simultaneously, so no numerical
+minimization is needed (a brute-force grid minimizer survives in the tests
+as an independent oracle).
 
 On top of single transcripts the module estimates two aggregate errors over
 a finite loss family by Monte Carlo:
@@ -14,13 +21,14 @@ a finite loss family by Monte Carlo:
     pucal = max over losses of (mean over trials of regret)
     ucal  = mean over trials of (max over losses of regret)
 
-pucal <= ucal always holds up to sampling noise.  ``sup_regret_mixture``
-evaluates the sup over the two-loss mixture family on a grid of mixture
-weights (regret is affine in the weight, so the exact sup sits at an
-endpoint), ``check_high_prob_bound`` measures tail exceedance frequencies of
-the sqrt(KT)-scale bound, and ``exact_binomial_mad`` computes the exact mean
-absolute deviation of a binomial count, the quantity behind the matching
-regret lower bound for the step-shaped loss.
+pucal <= ucal always holds up to sampling noise.  ``summarize`` turns a
+regret matrix into both, each with its own standard error.
+``sup_regret_mixture`` evaluates the sup over the two-loss mixture family on
+a grid of mixture weights (regret is affine in the weight, so the exact sup
+sits at an endpoint), ``check_high_prob_bound`` measures tail exceedance
+frequencies of the sqrt(KT)-scale bound, and ``exact_binomial_mad``
+computes the exact mean absolute deviation of a binomial count, the
+quantity behind the matching regret lower bound for the step-shaped loss.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,7 +73,39 @@ class CalibrationEstimate:
     ucal: float
     per_loss_mean: dict
     trials: int
-    std_error: float  # standard error of the per-trial sup values
+    std_error: float  # standard error of the per-trial sup values, the error bar of ucal
+    pucal_se: float   # standard error of the per-trial regrets of the loss attaining pucal
+
+
+#: Largest game, in horizon * K cells, that the engine plays.  A game holds
+#: its (T, K) noise block, prefix counts and forecasts at once, and scoring
+#: adds a few (T, K) temporaries: about 40 bytes a cell at peak, so the cap
+#: of 2^24 cells bounds one game near 0.7 GiB.  A larger game is refused
+#: before anything is drawn.
+MAX_GAME_CELLS = 1 << 24
+
+#: Cell budget n * T * K of one lockstep block of adaptive trials; a block
+#: holds ``max(1, BLOCK_CELLS // (T * K))`` trials (8 MiB of forecasts).
+BLOCK_CELLS = 1 << 20
+
+
+def check_game_size(k: int, horizon: int) -> None:
+    """Refuse a game of ``horizon`` rounds over ``k`` outcomes above ``MAX_GAME_CELLS`` cells."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if horizon * k > MAX_GAME_CELLS:
+        raise ValueError(f"a game of T={horizon} rounds over K={k} outcomes has {horizon * k} "
+                         f"cells, above the cap of {MAX_GAME_CELLS} (2^24) cells per game")
+
+
+def _more_derived(adversary: Adversary, name: str, than: str) -> bool:
+    """Whether method ``name`` is defined at least as deep in the MRO as ``than``."""
+    mro = type(adversary).__mro__
+
+    def owner(attr):
+        return next((i for i, cls in enumerate(mro) if attr in vars(cls)), len(mro))
+
+    return owner(name) <= owner(than)
 
 
 def _plays_in_one_block(adversary: Adversary) -> bool:
@@ -73,58 +114,87 @@ def _plays_in_one_block(adversary: Adversary) -> bool:
     A subclass that overrides only ``next_outcome`` (to react to the
     forecasts, or just to watch them) is played round by round.
     """
-    mro = type(adversary).__mro__
+    return _more_derived(adversary, "outcomes", "next_outcome")
 
-    def owner(name):
-        return next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
 
-    return owner("outcomes") <= owner("next_outcome")
+def _bad_outcomes(horizon, k):
+    return ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
+
+
+def play_games(forecasters, adversary: Adversary, horizon: int, rngs) -> list[Transcript]:
+    """Play one game per (forecaster, rng) pair against one adversary.
+
+    Every game reads its own ``rng`` in one fixed layout: first the
+    forecaster's whole (horizon, K) noise block, then the adversary's
+    outcomes.  Against an oblivious adversary each game's outcomes are drawn
+    at once, and every forecast comes from one ``rule`` call on the integer
+    prefix counts (the block path).  Against any other adversary the n games
+    run in lockstep (the round loop): round t applies the rule once to the
+    stacked counts (n, K) and noise rows (n, K), then asks the adversary for
+    all n replies, which see forecasts 1..t-1 only.  The first forecaster's
+    rule serves every game, so the forecasters must differ only in their
+    counts and round index.  Each game's transcript is the one it would get
+    played alone.
+    """
+    f0 = forecasters[0]
+    k, n = f0.k, len(forecasters)
+    for f in forecasters:
+        if f.k != adversary.k:
+            raise ValueError(f"dimension mismatch: forecaster k={f.k}, adversary k={adversary.k}")
+        if f.horizon - f.t + 1 < horizon:
+            raise ValueError("forecaster horizon shorter than the game")
+    check_game_size(k, horizon)
+    noise = np.stack([f.noise(horizon, rng) for f, rng in zip(forecasters, rngs)], axis=1)
+    counts = np.stack([f.counts for f in forecasters])  # (n, K)
+    if _plays_in_one_block(adversary):
+        outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng), dtype=np.int64)
+                             for rng in rngs], axis=1)
+        if outcomes.shape != (horizon, n) or outcomes.min() < 0 or outcomes.max() >= k:
+            raise _bad_outcomes(horizon, k)
+        # counts before round t: the outcome of round t first shows in row t + 1
+        prefix = np.zeros((horizon, n, k), dtype=np.int64)
+        prefix[np.arange(1, horizon)[:, None], np.arange(n), outcomes[:-1]] = 1
+        np.cumsum(prefix, axis=0, out=prefix)
+        prefix += counts
+        forecasts = f0.rule(prefix.reshape(-1, k), noise.reshape(-1, k)).reshape(horizon, n, k)
+    else:
+        # a subclass that overrides only next_outcome is asked game by game
+        reply = (adversary.next_outcomes
+                 if _more_derived(adversary, "next_outcomes", "next_outcome")
+                 else partial(Adversary.next_outcomes, adversary))
+        forecasts = np.empty((horizon, n, k))
+        outcomes = np.empty((horizon, n), dtype=np.int64)
+        rows = np.arange(n)
+        for t in range(horizon):
+            forecasts[t] = f0.rule(counts, noise[t])
+            outcomes[t] = reply(t + 1, forecasts[:t], rngs)
+            try:
+                counts[rows, outcomes[t]] += 1
+            except IndexError as exc:
+                raise _bad_outcomes(horizon, k) from exc
+        if outcomes.min() < 0:  # a negative index wraps instead of raising
+            raise _bad_outcomes(horizon, k)
+    games = []
+    for i, f in enumerate(forecasters):
+        tr_outcomes = outcomes[:, i].copy()
+        final_counts = np.bincount(tr_outcomes, minlength=k).astype(np.int64)
+        f.counts += final_counts
+        f.t += horizon
+        games.append(Transcript(k=k, horizon=horizon,
+                                forecasts=np.ascontiguousarray(forecasts[:, i]),
+                                outcomes=tr_outcomes, final_counts=final_counts))
+    return games
 
 
 def run_game(forecaster: Forecaster, adversary: Adversary, horizon: int,
              rng: np.random.Generator) -> Transcript:
     """Play ``horizon`` rounds; each forecast is committed before its outcome.
 
-    The game reads ``rng`` in one fixed layout: first the forecaster's whole
-    (horizon, K) noise block, then the adversary's outcomes.  An oblivious
-    adversary draws all outcomes at once, and every forecast comes from one
-    ``forecaster.rule`` call on the integer prefix counts.  Any other
-    adversary is played round by round: round t applies the same rule to
-    row t of the noise block and the counts so far, then asks the adversary,
-    which sees forecasts 1..t-1 only.  Both ways give the same transcript.
+    One game through ``play_games``: an oblivious adversary's game is played
+    as one block, any other round by round (the lockstep loop with n = 1),
+    and both give the same transcript from one ``rng``.
     """
-    if forecaster.k != adversary.k:
-        raise ValueError(f"dimension mismatch: forecaster k={forecaster.k}, adversary k={adversary.k}")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if forecaster.horizon - forecaster.t + 1 < horizon:
-        raise ValueError("forecaster horizon shorter than the game")
-    k = forecaster.k
-    noise = forecaster.noise(horizon, rng)
-    if _plays_in_one_block(adversary):
-        outcomes = np.asarray(adversary.outcomes(horizon, rng), dtype=np.int64)
-        if outcomes.shape != (horizon,) or outcomes.min() < 0 or outcomes.max() >= k:
-            raise ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
-        # counts before round t: the outcome of round t first shows in row t + 1
-        prefix = np.zeros((horizon, k), dtype=np.int64)
-        prefix[np.arange(1, horizon), outcomes[:-1]] = 1
-        np.cumsum(prefix, axis=0, out=prefix)
-        prefix += forecaster.counts
-        forecasts = forecaster.rule(prefix, noise)
-        forecaster.counts[:] = prefix[-1]
-        forecaster.counts[outcomes[-1]] += 1
-        forecaster.t += horizon
-    else:
-        forecasts = np.empty((horizon, k))
-        outcomes = np.empty(horizon, dtype=np.int64)
-        for t in range(horizon):
-            forecasts[t] = forecaster.rule(forecaster.counts[None, :], noise[t:t + 1])[0]
-            y = adversary.next_outcome(t + 1, forecasts[:t], rng)
-            forecaster.observe(y)
-            outcomes[t] = y
-    final_counts = np.bincount(outcomes, minlength=k).astype(np.int64)
-    return Transcript(k=k, horizon=horizon, forecasts=forecasts,
-                      outcomes=outcomes, final_counts=final_counts)
+    return play_games([forecaster], adversary, horizon, [rng])[0]
 
 
 def benchmark_cost(transcript: Transcript, loss: ProperLoss, point=None) -> float:
@@ -143,19 +213,56 @@ def regret(transcript: Transcript, loss: ProperLoss) -> RegretRecord:
 
 
 def run_trials(forecaster_factory, adversary: Adversary, losses, horizon: int,
-               trials: int, base_seed: int) -> np.ndarray:
-    """Regret matrix of shape (trials, len(losses)); trial i uses stream (base_seed, i)."""
+               trials, base_seed: int) -> np.ndarray:
+    """Regret matrix of shape (len(trials), len(losses)); trial i uses stream (base_seed, i).
+
+    ``trials`` is a count or a ``range`` of trial indices, so a worker can
+    run one contiguous block of a larger experiment.  Oblivious trials are
+    played, scored and released one at a time; adaptive trials run in
+    lockstep blocks of at most ``BLOCK_CELLS`` cells, which apply the first
+    forecaster's rule to every game, so the factory must return forecasters
+    that differ only in their counts and round index.  Either way row j is the regret the
+    trial would get played alone.
+    """
+    trials = trials if isinstance(trials, range) else range(trials)
     losses = list(losses)
-    if trials < 1:
+    if len(trials) < 1:
         raise ValueError("trials must be >= 1")
     if not losses:
         raise ValueError("need at least one loss")
-    out = np.empty((trials, len(losses)))
-    for trial in range(trials):
-        rng = RngStream(base_seed, trial).generator()
-        tr = run_game(forecaster_factory(), adversary, horizon, rng)
-        out[trial] = [regret(tr, loss).regret for loss in losses]
+    check_game_size(adversary.k, horizon)
+    block = 1
+    if not _plays_in_one_block(adversary):
+        block = max(1, BLOCK_CELLS // (horizon * adversary.k))
+    out = np.empty((len(trials), len(losses)))
+    for start in range(0, len(trials), block):
+        chunk = trials[start:start + block]
+        rngs = [RngStream(base_seed, trial).generator() for trial in chunk]
+        games = play_games([forecaster_factory() for _ in chunk], adversary, horizon, rngs)
+        for row, transcript in enumerate(games, start):
+            out[row] = [regret(transcript, loss).regret for loss in losses]
     return out
+
+
+def summarize(regrets: np.ndarray, losses) -> CalibrationEstimate:
+    """pucal, ucal and their standard errors from a (trials, losses) regret matrix."""
+    regrets = np.asarray(regrets, dtype=float)
+    trials = regrets.shape[0]
+    per_loss = regrets.mean(axis=0)
+    sup_per_trial = regrets.max(axis=1)
+    worst = int(np.argmax(per_loss))
+
+    def std_error(values):
+        return float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+
+    return CalibrationEstimate(
+        pucal=float(per_loss[worst]),
+        ucal=float(sup_per_trial.mean()),
+        per_loss_mean={loss.name: float(m) for loss, m in zip(losses, per_loss)},
+        trials=trials,
+        std_error=std_error(sup_per_trial),
+        pucal_se=std_error(regrets[:, worst]),
+    )
 
 
 def estimate_calibration(forecaster_factory, adversary: Adversary, losses,
@@ -168,18 +275,7 @@ def estimate_calibration(forecaster_factory, adversary: Adversary, losses,
     """
     losses = list(losses)
     regrets = run_trials(forecaster_factory, adversary, losses, horizon, trials, base_seed)
-    per_loss = regrets.mean(axis=0)
-    sup_per_trial = regrets.max(axis=1)
-    std_error = 0.0
-    if trials > 1:
-        std_error = float(sup_per_trial.std(ddof=1) / np.sqrt(trials))
-    return CalibrationEstimate(
-        pucal=float(per_loss.max()),
-        ucal=float(sup_per_trial.mean()),
-        per_loss_mean={loss.name: float(m) for loss, m in zip(losses, per_loss)},
-        trials=trials,
-        std_error=std_error,
-    )
+    return summarize(regrets, losses)
 
 
 def mixture_weight_grid(eps: float) -> np.ndarray:

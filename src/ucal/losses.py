@@ -9,7 +9,8 @@ for a concave function f on the simplex and a subgradient g_p of f at p.
 Here f is the "univariate form" (the expected loss of forecasting p when the
 outcome truly follows p) and the two-argument "bivariate form" is
 reconstructed from f and its subgradient.  Each loss class below supplies
-``univariate`` and ``subgradient``; ``bivariate`` is derived.
+``univariate`` and ``subgradient``; ``bivariate`` is derived, and so is
+``outcome_losses``, the loss of a forecast at every outcome at once.
 
 Shipped losses
 --------------
@@ -83,6 +84,16 @@ class ProperLoss:
         g = self.subgradient(p)
         return self.univariate(p) + _take_outcome(g, y) - np.sum(g * p, axis=-1)
 
+    def outcome_losses(self, p) -> np.ndarray:
+        """loss(p, y) for every outcome y at once, shape (..., K).
+
+        The same arithmetic as ``bivariate``, element for element, so
+        ``outcome_losses(p)[..., y] == bivariate(p, y)`` exactly.
+        """
+        p = _as_points(p)
+        g = self.subgradient(p)
+        return self.univariate(p)[..., None] + g - (g * p).sum(axis=-1)[..., None]
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
@@ -125,6 +136,10 @@ class SphericalLoss(ProperLoss):
         p = _as_points(p)
         norm = np.sqrt(np.sum(p * p, axis=-1))
         return -_take_outcome(p, y) / norm
+
+    def outcome_losses(self, p):
+        p = _as_points(p)
+        return -p / np.sqrt((p * p).sum(axis=-1))[..., None]
 
 
 class VShapedLoss(ProperLoss):
@@ -216,6 +231,10 @@ class MixtureLoss(ProperLoss):
     def bivariate(self, p, y):
         w = self.weight
         return w * self.loss1.bivariate(p, y) + (1 - w) * self.loss2.bivariate(p, y)
+
+    def outcome_losses(self, p):
+        w = self.weight
+        return w * self.loss1.outcome_losses(p) + (1 - w) * self.loss2.outcome_losses(p)
 
 
 class CustomLoss(ProperLoss):

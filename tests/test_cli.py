@@ -1,4 +1,4 @@
-import os
+import time
 
 import pytest
 
@@ -72,6 +72,56 @@ class TestRun:
         monkeypatch.setenv("UCAL_THREADS", "1")
         assert run_cli(base + ["--workers", "4", "--output", str(capped)], capsys)[0] == 0
         assert serial.read_bytes() == parallel.read_bytes() == capped.read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--adversary", "greedy:vshaped", "--T", "50"],
+        ["sweep", "--adversary", "greedy:squared", "--T-start", "16", "--T-stop", "64"],
+    ])
+    def test_adaptive_workers_do_not_change_bytes(self, command, capsys, tmp_path,
+                                                  monkeypatch):
+        base = command + ["--forecaster", "ftpl-uniform", "--loss", "vshaped;squared:0.5",
+                          "--K", "3", "--trials", "3", "--seed", "5"]
+        bodies = []
+        for workers in ("1", "2", "4"):
+            path = tmp_path / f"w{workers}.csv"
+            assert run_cli(base + ["--workers", workers, "--output", str(path)], capsys)[0] == 0
+            bodies.append(path.read_bytes())
+        monkeypatch.setenv("UCAL_THREADS", "1")
+        capped = tmp_path / "capped.csv"
+        assert run_cli(base + ["--workers", "4", "--output", str(capped)], capsys)[0] == 0
+        bodies.append(capped.read_bytes())
+        assert len(set(bodies)) == 1
+        assert bodies[0].count(b"\n") == 1 + 3 * 2 * (1 if command[0] == "run" else 3)
+
+    def test_summary_names_both_error_bars(self, capsys):
+        code, out, err = run_cli([
+            "run", "--forecaster", "ftpl-geometric", "--adversary", "iid-uniform",
+            "--loss", "vshaped;squared:0.5", "--K", "2", "--T", "64", "--trials", "4"], capsys)
+        assert code == 0
+        fields = dict(item.split("=") for item in err.split())
+        assert list(fields) == ["pucal", "ucal", "pucal_se", "ucal_se", "trials"]
+        assert float(fields["pucal_se"]) > 0 and float(fields["ucal_se"]) > 0
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--T", str(10 ** 15)],
+        ["sweep", "--T-start", "64", "--T-stop", str(10 ** 15)],
+    ])
+    def test_oversized_game_fails_before_any_trial(self, command, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        start = time.perf_counter()
+        code, _, err = run_cli(command + [
+            "--forecaster", "ftpl-geometric", "--adversary", "greedy:vshaped",
+            "--loss", "vshaped", "--K", "2", "--trials", "2", "--output", str(path)], capsys)
+        assert code == 2
+        assert "above the cap" in err
+        assert not path.exists()
+        assert time.perf_counter() - start < 1.0
+
+    def test_zero_trials_usage_error(self, capsys):
+        code, _, err = run_cli([
+            "run", "--forecaster", "ftl", "--adversary", "alternating",
+            "--loss", "vshaped", "--K", "2", "--T", "10", "--trials", "0"], capsys)
+        assert code == 2 and "--trials" in err
 
     def test_fixed_adversary_from_file(self, capsys, tmp_path):
         seq = tmp_path / "seq.txt"

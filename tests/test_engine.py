@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ucal import (Alternating, FixedSequence, FollowTheLeader, GreedyAdaptive, IidUniform,
-                  MixtureLoss, PerturbedLeaderGeometric, PerturbedLeaderUniform, RngStream,
-                  SphericalLoss, SquaredLoss, StaticForecaster, TsallisLoss, VShapedLoss,
-                  benchmark_cost,
+from ucal import (Adversary, Alternating, FixedSequence, FollowTheLeader, GreedyAdaptive,
+                  IidUniform, MixtureLoss, PerturbedLeaderGeometric, PerturbedLeaderUniform,
+                  RngStream, SphericalLoss, SquaredLoss, StaticForecaster, TsallisLoss,
+                  VShapedLoss, benchmark_cost,
                   check_high_prob_bound, estimate_calibration, exact_binomial_mad,
-                  mean_of_counts, random_simplex_points, regret, run_game, run_trials,
-                  sup_regret_mixture, write_csv)
+                  mean_of_counts, play_games, random_simplex_points, regret, run_game,
+                  run_trials, summarize, sup_regret_mixture, write_csv)
+from ucal import engine
+from ucal.core import uniform_point
 from ucal.engine import format_float, mixture_weight_grid
 
 
@@ -140,6 +142,135 @@ class TestKernelMatchesRoundLoop:
             run_game(FollowTheLeader(2, 5), cls(2, [0, 1, 0]), 5, _gen(0))
 
 
+GREEDY_LOSSES = {
+    "vshaped": VShapedLoss(), "squared": SquaredLoss(1.0), "squared-half": SquaredLoss(0.5),
+    "spherical": SphericalLoss(), "tsallis-1.5": TsallisLoss(1.5),
+    "mixture": MixtureLoss(SquaredLoss(0.5), VShapedLoss(), 0.3),
+}
+
+
+def _reference_greedy_game(forecaster, loss, horizon, rng):
+    """The greedy game as a plain round loop, scoring each reply with ``bivariate``."""
+    k = forecaster.k
+    noise = forecaster.noise(horizon, rng)
+    forecasts, outcomes = np.empty((horizon, k)), []
+    for t in range(horizon):
+        forecasts[t] = forecaster.rule(forecaster.counts[None, :], noise[t:t + 1])[0]
+        proxy = uniform_point(k) if t == 0 else forecasts[t - 1]
+        outcomes.append(int(np.argmax(loss.bivariate(proxy, np.arange(k)))))
+        forecaster.observe(outcomes[-1])
+    return forecasts, np.array(outcomes)
+
+
+def _assert_block_equals_solo(make_forecaster, make_adversary, k, horizon, n=3):
+    """Every game of a lockstep block of n equals the same game played alone."""
+    block_fs = [make_forecaster(k, horizon) for _ in range(n)]
+    block = play_games(block_fs, make_adversary(k), horizon,
+                       [_gen(31, i) for i in range(n)])
+    for i, game in enumerate(block):
+        solo_f = make_forecaster(k, horizon)
+        solo = run_game(solo_f, make_adversary(k), horizon, _gen(31, i))
+        assert np.array_equal(game.forecasts, solo.forecasts)
+        assert np.array_equal(game.outcomes, solo.outcomes)
+        assert np.array_equal(game.final_counts, solo.final_counts)
+        assert np.array_equal(block_fs[i].counts, solo_f.counts)
+        assert block_fs[i].t == solo_f.t == horizon + 1
+        assert np.array_equal([regret(game, loss).regret for loss in SHIPPED_LOSSES],
+                              [regret(solo, loss).regret for loss in SHIPPED_LOSSES])
+    return block
+
+
+class TestLockstepMatchesSolo:
+    """A lockstep block of adaptive games gives each game its solo transcript."""
+
+    @pytest.mark.parametrize("horizon", [1, 7, 256])
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("loss", sorted(GREEDY_LOSSES))
+    @pytest.mark.parametrize("forecaster", sorted(FORECASTERS))
+    def test_greedy_block_equals_solo(self, forecaster, loss, k, horizon):
+        greedy_loss = GREEDY_LOSSES[loss]
+        block = _assert_block_equals_solo(FORECASTERS[forecaster],
+                                          lambda k: GreedyAdaptive(k, greedy_loss), k, horizon)
+        forecasts, outcomes = _reference_greedy_game(FORECASTERS[forecaster](k, horizon),
+                                                     greedy_loss, horizon, _gen(31, 2))
+        assert np.array_equal(block[2].forecasts, forecasts)
+        assert np.array_equal(block[2].outcomes, outcomes)
+
+    def test_recorder_sees_only_the_past(self):
+        class Recorder(Alternating):
+            lengths = []
+
+            def next_outcome(self, t, past_forecasts, rng=None):
+                self.lengths.append(len(past_forecasts))
+                assert np.shape(past_forecasts) == (t - 1, 2)
+                return super().next_outcome(t, past_forecasts, rng)
+
+        _assert_block_equals_solo(FollowTheLeader, Recorder, 2, 6)
+        # three games in the block, then three solo games
+        assert Recorder.lengths[:18] == [t for t in range(6) for _ in range(3)]
+        assert Recorder.lengths[18:] == list(range(6)) * 3
+
+    def test_adaptive_subclass_draws_from_its_own_stream(self):
+        class Drawing(Adversary):
+            def next_outcome(self, t, past_forecasts, rng):
+                if len(past_forecasts) and past_forecasts[-1][0] > 0.6:
+                    return 1
+                return int(rng.integers(0, self.k))
+
+        block = _assert_block_equals_solo(PerturbedLeaderUniform, Drawing, 3, 64)
+        assert len({tuple(game.outcomes) for game in block}) == 3
+
+    def test_override_of_next_outcome_alone_is_honoured(self):
+        class Contrarian(GreedyAdaptive):
+            def next_outcome(self, t, past_forecasts, rng=None):
+                return (super().next_outcome(t, past_forecasts, rng) + 1) % self.k
+
+        def contrarian(k):
+            return Contrarian(k, SquaredLoss())
+
+        block = _assert_block_equals_solo(FollowTheLeader, contrarian, 3, 20)
+        greedy = run_game(FollowTheLeader(3, 20), GreedyAdaptive(3, SquaredLoss()), 20, _gen(0))
+        assert block[0].outcomes[0] == 1 and greedy.outcomes[0] == 0
+
+    def test_batched_greedy_replies_match_single_replies(self):
+        past = _gen(8).dirichlet(np.ones(4), size=(5, 6))  # (t - 1, n, K)
+        for loss in GREEDY_LOSSES.values():
+            adv = GreedyAdaptive(4, loss)
+            batched = adv.next_outcomes(6, past, [None] * 6)
+            single = [adv.next_outcome(6, past[:, i]) for i in range(6)]
+            assert batched.tolist() == single
+            assert adv.next_outcomes(1, past[:0], [None] * 6).tolist() == [0] * 6
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_reply_rejected(self, bad):
+        class Bad(Adversary):
+            def next_outcome(self, t, past_forecasts, rng=None):
+                return bad if t == 4 else 0
+
+        with pytest.raises(ValueError, match="indices in"):
+            play_games([FollowTheLeader(3, 8) for _ in range(2)], Bad(3), 8,
+                       [_gen(0, i) for i in range(2)])
+
+
+class TestGameSizeCap:
+    def test_refused_before_any_draw(self):
+        class NoDraw(PerturbedLeaderGeometric):
+            def noise(self, horizon, rng):
+                raise AssertionError("drew noise for an oversized game")
+
+        horizon = engine.MAX_GAME_CELLS // 4 + 1
+        with pytest.raises(ValueError, match="above the cap"):
+            run_game(NoDraw(4, horizon), GreedyAdaptive(4, VShapedLoss()), horizon, _gen(0))
+        with pytest.raises(ValueError, match="above the cap"):
+            run_trials(lambda: NoDraw(4, horizon), IidUniform(4), [VShapedLoss()],
+                       horizon, 2, 0)
+
+    def test_cap_is_inclusive(self):
+        engine.check_game_size(2, engine.MAX_GAME_CELLS // 2)
+        with pytest.raises(ValueError, match="above the cap"):
+            engine.check_game_size(2, engine.MAX_GAME_CELLS // 2 + 1)
+
+
 class TestRegret:
     @pytest.mark.parametrize("horizon", [8, 100])
     def test_ftl_alternating_vshaped_exact_quarter(self, horizon):
@@ -212,6 +343,15 @@ class TestEstimateCalibration:
         floor = math.sqrt(horizon / 8) - 3 * est.std_error
         ceiling = 4 * math.sqrt(2 * horizon) + 3 * est.std_error
         assert floor <= est.pucal <= ceiling
+
+    def test_error_bars_name_their_estimates(self):
+        regrets = np.array([[1.0, 5.0], [3.0, 2.0], [2.0, 8.0], [6.0, 1.0]])
+        est = summarize(regrets, [VShapedLoss(), SquaredLoss()])
+        assert est.pucal == 4.0 and est.ucal == 5.5 and est.trials == 4
+        assert est.pucal_se == pytest.approx(np.std([5, 2, 8, 1], ddof=1) / 2, abs=1e-15)
+        assert est.std_error == pytest.approx(np.std([5, 3, 8, 6], ddof=1) / 2, abs=1e-15)
+        single = summarize(regrets[:1], [VShapedLoss(), SquaredLoss()])
+        assert single.pucal_se == single.std_error == 0.0
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -308,6 +448,17 @@ class TestExactBinomialMad:
 
 
 class TestRunTrials:
+    @pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SphericalLoss())])
+    def test_trial_range_and_blocks(self, adversary, monkeypatch):
+        def run(trials):
+            return run_trials(lambda: PerturbedLeaderUniform(3, 40), adversary,
+                              SHIPPED_LOSSES, horizon=40, trials=trials, base_seed=4)
+
+        whole = run(7)
+        assert np.array_equal(run(range(2, 6)), whole[2:6])
+        monkeypatch.setattr(engine, "BLOCK_CELLS", 2 * 40 * 3)  # lockstep blocks of 2
+        assert np.array_equal(run(7), whole)
+
     def test_deterministic_per_trial_streams(self):
         a = run_trials(lambda: PerturbedLeaderGeometric(2, 32), IidUniform(2),
                        [VShapedLoss()], horizon=32, trials=5, base_seed=9)

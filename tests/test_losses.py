@@ -95,6 +95,26 @@ class TestBivariate:
             np.testing.assert_allclose(batch, single, atol=1e-14)
 
 
+class TestOutcomeLosses:
+    """The per-outcome table equals bivariate element for element, exactly."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_table_equals_bivariate(self, k):
+        rng = RNG.generator()
+        stack = random_simplex_points(k, 24, rng).reshape(4, 6, k)
+        # kinks of the step-shaped loss and vertices, where ties and zeros sit
+        edges = np.vstack([uniform_point(k), one_hot(0, k), one_hot(k - 1, k)])
+        custom = CustomLoss(lambda p: 1.0 - np.sum(p * p, axis=-1), lambda p: -2.0 * p)
+        for loss in shipped_losses() + [custom]:
+            for points in (stack, edges, edges[0]):
+                table = loss.outcome_losses(points)
+                assert table.shape == points.shape
+                for y in range(k):
+                    assert np.array_equal(table[..., y], loss.bivariate(points, y)), loss
+            assert np.array_equal(loss.outcome_losses(edges[0]),
+                                  loss.bivariate(edges[0], np.arange(k))), loss
+
+
 class TestExpectedValueIdentity:
     # sum_i p_i * loss(p, e_i) must equal the univariate form: the
     # subgradient correction vanishes in expectation under p itself.
