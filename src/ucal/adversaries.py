@@ -92,7 +92,13 @@ class IidUniform(Adversary):
 
 
 class Alternating(Adversary):
-    """Outcome 0 on odd rounds, outcome 1 on even rounds."""
+    """Outcome 0 on odd rounds, outcome 1 on even rounds.
+
+    Only outcomes 0 and 1 are ever played, whatever K is: for K > 2 the
+    remaining outcomes never occur.  Acceptance criterion 4 (the FTPL pucal
+    ceiling) plays this adversary at K = 5 and 10 and relies on that
+    two-outcome sequence; its seeds and slacks were set against it.
+    """
 
     name = "alternating"
 

@@ -13,7 +13,9 @@ Component specs are NAME or NAME:ARGS, e.g. ``ftl``, ``static:0.5,0.5``,
 ``tsallis:1.5``, ``fixed:outcomes.txt``, ``greedy:vshaped``.  A key=value
 config file can provide defaults for any long flag; explicit flags win.
 Exit codes: 0 success, 1 validation or assertion failure, 2 usage error
-(a game above ``engine.MAX_GAME_CELLS`` is one, refused before any trial).
+(a game above ``engine.MAX_GAME_CELLS`` is one, refused before any trial;
+so are ``minimax --check-bounds`` below T = 2 and a closed form above
+``minimax.CLOSED_FORM_MAX_HORIZON``, refused before any output).
 ``run`` and ``sweep`` hand each worker one contiguous block of trials per
 horizon, all through one process pool, and every block runs through
 ``engine.run_trials``.  The UCAL_THREADS environment variable caps the
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -245,6 +246,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_minimax(args) -> int:
     t = args.T
+    if args.check_bounds and t < 2:
+        raise UsageError("--check-bounds needs --T >= 2 (the sandwich bounds use log T > 0)")
+    needs_closed = args.mode in ("closed", "both") or args.check_bounds or args.output
+    if needs_closed and t > minimax.CLOSED_FORM_MAX_HORIZON:
+        raise UsageError(f"--T {t} is above the closed form's cap of "
+                         f"{minimax.CLOSED_FORM_MAX_HORIZON} (2^24) rounds")
     value_dp = value_closed = None
     seqs = None
     if args.mode in ("dp", "both"):
@@ -255,7 +262,7 @@ def cmd_minimax(args) -> int:
         if table.outer_branch_states > 0 or table.max_abs_gap > 2.0 + 1e-9:
             print("FAIL: a backward step left the interior branch", file=sys.stderr)
             return EXIT_FAIL
-    if args.mode in ("closed", "both") or args.check_bounds or args.output:
+    if needs_closed:
         seqs = minimax.closed_form(t)
         value_closed = seqs.value
         if args.mode in ("closed", "both"):
@@ -267,7 +274,7 @@ def cmd_minimax(args) -> int:
             return EXIT_FAIL
         print(f"agreement |dp - closed| = {gap:.3e} <= 1e-08")
     if args.check_bounds:
-        upper_violation, lower_violation = minimax.check_a_bounds(t)
+        upper_violation, lower_violation = minimax.check_a_bounds(t, seqs)
         floor = minimax.value_lower_bound(t)
         ok = upper_violation <= 1e-12 and lower_violation <= 1e-12 and seqs.value >= floor
         print(f"sandwich violations: above={upper_violation:.3e} below={lower_violation:.3e}; "
@@ -277,18 +284,8 @@ def cmd_minimax(args) -> int:
             print("FAIL: sandwich bounds violated", file=sys.stderr)
             return EXIT_FAIL
     if args.output:
-        log_t = math.log(t)
         with open(args.output, "w") as fh:
-            fh.write("r,u_r,v_r,a_r,upper_bound,lower_bound\n")
-            for i in range(t):
-                fh.write(",".join([
-                    str(i),
-                    engine.format_float(float(seqs.u[i])),
-                    engine.format_float(float(seqs.v[i])),
-                    engine.format_float(float(seqs.a[i])),
-                    engine.format_float(1.0 / (t - i)),
-                    engine.format_float(1.0 / (t - i + log_t)),
-                ]) + "\n")
+            minimax.write_sequences_csv(seqs, fh)
     return EXIT_OK
 
 

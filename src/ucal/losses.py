@@ -242,6 +242,7 @@ class CustomLoss(ProperLoss):
 
     Nothing is assumed about the supplied form; run ``check_concavity`` and
     ``check_proper`` to test whether it actually defines a proper loss.
+    A rule that returns NaN or an infinity raises ``ValueError``.
     """
 
     def __init__(self, univariate_fn, subgradient_fn, name: str = "custom",
@@ -252,10 +253,16 @@ class CustomLoss(ProperLoss):
         self.range_bound = range_bound
 
     def univariate(self, p):
-        return np.asarray(self._univariate_fn(_as_points(p)), dtype=float)
+        return self._finite(self._univariate_fn(_as_points(p)), "univariate")
 
     def subgradient(self, p):
-        return np.asarray(self._subgradient_fn(_as_points(p)), dtype=float)
+        return self._finite(self._subgradient_fn(_as_points(p)), "subgradient")
+
+    def _finite(self, values, rule: str) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError(f"loss {self.name!r}: the {rule} rule returned non-finite values")
+        return values
 
 
 @dataclass

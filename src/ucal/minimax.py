@@ -15,9 +15,12 @@ and one backward step maximizes over the adversary's mixing weight q:
         = (V1-V2)^2 / 8 + (V1+V2)/2 + 1/2       if -2 <= V1 - V2 <= 2
         = V1                                    if V1 - V2 > 2
 
-with V1 = V[n1+1, n2, r-1] and V2 = V[n1, n2+1, r-1].  The DP evaluates all
-three branches so that "the middle branch always applies" is verified at
-runtime (``max_abs_gap <= 2``) rather than assumed.
+with V1 = V[n1+1, n2, r-1] and V2 = V[n1, n2+1, r-1].  Each backward step
+takes the middle branch as the new layer and measures max |V1 - V2|; only
+when that gap exceeds 2 does it apply the clamped branches and count the
+states they cover.  "The middle branch always applies" is thus verified at
+runtime (``max_abs_gap <= 2``, ``outer_branch_states == 0``) rather than
+assumed, and a layer that leaves the interior still gets the exact sup.
 
 The table also collapses to closed-form sequences: with
 
@@ -39,11 +42,20 @@ floor (1/2) * log(T / (log T + 1) + 1) on the game value.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 DP_MAX_HORIZON = 4096
+
+#: Largest horizon ``closed_form`` accepts.  Its sequences and temporaries
+#: take about six float64 arrays of T entries at peak (~0.8 GB at 2^24);
+#: a larger horizon is refused before anything is allocated.
+CLOSED_FORM_MAX_HORIZON = 1 << 24
+
+#: Rows rendered per ``write`` call by ``write_sequences_csv``.
+CSV_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -74,18 +86,33 @@ def dp_value(horizon: int, keep_layers: bool = False) -> MinimaxTable:
     layers = [layer] if keep_layers else None
     max_gap = 0.0
     outer = 0
-    for r in range(1, t + 1):
-        v1 = layer[1:]   # outcome-1 child
-        v2 = layer[:-1]  # outcome-2 child
-        d = v1 - v2
-        max_gap = max(max_gap, float(np.abs(d).max()))
-        middle = d * d / 8.0 + (v1 + v2) / 2.0 + 0.5
-        layer = np.where(d < -2.0, v2, np.where(d > 2.0, v1, middle))
-        outer += int(np.sum(d < -2.0) + np.sum(d > 2.0))
+    for _ in range(t):
+        layer, gap, clamped = _backward_step(layer)
+        max_gap = max(max_gap, gap)
+        outer += clamped
         if keep_layers:
             layers.append(layer)
     return MinimaxTable(horizon=t, value=float(layer[0]), max_abs_gap=max_gap,
                         outer_branch_states=outer, layers=layers)
+
+
+def _backward_step(layer: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """One DP step: (layer r-1) -> (layer r, max |V1 - V2|, clamped-branch state count)."""
+    v1 = layer[1:]   # outcome-1 child
+    v2 = layer[:-1]  # outcome-2 child
+    d = v1 - v2
+    gap = float(np.abs(d).max())
+    # middle branch d^2/8 + (V1+V2)/2 + 1/2, in that order, built in place
+    half_sum = v1 + v2
+    half_sum /= 2.0
+    nxt = d * d
+    nxt /= 8.0
+    nxt += half_sum
+    nxt += 0.5
+    if gap <= 2.0:
+        return nxt, gap, 0
+    clamped = int(np.count_nonzero(np.abs(d) > 2.0))
+    return np.where(d < -2.0, v2, np.where(d > 2.0, v1, nxt)), gap, clamped
 
 
 def optimal_q(v1: float, v2: float) -> float:
@@ -108,48 +135,84 @@ def closed_form(horizon: int) -> ClosedFormSequences:
     """O(T) evaluation of the game value via the u/v recurrences."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if horizon > CLOSED_FORM_MAX_HORIZON:
+        raise ValueError(f"closed form at T={horizon} is above the cap of "
+                         f"{CLOSED_FORM_MAX_HORIZON} (2^24) rounds")
     t = horizon
     inv_t = 1.0 / t
-    u = np.empty(t + 1)
-    v = np.empty(t + 1)
-    u_r = 0.0
-    u[0] = v[0] = 0.0
     # v unrolls to v_m = (1/2) sum_{s<m} u_s + m(m+1-T)/(2T); taking the
     # linear part as one exact-integer ratio and the u part with Kahan
     # compensation keeps every entry accurate to a few ulps even at T = 10^6,
-    # where naive per-round accumulation drifts by ~1e-9.
+    # where naive per-round accumulation drifts by ~1e-9.  Only the
+    # sequential u recurrence and the Kahan sum run in Python.
+    u_buf = array("d", [0.0])
+    sums = array("d", [0.0])  # sums[m] = sum_{s<m} u_s
+    u_append, sums_append = u_buf.append, sums.append
+    u_r = 0.0
     sum_u = 0.0
     comp = 0.0
-    for r in range(t):
+    for _ in range(t):
         a_r = u_r + inv_t
         y = u_r - comp
         tot = sum_u + y
         comp = (tot - sum_u) - y
         sum_u = tot
-        m = r + 1
-        v[m] = 0.5 * sum_u + float(m * (m + 1 - t)) / (2.0 * t)
+        sums_append(sum_u)
         u_r = u_r + a_r * a_r
-        u[m] = u_r
+        u_append(u_r)
+    u = np.frombuffer(u_buf)
+    # m(m+1-T) <= T^2/4 <= 2^46 at the cap: exact in int64 and in float64
+    m = np.arange(t + 1, dtype=np.int64)
+    linear = m + (1 - t)
+    linear *= m
+    v = np.frombuffer(sums) * 0.5
+    v += linear / (2.0 * t)
     a = u[:t] + inv_t
     return ClosedFormSequences(horizon=t, u=u, v=v, a=a, value=float(v[t]))
 
 
-def check_a_bounds(horizon: int) -> tuple[float, float]:
+def check_a_bounds(horizon: int, seqs: ClosedFormSequences | None = None) -> tuple[float, float]:
     """Worst violation of 1/(T-r+log T) <= a[r] <= 1/(T-r) over r in [0, T).
 
     Returns (max_upper_violation, max_lower_violation), each clipped at 0;
-    both are expected to vanish.
+    both are expected to vanish.  ``seqs``, if given, must be
+    ``closed_form(horizon)``; otherwise it is computed here.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     t = horizon
-    a = closed_form(t).a
+    if seqs is None:
+        seqs = closed_form(t)
+    elif seqs.horizon != t:
+        raise ValueError(f"sequences are for T={seqs.horizon}, not T={t}")
+    a = seqs.a
     r = np.arange(t, dtype=float)
     upper = 1.0 / (t - r)
     lower = 1.0 / (t - r + math.log(t))
     max_upper = float(np.max(a - upper, initial=0.0))
     max_lower = float(np.max(lower - a, initial=0.0))
     return max(max_upper, 0.0), max(max_lower, 0.0)
+
+
+def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
+    """Write ``r,u_r,v_r,a_r,upper_bound,lower_bound`` rows for r in [0, T) to ``fh``.
+
+    Floats carry 12 significant digits (``engine.format_float``); the
+    bounds are 1/(T-r) and 1/(T-r+log T).  Rows are rendered
+    ``CSV_CHUNK_ROWS`` at a time, so memory stays O(chunk) in T.
+    """
+    t = seqs.horizon
+    log_t = math.log(t)
+    row = "%d,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+    fh.write("r,u_r,v_r,a_r,upper_bound,lower_bound\n")
+    for lo in range(0, t, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, t)
+        r = np.arange(lo, hi)
+        left = t - r  # int64, exact like the Python int T - r
+        # one float64 block (r < 2^53 is exact; %d prints it as an integer)
+        block = np.column_stack((r, seqs.u[lo:hi], seqs.v[lo:hi], seqs.a[lo:hi],
+                                 1.0 / left, 1.0 / (left + log_t)))
+        fh.write(row * (hi - lo) % tuple(block.ravel().tolist()))
 
 
 def value_lower_bound(horizon: int) -> float:

@@ -1,7 +1,9 @@
+import math
 import time
 
 import pytest
 
+from ucal import engine, minimax
 from ucal.cli import main
 
 
@@ -187,6 +189,67 @@ class TestMinimaxCmd:
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[1]) == 0.0
         assert float(first[3]) == pytest.approx(1 / 16)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3 * minimax.CSV_CHUNK_ROWS + 5])
+    def test_csv_equals_row_by_row_rendering(self, capsys, tmp_path, horizon):
+        path = tmp_path / "seqs.csv"
+        code, _, _ = run_cli(["minimax", "--T", str(horizon), "--mode", "closed",
+                              "--output", str(path)], capsys)
+        assert code == 0
+        seqs = minimax.closed_form(horizon)
+        log_t = math.log(horizon)
+        expected = ["r,u_r,v_r,a_r,upper_bound,lower_bound\n"]
+        for i in range(horizon):
+            expected.append(",".join([
+                str(i),
+                engine.format_float(float(seqs.u[i])),
+                engine.format_float(float(seqs.v[i])),
+                engine.format_float(float(seqs.a[i])),
+                engine.format_float(1.0 / (horizon - i)),
+                engine.format_float(1.0 / (horizon - i + log_t)),
+            ]) + "\n")
+        assert path.read_text().splitlines(keepends=True) == expected
+
+    def test_closed_form_runs_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = minimax.closed_form
+
+        def counting(horizon):
+            calls.append(horizon)
+            return real(horizon)
+
+        monkeypatch.setattr(minimax, "closed_form", counting)
+        code, out, _ = run_cli(["minimax", "--T", "64", "--mode", "both", "--check-bounds",
+                                "--output", str(tmp_path / "seqs.csv")], capsys)
+        assert code == 0 and "sandwich violations" in out
+        assert calls == [64]
+
+    @pytest.mark.parametrize("mode", ["dp", "closed", "both"])
+    def test_check_bounds_needs_two_rounds(self, capsys, tmp_path, mode):
+        path = tmp_path / "seqs.csv"
+        code, out, err = run_cli(["minimax", "--T", "1", "--mode", mode, "--check-bounds",
+                                  "--output", str(path)], capsys)
+        assert code == 2
+        assert out == "" and "--check-bounds" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags", [["--mode", "closed"], ["--mode", "both"],
+                                       ["--mode", "dp", "--check-bounds"],
+                                       ["--mode", "dp", "--output", "seqs.csv"]])
+    def test_closed_form_cap(self, capsys, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run_cli(["minimax", "--T", str(minimax.CLOSED_FORM_MAX_HORIZON + 1),
+                                  *flags], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == "" and "cap" in err
+        assert not (tmp_path / "seqs.csv").exists()
+
+    def test_dp_alone_ignores_closed_form_cap(self, capsys):
+        code, out, _ = run_cli(["minimax", "--T", str(minimax.CLOSED_FORM_MAX_HORIZON + 1),
+                                "--mode", "dp"], capsys)
+        assert code == 1 and out == ""  # dp_value's own horizon limit
 
 
 class TestValidateCmd:

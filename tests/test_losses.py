@@ -115,6 +115,39 @@ class TestOutcomeLosses:
                                   loss.bivariate(edges[0], np.arange(k))), loss
 
 
+
+class TestCustomLossNonFinite:
+    # log(p) is -inf on the simplex boundary; a rule like it must fail loudly
+    # instead of feeding inf/nan regrets downstream
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_univariate_rule(self, bad):
+        loss = CustomLoss(lambda p: np.where(p[..., 0] > 0.5, bad, 0.0), lambda p: 0.0 * p,
+                          name="bad-form")
+        assert loss.univariate(np.array([0.2, 0.8])) == 0.0
+        with pytest.raises(ValueError, match="bad-form.*univariate.*non-finite"):
+            loss.univariate(np.array([[0.2, 0.8], [0.9, 0.1]]))
+        with pytest.raises(ValueError, match="univariate"):
+            loss.bivariate(np.array([0.9, 0.1]), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_subgradient_rule(self, bad):
+        loss = CustomLoss(lambda p: np.zeros(p.shape[:-1]),
+                          lambda p: np.where(p > 0.5, bad, 0.0))
+        np.testing.assert_array_equal(loss.subgradient(np.array([0.5, 0.5])), [0.0, 0.0])
+        with pytest.raises(ValueError, match="subgradient.*non-finite"):
+            loss.subgradient(np.array([0.9, 0.1]))
+        with pytest.raises(ValueError, match="subgradient"):
+            loss.outcome_losses(np.array([0.9, 0.1]))
+
+    def test_log_form_at_a_vertex(self):
+        # entropy-style rule: finite in the interior, -inf at a vertex
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entropy = CustomLoss(lambda p: -np.sum(p * np.log(p), axis=-1),
+                                 lambda p: -np.log(p) - 1.0, name="entropy")
+            assert np.isfinite(entropy.bivariate(np.array([0.3, 0.7]), 1))
+            with pytest.raises(ValueError, match="entropy"):
+                entropy.bivariate(np.array([1.0, 0.0]), 0)
+
 class TestExpectedValueIdentity:
     # sum_i p_i * loss(p, e_i) must equal the univariate form: the
     # subgradient correction vanishes in expectation under p itself.
