@@ -10,24 +10,29 @@ Subcommands:
     validate  numerical validation suite for a shipped loss
 
 Component specs are NAME or NAME:ARGS, e.g. ``ftl``, ``static:0.5,0.5``,
-``tsallis:1.5``, ``fixed:outcomes.txt``, ``greedy:vshaped``.  A key=value
-config file can provide defaults for any long flag; explicit flags win.
-Exit codes: 0 success, 1 validation or assertion failure, 2 usage error
-(a game above ``engine.MAX_GAME_CELLS`` is one, refused before any trial;
-so are ``minimax --check-bounds`` below T = 2 and a closed form above
-``minimax.CLOSED_FORM_MAX_HORIZON``, refused before any output).
-``run`` and ``sweep`` hand each worker one contiguous block of trials per
-horizon, all through one process pool, and every block runs through
-``engine.run_trials``.  The UCAL_THREADS environment variable caps the
-worker count; results are byte-identical regardless of worker count
-because every trial owns its own RNG stream and rows are sorted before
-writing.
+``tsallis:1.5``, ``fixed:outcomes.txt``, ``greedy:vshaped``.  Each
+``key=value`` line of a ``--config`` file becomes ``--key=value`` ahead of
+the explicit flags, so the parser checks it like a flag and an explicit flag
+wins; a config ``loss`` is dropped when the command line has a ``--loss``.
+A config may set any option that takes a value, not a switch such as
+``--check-bounds``; an unknown key is a usage error.
+Exit codes: 0 success, 1 validation or assertion failure, 2 usage error,
+refused before any trial or output (among them ``--K`` below 2, ``--T``
+below 1, a game above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds``
+below T = 2 and a closed form above ``minimax.CLOSED_FORM_MAX_HORIZON``).
+``run`` and ``sweep`` resolve every spec once and hand each worker one
+contiguous block of trials per horizon with the resolved objects, all
+through one process pool; every block runs through ``engine.run_trials``.
+The UCAL_THREADS environment variable caps the worker count; results are
+byte-identical regardless of worker count because every trial owns its own
+RNG stream and rows are sorted before writing.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -100,10 +105,7 @@ def make_forecaster(spec: str, k: int, horizon: int) -> Forecaster:
         point = _float_args(args)
         if len(point) != k:
             raise UsageError(f"static forecaster needs {k} probabilities, got {len(point)}")
-        try:
-            return StaticForecaster(point, horizon)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return StaticForecaster(point, horizon)
     raise UsageError(f"unknown forecaster {spec!r} (try ftl, ftpl-geometric, ftpl-uniform, static:P1,...,PK)")
 
 
@@ -128,12 +130,9 @@ def make_adversary(spec: str, k: int) -> Adversary:
 
 
 def _block_job(job):
-    """Regrets (len(trials), len(lspecs)) of one contiguous block of trials at one horizon."""
-    fspec, aspec, lspecs, k, horizon, base_seed, trials = job
-    losses = [make_loss(s) for s in lspecs]
-    adversary = make_adversary(aspec, k)
-    fresh = make_forecaster(fspec, k, horizon)
-    return engine.run_trials(lambda: copy.deepcopy(fresh), adversary, losses,
+    """Regrets (len(trials), len(losses)) of one contiguous block of trials at one horizon."""
+    forecaster, adversary, losses, horizon, base_seed, trials = job
+    return engine.run_trials(lambda: copy.deepcopy(forecaster), adversary, losses,
                              horizon, trials, base_seed)
 
 
@@ -147,74 +146,72 @@ def _worker_cap(requested: int) -> int:
     return max(1, requested)
 
 
-def _regret_matrices(args, lspecs, horizons) -> list:
-    """One regret matrix (trials, losses) per horizon, from every block mapped through one pool.
+def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecaster]]:
+    """The losses, the adversary and one forecaster per horizon, all checked before any trial."""
+    try:
+        specs = [s for chunk in args.loss for s in chunk.split(";") if s]
+        if not specs:
+            raise ValueError("need at least one --loss")
+        losses = [make_loss(s) for s in specs]
+        if args.trials < 1:
+            raise ValueError("--trials must be >= 1")
+        adversary = make_adversary(args.adversary, args.K)
+        forecasters = []
+        for horizon in horizons:
+            engine.check_game_size(args.K, horizon)
+            forecasters.append(make_forecaster(args.forecaster, args.K, horizon))
+            if isinstance(adversary, FixedSequence) and len(adversary.sequence) < horizon:
+                raise ValueError(f"fixed sequence has {len(adversary.sequence)} outcomes, "
+                                 f"horizon is {horizon}")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return losses, adversary, forecasters
 
-    Each horizon's trials are cut into one contiguous block per worker;
-    a block resolves its specs once and runs through ``engine.run_trials``.
+
+def _play(args, horizons) -> tuple[list[ProperLoss], list]:
+    """Play every horizon and write its CSV rows; returns the losses and one regret matrix per horizon.
+
+    Each horizon's trials are cut into one contiguous block per worker, and
+    every block of every horizon is mapped through one pool.
     """
+    losses, adversary, forecasters = _resolve(args, horizons)
     workers = min(_worker_cap(args.workers), args.trials)
     cuts = [args.trials * i // workers for i in range(workers + 1)]
-    jobs = [(args.forecaster, args.adversary, lspecs, args.K, horizon, args.seed, range(a, b))
-            for horizon in horizons for a, b in zip(cuts, cuts[1:])]
+    jobs = [(forecaster, adversary, losses, horizon, args.seed, range(a, b))
+            for horizon, forecaster in zip(horizons, forecasters)
+            for a, b in zip(cuts, cuts[1:])]
     if workers == 1:
         blocks = [_block_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_block_job, jobs))
-    return [np.concatenate(blocks[i:i + workers]) for i in range(0, len(blocks), workers)]
-
-
-def _emit_rows(args, loss_names, regrets, horizon):
+    matrices = [np.concatenate(blocks[i:i + workers]) for i in range(0, len(blocks), workers)]
     rows = []
-    for trial in range(regrets.shape[0]):
-        for j, loss_name in enumerate(loss_names):
-            rows.append({
-                "experiment": args.experiment,
-                "forecaster": args.forecaster,
-                "adversary": args.adversary,
-                "loss": loss_name,
-                "K": args.K,
-                "T": horizon,
-                "trial": trial,
-                "seed": args.seed,
-                "regret": float(regrets[trial, j]),
-            })
-    return rows
-
-
-def _write_output(text: str, path):
-    if path:
-        with open(path, "w") as fh:
+    for horizon, regrets in zip(horizons, matrices):
+        for trial in range(regrets.shape[0]):
+            for j, loss in enumerate(losses):
+                rows.append({
+                    "experiment": args.experiment,
+                    "forecaster": args.forecaster,
+                    "adversary": args.adversary,
+                    "loss": loss.name,
+                    "K": args.K,
+                    "T": horizon,
+                    "trial": trial,
+                    "seed": args.seed,
+                    "regret": float(regrets[trial, j]),
+                })
+    text = engine.write_csv(rows)
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _resolve(args, horizons) -> tuple[list[str], list[ProperLoss]]:
-    """Resolve and check every spec at every horizon before any trial starts."""
-    lspecs = _loss_specs(args)
-    losses = [make_loss(s) for s in lspecs]
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    adversary = make_adversary(args.adversary, args.K)
-    for horizon in horizons:
-        try:
-            engine.check_game_size(args.K, horizon)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        make_forecaster(args.forecaster, args.K, horizon)
-        if isinstance(adversary, FixedSequence) and len(adversary.sequence) < horizon:
-            raise UsageError(f"fixed sequence has {len(adversary.sequence)} outcomes, "
-                             f"horizon is {horizon}")
-    return lspecs, losses
+    return losses, matrices
 
 
 def cmd_run(args) -> int:
-    lspecs, losses = _resolve(args, [args.T])
-    (regrets,) = _regret_matrices(args, lspecs, [args.T])
-    text = engine.write_csv(_emit_rows(args, [loss.name for loss in losses], regrets, args.T))
-    _write_output(text, args.output)
+    losses, (regrets,) = _play(args, [args.T])
     est = engine.summarize(regrets, losses)
     summary = (f"pucal={engine.format_float(est.pucal)} "
                f"ucal={engine.format_float(est.ucal)} "
@@ -225,27 +222,26 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not math.isfinite(args.T_factor):
+        raise UsageError(f"--T-factor must be finite, got {args.T_factor}")
     horizons = []
     horizon = args.T_start
     while horizon <= args.T_stop:
         horizons.append(horizon)
-        nxt = int(round(horizon * args.T_factor))
+        # past T_stop any next horizon ends the grid; the cap keeps a huge factor finite
+        nxt = int(round(min(horizon * args.T_factor, args.T_stop + 1)))
         horizon = nxt if nxt > horizon else horizon + 1
     if not horizons:
         raise UsageError("empty horizon grid; check --T-start/--T-stop/--T-factor")
-    lspecs, losses = _resolve(args, horizons)
-    loss_names = [loss.name for loss in losses]
-    rows = []
-    for horizon, regrets in zip(horizons, _regret_matrices(args, lspecs, horizons)):
-        rows.extend(_emit_rows(args, loss_names, regrets, horizon))
-    text = engine.write_csv(rows)
-    _write_output(text, args.output)
+    _play(args, horizons)
     print(f"swept T={horizons} trials={args.trials}", file=sys.stdout if args.output else sys.stderr)
     return EXIT_OK
 
 
 def cmd_minimax(args) -> int:
     t = args.T
+    if t < 1:
+        raise UsageError("--T must be >= 1")
     if args.check_bounds and t < 2:
         raise UsageError("--check-bounds needs --T >= 2 (the sandwich bounds use log T > 0)")
     needs_closed = args.mode in ("closed", "both") or args.check_bounds or args.output
@@ -295,6 +291,10 @@ def cmd_validate(args) -> int:
         spec = f"{spec}:{args.alpha:g}" + (f",{args.scale:g}" if args.scale is not None else "")
     loss = make_loss(spec)
     k = args.K
+    if k < 2:
+        raise UsageError("--K must be >= 2")
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
     rng = RngStream(args.seed, 0).generator()
     failures = []
 
@@ -349,61 +349,36 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _loss_specs(args) -> list[str]:
-    specs = []
-    for chunk in args.loss:
-        specs.extend(s for s in chunk.split(";") if s)
-    if not specs:
-        raise UsageError("need at least one --loss")
-    return specs
+def _config_argv(argv: list) -> list:
+    """``argv`` with the ``key=value`` lines of its --config file put ahead of the explicit flags.
 
-
-def _load_config(path) -> dict:
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line {line!r} (expected key=value)")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-_CONFIG_TYPES = {
-    "K": int, "T": int, "trials": int, "seed": int, "workers": int,
-    "samples": int, "T_start": int, "T_stop": int,
-    "T_factor": float, "tol": float, "alpha": float, "scale": float,
-    "loss": lambda s: s.split(";"),
-}
-
-
-def _apply_config(parser: argparse.ArgumentParser, args_list):
-    if "--config" not in args_list:
-        return args_list
-    idx = args_list.index("--config")
+    Each line becomes ``--key=value``, so the parser checks it and an explicit flag wins.
+    """
+    pre = argparse.ArgumentParser(prog="ucal", usage=argparse.SUPPRESS, add_help=False)
+    pre.add_argument("--config")
+    given, explicit = pre.parse_known_args(argv[1:])
+    if given.config is None:
+        return argv
     try:
-        path = args_list[idx + 1]
-    except IndexError:
-        parser.error("--config needs a path")
-    raw = _load_config(path)
-    rest = args_list[:idx] + args_list[idx + 2:]
-    if "loss" in raw and "--loss" in rest:
-        del raw["loss"]  # appended flags must replace, not extend, the config list
-    defaults = {}
-    for key, value in raw.items():
-        conv = _CONFIG_TYPES.get(key, str)
-        try:
-            defaults[key] = conv(value)
-        except ValueError:
-            parser.error(f"bad config value for {key}: {value!r}")
-    parser.set_defaults(**defaults)
-    for action in parser._actions:
-        if action.dest in defaults:
-            action.required = False
-    return rest
+        with open(given.config) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config: {exc}") from exc
+    has_loss = any(arg == "--loss" or arg.startswith("--loss=") for arg in explicit)
+    flags = []
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise UsageError(f"bad config line {line!r} (expected key=value)")
+        flag = "--" + key.strip().replace("_", "-")
+        if flag == "--config":
+            raise UsageError("a config file cannot name another config file")
+        if not (flag == "--loss" and has_loss):
+            flags.append(f"{flag}={value.strip()}")
+    return argv[:1] + flags + explicit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,18 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    # resolve the subparser that owns --config so defaults land in the right place
-    if argv and argv[0] in ("run", "sweep", "minimax", "validate"):
-        sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        subparser = sub_actions[0].choices[argv[0]]
-        try:
-            argv = [argv[0]] + _apply_config(subparser, argv[1:])
-        except (UsageError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(_config_argv(argv))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

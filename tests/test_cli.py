@@ -3,12 +3,15 @@ import time
 
 import pytest
 
-from ucal import engine, minimax
+from ucal import cli, engine, minimax
 from ucal.cli import main
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -142,6 +145,20 @@ class TestRun:
             "--loss", "vshaped", "--K", "2", "--T", "10", "--trials", "1"], capsys)
         assert code == 2
 
+    def test_fixed_adversary_workers_do_not_change_bytes(self, capsys, tmp_path):
+        seq = tmp_path / "seq.txt"
+        seq.write_text(" ".join(str(1 + (i * 7) % 3) for i in range(40)))
+        bodies = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"w{workers}.csv"
+            assert run_cli([
+                "run", "--forecaster", "ftpl-geometric", "--adversary", f"fixed:{seq}",
+                "--loss", "vshaped;squared:0.5", "--K", "3", "--T", "40", "--trials", "4",
+                "--seed", "2", "--workers", workers, "--output", str(path)], capsys)[0] == 0
+            bodies.append(path.read_bytes())
+        assert bodies[0] == bodies[1]
+        assert bodies[0].count(b"\n") == 1 + 4 * 2
+
     def test_greedy_adversary_with_loss_param(self, capsys):
         code, out, _ = run_cli([
             "run", "--forecaster", "ftl", "--adversary", "greedy:tsallis:1.5",
@@ -158,6 +175,68 @@ class TestRun:
         code, out, _ = run_cli(["run", "--config", str(cfg), "--T", "100"], capsys)
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[-1] == "25"
+
+
+    def test_config_equals_form_is_loaded(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("forecaster=ftl\nadversary=alternating\nloss=vshaped\nK=2\nT=8\n")
+        spaced = run_cli(["run", "--config", str(cfg)], capsys)
+        joined = run_cli(["run", f"--config={cfg}"], capsys)
+        assert spaced[0] == joined[0] == 0
+        assert spaced[1] == joined[1] and spaced[1].count("\n") == 2
+
+    @pytest.mark.parametrize("flags", [["--loss", "squared"], ["--loss=squared"]])
+    def test_explicit_loss_replaces_config_loss(self, capsys, tmp_path, flags):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("forecaster=ftl\nadversary=alternating\nloss=vshaped;spherical\n"
+                       "K=2\nT=8\ntrials=2\n")
+        code, out, _ = run_cli(["run", "--config", str(cfg), *flags], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[3] for row in rows] == ["squared:1", "squared:1"]
+
+    @pytest.mark.parametrize("command, line", [
+        (["run"], "trails=100"),
+        (["run"], "K=abc"),
+        (["run"], "T"),
+        (["run"], "config=other.cfg"),
+        (["minimax", "--T", "16", "--mode", "closed"], "check_bounds=true"),
+    ])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, command, line):
+        cfg = tmp_path / "exp.cfg"
+        base = "" if command[0] == "minimax" else (
+            "forecaster=ftl\nadversary=alternating\nloss=vshaped\nK=2\nT=8\n")
+        cfg.write_text(base + line + "\n")
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(command + ["--config", str(cfg), "--output", str(path)], capsys)
+        assert code == 2 and out == "" and err
+        assert not path.exists()
+
+    def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(["run", "--config", str(tmp_path / "none.cfg")], capsys)
+        assert code == 2 and out == "" and "config" in err
+
+    def test_specs_resolved_once_per_command(self, capsys, monkeypatch):
+        calls = []
+        for name in ("make_loss", "make_adversary", "make_forecaster"):
+            real = getattr(cli, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls.append((_name, *args))
+                return _real(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        code, _, _ = run_cli([
+            "sweep", "--forecaster", "ftpl-geometric", "--adversary", "iid-uniform",
+            "--loss", "vshaped;squared:0.5", "--K", "2", "--T-start", "8", "--T-stop", "32",
+            "--trials", "3", "--workers", "1"], capsys)
+        assert code == 0
+        assert sorted(calls) == sorted([
+            ("make_loss", "vshaped"), ("make_loss", "squared:0.5"),
+            ("make_adversary", "iid-uniform", 2),
+            ("make_forecaster", "ftpl-geometric", 2, 8),
+            ("make_forecaster", "ftpl-geometric", 2, 16),
+            ("make_forecaster", "ftpl-geometric", 2, 32)])
 
 
 class TestMinimaxCmd:
@@ -253,6 +332,13 @@ class TestMinimaxCmd:
 
 
 class TestValidateCmd:
+    def test_config_sets_loss_and_alpha(self, capsys, tmp_path):
+        cfg = tmp_path / "val.cfg"
+        cfg.write_text("loss=tsallis\nalpha=1.5\nK=3\nsamples=2000\n")
+        code, out, _ = run_cli(["validate", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "hessian growth" in out and "ok" in out
+
     def test_tsallis_ok(self, capsys):
         code, out, _ = run_cli(["validate", "--loss", "tsallis", "--alpha", "1.5",
                                 "--K", "3", "--samples", "2000"], capsys)
@@ -297,3 +383,36 @@ class TestSweepCmd:
         assert [int(r[5]) for r in rows] == [8, 16, 32, 64]
         assert [float(r[-1]) for r in rows] == [2.0, 4.0, 8.0, 16.0]
         assert all(r[0] == "sweep" for r in rows)
+
+
+    def test_huge_factor_ends_the_grid(self, capsys):
+        code, _, err = run_cli([
+            "sweep", "--forecaster", "ftl", "--adversary", "alternating", "--loss", "vshaped",
+            "--K", "2", "--T-start", "8", "--T-stop", "64", "--T-factor", "1e308"], capsys)
+        assert code == 0
+        assert "swept T=[8]" in err
+
+GAME = ["--forecaster", "ftl", "--adversary", "alternating", "--loss", "vshaped"]
+
+
+@pytest.mark.parametrize("command, message", [
+    (["run", *GAME, "--K", "1", "--T", "10"], "outcomes"),
+    (["sweep", *GAME, "--K", "1", "--T-start", "4", "--T-stop", "8"], "outcomes"),
+    (["sweep", *GAME, "--K", "2", "--T-start", "4", "--T-stop", "8", "--T-factor", "nan"],
+     "--T-factor"),
+    (["sweep", *GAME, "--K", "2", "--T-start", "4", "--T-stop", "8", "--T-factor", "inf"],
+     "--T-factor"),
+    (["validate", "--loss", "vshaped", "--K", "1"], "--K"),
+    (["validate", "--loss", "spherical", "--K", "1"], "--K"),
+    (["validate", "--loss", "squared", "--samples", "0"], "--samples"),
+    (["minimax", "--T", "0", "--mode", "closed"], "--T"),
+    (["minimax", "--T", "0", "--mode", "dp"], "--T"),
+    (["minimax", "--T", "-3", "--mode", "both"], "--T"),
+])
+def test_out_of_range_number_is_usage_error(capsys, tmp_path, monkeypatch, command, message):
+    monkeypatch.chdir(tmp_path)
+    output = [] if command[0] == "validate" else ["--output", "out.csv"]
+    code, out, err = run_cli(command + output, capsys)
+    assert code == 2
+    assert out == "" and message in err
+    assert not (tmp_path / "out.csv").exists()
