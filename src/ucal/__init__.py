@@ -6,6 +6,13 @@ for any proper loss, estimates pucal/ucal over loss families by Monte
 Carlo, and solves the binary squared-loss game exactly.
 """
 
+import os
+
+# Set before numpy is first imported.  ucal's largest BLAS call is a K-vector
+# dot and its parallelism is its own worker processes, so an OpenBLAS thread
+# pool would only spin; a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .adversaries import (Adversary, Alternating, FixedSequence, GreedyAdaptive,
                           IidUniform)
 from .core import (RngStream, mean_of_counts, one_hot, uniform_point,

@@ -127,7 +127,7 @@ class GreedyAdaptive(Adversary):
 
     def _worst(self, proxies) -> np.ndarray:
         """The outcome of largest loss for each proxy forecast, lowest index on ties."""
-        return np.argmax(self.loss.outcome_losses(proxies), axis=-1)
+        return self.loss.outcome_losses(proxies).argmax(axis=-1)
 
     def next_outcome(self, t, past_forecasts, rng=None) -> int:
         if len(past_forecasts) == 0:

@@ -20,12 +20,14 @@ Exit codes: 0 success, 1 validation or assertion failure, 2 usage error,
 refused before any trial or output (among them ``--K`` below 2, ``--T``
 below 1, a game above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds``
 below T = 2 and a closed form above ``minimax.CLOSED_FORM_MAX_HORIZON``).
-``run`` and ``sweep`` resolve every spec once and hand each worker one
-contiguous block of trials per horizon with the resolved objects, all
-through one process pool; every block runs through ``engine.run_trials``.
-The UCAL_THREADS environment variable caps the worker count; results are
-byte-identical regardless of worker count because every trial owns its own
-RNG stream and rows are sorted before writing.
+``run`` and ``sweep`` resolve every spec once, plan their trials with
+``engine.trial_jobs`` (each horizon cut only on lockstep-block boundaries,
+the jobs longest first) and map the jobs, with the resolved objects, through
+one process pool; every job runs through ``engine.run_trials``.  The pool
+has min(--workers, UCAL_THREADS, CPU count, jobs) processes, and there is
+none when that is 1.  Results are byte-identical regardless of worker count
+because every trial owns its own RNG stream and each horizon's regrets are
+put back in trial order.
 """
 
 from __future__ import annotations
@@ -130,20 +132,21 @@ def make_adversary(spec: str, k: int) -> Adversary:
 
 
 def _block_job(job):
-    """Regrets (len(trials), len(losses)) of one contiguous block of trials at one horizon."""
+    """Regrets (len(trials), len(losses)) of one contiguous range of trials at one horizon."""
     forecaster, adversary, losses, horizon, base_seed, trials = job
     return engine.run_trials(lambda: copy.deepcopy(forecaster), adversary, losses,
                              horizon, trials, base_seed)
 
 
 def _worker_cap(requested: int) -> int:
+    """``requested`` capped by UCAL_THREADS and by the machine's CPU count."""
     cap = os.environ.get("UCAL_THREADS")
     if cap is not None:
         try:
             requested = min(requested, max(1, int(cap)))
         except ValueError:
             raise UsageError(f"UCAL_THREADS must be an integer, got {cap!r}")
-    return max(1, requested)
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecaster]]:
@@ -171,21 +174,25 @@ def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecast
 def _play(args, horizons) -> tuple[list[ProperLoss], list]:
     """Play every horizon and write its CSV rows; returns the losses and one regret matrix per horizon.
 
-    Each horizon's trials are cut into one contiguous block per worker, and
-    every block of every horizon is mapped through one pool.
+    The jobs of ``engine.trial_jobs`` go through one pool, longest first,
+    and each job's regrets land in its horizon's matrix at its trial rows.
     """
     losses, adversary, forecasters = _resolve(args, horizons)
-    workers = min(_worker_cap(args.workers), args.trials)
-    cuts = [args.trials * i // workers for i in range(workers + 1)]
-    jobs = [(forecaster, adversary, losses, horizon, args.seed, range(a, b))
-            for horizon, forecaster in zip(horizons, forecasters)
-            for a, b in zip(cuts, cuts[1:])]
+    workers = _worker_cap(args.workers)
+    plan = engine.trial_jobs(adversary, horizons, args.trials, workers)
+    forecaster_at = dict(zip(horizons, forecasters))
+    jobs = [(forecaster_at[horizon], adversary, losses, horizon, args.seed, trials)
+            for horizon, trials in plan]
+    workers = min(workers, len(jobs))
     if workers == 1:
-        blocks = [_block_job(job) for job in jobs]
+        parts = [_block_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_block_job, jobs))
-    matrices = [np.concatenate(blocks[i:i + workers]) for i in range(0, len(blocks), workers)]
+            parts = list(pool.map(_block_job, jobs))
+    matrix_at = {horizon: np.empty((args.trials, len(losses))) for horizon in horizons}
+    for (horizon, trials), part in zip(plan, parts):
+        matrix_at[horizon][trials.start:trials.stop] = part
+    matrices = [matrix_at[horizon] for horizon in horizons]
     rows = []
     for horizon, regrets in zip(horizons, matrices):
         for trial in range(regrets.shape[0]):
@@ -224,6 +231,12 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if not math.isfinite(args.T_factor):
         raise UsageError(f"--T-factor must be finite, got {args.T_factor}")
+    # Refused before the grid is built, which a factor near 1 builds one step at a
+    # time.  A product, not MAX_GAME_CELLS // K, so a K below 2 that passes here
+    # gets its own message from _resolve.
+    if args.T_stop * max(args.K, 1) > engine.MAX_GAME_CELLS:
+        raise UsageError(f"--T-stop {args.T_stop} at K={args.K} is above the cap of "
+                         f"{engine.MAX_GAME_CELLS} (2^24) cells per game")
     horizons = []
     horizon = args.T_start
     while horizon <= args.T_stop:
@@ -397,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="CSV path (default: stdout)")
         p.add_argument("--workers", type=int, default=1,
-                       help="trial workers; capped by UCAL_THREADS")
+                       help="trial workers; capped by UCAL_THREADS and the CPU count")
 
     p_run = sub.add_parser("run", help="play games and report regrets")
     add_common(p_run)

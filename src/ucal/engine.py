@@ -8,6 +8,9 @@ round.
 ``run_trials`` is the one trial runner: it plays trial i on stream
 (base_seed, i), oblivious trials one at a time, adaptive trials in blocks
 of at most ``BLOCK_CELLS`` cells, and scores each with ``regret``.
+``trial_jobs`` plans how those trials split across workers: it cuts each
+horizon's trials only on block boundaries and orders the pieces longest
+first.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
 loss against the mean-of-outcomes benchmark, which is the empirical risk
@@ -117,6 +120,38 @@ def _plays_in_one_block(adversary: Adversary) -> bool:
     return _more_derived(adversary, "outcomes", "next_outcome")
 
 
+def lockstep_block(adversary: Adversary, horizon: int) -> int:
+    """Trials per lockstep block at ``horizon``: 1 for an oblivious adversary."""
+    if _plays_in_one_block(adversary):
+        return 1
+    return max(1, BLOCK_CELLS // (horizon * adversary.k))
+
+
+def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> list:
+    """(horizon, trial range) jobs covering every horizon's trials once, longest first.
+
+    Each horizon's trials are cut into at most ``workers`` contiguous pieces,
+    only on ``lockstep_block`` boundaries: a lockstep round costs about the
+    same at any width, so splitting a block would double its rounds.  For
+    an oblivious adversary (blocks of one trial) that is about
+    trials/workers trials a piece.  Jobs come in non-increasing order of
+    cost, T times the number of blocks in the job, so a pool that takes
+    them in order starts the longest first.
+    """
+    if trials < 1 or workers < 1:
+        raise ValueError("trials and workers must be >= 1")
+    costed = []
+    for horizon in horizons:
+        block = lockstep_block(adversary, horizon)
+        blocks = -(-trials // block)
+        pieces = min(workers, blocks)
+        cuts = [blocks * i // pieces for i in range(pieces + 1)]  # in blocks
+        costed += [(horizon * (b - a), horizon, range(a * block, min(trials, b * block)))
+                   for a, b in zip(cuts, cuts[1:])]
+    costed.sort(key=lambda job: -job[0])  # stable: ties keep horizon and trial order
+    return [(horizon, piece) for _, horizon, piece in costed]
+
+
 def _bad_outcomes(horizon, k):
     return ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
 
@@ -164,12 +199,12 @@ def play_games(forecasters, adversary: Adversary, horizon: int, rngs) -> list[Tr
                  else partial(Adversary.next_outcomes, adversary))
         forecasts = np.empty((horizon, n, k))
         outcomes = np.empty((horizon, n), dtype=np.int64)
-        rows = np.arange(n)
+        eye = np.eye(k, dtype=np.int64)  # row y adds one outcome y to a count vector
         for t in range(horizon):
             forecasts[t] = f0.rule(counts, noise[t])
             outcomes[t] = reply(t + 1, forecasts[:t], rngs)
             try:
-                counts[rows, outcomes[t]] += 1
+                counts += eye[outcomes[t]]
             except IndexError as exc:
                 raise _bad_outcomes(horizon, k) from exc
         if outcomes.min() < 0:  # a negative index wraps instead of raising
@@ -231,9 +266,7 @@ def run_trials(forecaster_factory, adversary: Adversary, losses, horizon: int,
     if not losses:
         raise ValueError("need at least one loss")
     check_game_size(adversary.k, horizon)
-    block = 1
-    if not _plays_in_one_block(adversary):
-        block = max(1, BLOCK_CELLS // (horizon * adversary.k))
+    block = lockstep_block(adversary, horizon)
     out = np.empty((len(trials), len(losses)))
     for start in range(0, len(trials), block):
         chunk = trials[start:start + block]

@@ -36,6 +36,8 @@ from .core import validate_outcome, validate_simplex
 def _normalize(totals: np.ndarray) -> np.ndarray:
     """Rows of integer ``totals`` divided by their sums; all-zero rows become uniform."""
     denom = totals.sum(axis=1, keepdims=True)
+    if denom.all():
+        return totals / denom
     out = totals / np.maximum(denom, 1)
     out[denom[:, 0] == 0] = 1.0 / totals.shape[1]
     return out

@@ -82,7 +82,7 @@ class ProperLoss:
         """loss(p, y) = f(p) + <g_p, e_y - p> for outcome index y."""
         p = _as_points(p)
         g = self.subgradient(p)
-        return self.univariate(p) + _take_outcome(g, y) - np.sum(g * p, axis=-1)
+        return self.univariate(p) + _take_outcome(g, y) - (g * p).sum(axis=-1)
 
     def outcome_losses(self, p) -> np.ndarray:
         """loss(p, y) for every outcome y at once, shape (..., K).
@@ -110,7 +110,7 @@ class SquaredLoss(ProperLoss):
 
     def univariate(self, p):
         p = _as_points(p)
-        return self.scale * (1.0 - np.sum(p * p, axis=-1))
+        return self.scale * (1.0 - (p * p).sum(axis=-1))
 
     def subgradient(self, p):
         return -2.0 * self.scale * _as_points(p)
@@ -124,17 +124,17 @@ class SphericalLoss(ProperLoss):
 
     def univariate(self, p):
         p = _as_points(p)
-        return -np.sqrt(np.sum(p * p, axis=-1))
+        return -np.sqrt((p * p).sum(axis=-1))
 
     def subgradient(self, p):
         p = _as_points(p)
-        norm = np.sqrt(np.sum(p * p, axis=-1, keepdims=True))
+        norm = np.sqrt((p * p).sum(axis=-1, keepdims=True))
         return -p / norm
 
     def bivariate(self, p, y):
         # direct form -p_y / ||p||; equals the subgradient construction
         p = _as_points(p)
-        norm = np.sqrt(np.sum(p * p, axis=-1))
+        norm = np.sqrt((p * p).sum(axis=-1))
         return -_take_outcome(p, y) / norm
 
     def outcome_losses(self, p):
@@ -157,7 +157,7 @@ class VShapedLoss(ProperLoss):
     def univariate(self, p):
         p = _as_points(p)
         k = p.shape[-1]
-        return -0.5 * np.sum(np.abs(p - 1.0 / k), axis=-1)
+        return -0.5 * np.abs(p - 1.0 / k).sum(axis=-1)
 
     def subgradient(self, p):
         p = _as_points(p)
@@ -191,7 +191,7 @@ class TsallisLoss(ProperLoss):
 
     def univariate(self, p):
         p = _as_points(p)
-        return -self.scale * np.sum(p ** self.alpha, axis=-1)
+        return -self.scale * (p ** self.alpha).sum(axis=-1)
 
     def subgradient(self, p):
         p = _as_points(p)

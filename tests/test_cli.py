@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ucal
 from ucal import cli, engine, minimax
 from ucal.cli import main
 
@@ -384,6 +389,17 @@ class TestSweepCmd:
         assert [float(r[-1]) for r in rows] == [2.0, 4.0, 8.0, 16.0]
         assert all(r[0] == "sweep" for r in rows)
 
+    @pytest.mark.parametrize("k", ["2", "0"])
+    def test_runaway_grid_refused_up_front(self, capsys, tmp_path, k):
+        path = tmp_path / "out.csv"
+        start = time.perf_counter()
+        code, out, err = run_cli(["sweep", *GAME, "--K", k, "--T-start", "1",
+                                  "--T-stop", "1000000000000", "--T-factor", "1",
+                                  "--output", str(path)], capsys)
+        assert code == 2
+        assert out == "" and "above the cap" in err
+        assert not path.exists()
+        assert time.perf_counter() - start < 1.0
 
     def test_huge_factor_ends_the_grid(self, capsys):
         code, _, err = run_cli([
@@ -416,3 +432,70 @@ def test_out_of_range_number_is_usage_error(capsys, tmp_path, monkeypatch, comma
     assert code == 2
     assert out == "" and message in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("cpus, threads, trials, pool", [
+    (3, None, 1000, 3),
+    (64, "5", 1000, 5),
+    (3, None, 2, 2),
+    (1, None, 1000, None),
+    (None, None, 1000, None),
+])
+def test_pool_capped_at_machine(capsys, monkeypatch, cpus, threads, trials, pool):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    if threads is None:
+        monkeypatch.delenv("UCAL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("UCAL_THREADS", threads)
+    code, out, _ = run_cli(["run", *GAME, "--K", "2", "--T", "2", "--trials", str(trials),
+                            "--workers", "1000"], capsys)
+    assert code == 0 and out.count("\n") == 1 + trials
+    assert sizes == ([] if pool is None else [pool])
+
+
+@pytest.mark.parametrize("adversary", ["greedy:squared", "iid-uniform"])
+def test_block_cuts_do_not_change_bytes(capsys, monkeypatch, adversary):
+    base = ["sweep", "--forecaster", "ftpl-uniform", "--adversary", adversary,
+            "--loss", "vshaped;squared:0.5", "--K", "3", "--T-start", "16", "--T-stop", "64",
+            "--trials", "7", "--seed", "5"]
+    code, serial, _ = run_cli(base, capsys)
+    assert code == 0
+    monkeypatch.setattr(engine, "BLOCK_CELLS", 2 * 16 * 3)  # 2-trial blocks at T=16
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert engine.lockstep_block(cli.make_adversary(adversary, 3), 16) <= 2  # >= 4 blocks
+    for workers in ("1", "2", "4"):
+        code, out, _ = run_cli(base + ["--workers", workers], capsys)
+        assert code == 0 and out == serial
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_import_starts_no_blas_threads():
+    probe = ("import os, ucal; "
+             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(ucal.__file__).resolve().parent.parent)
+
+    def run(env):
+        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True).stdout.split()
+
+    assert run(env) == ["1", "1"]
+    assert run(dict(env, OPENBLAS_NUM_THREADS="2"))[1] == "2"

@@ -1,5 +1,7 @@
 import fractions
 import math
+import unittest.mock
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +346,14 @@ class TestEstimateCalibration:
         ceiling = 4 * math.sqrt(2 * horizon) + 3 * est.std_error
         assert floor <= est.pucal <= ceiling
 
+    def test_only_the_soft_band_warning_is_not_an_error(self):
+        # pyproject.toml's filterwarnings keep criterion 4's soft band a warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.warn("pucal in the soft band below 5*sqrt(KT): K=2 probe")
+        assert len(caught) == 1
+        with pytest.raises(UserWarning):
+            warnings.warn("any other warning")
+
     def test_error_bars_name_their_estimates(self):
         regrets = np.array([[1.0, 5.0], [3.0, 2.0], [2.0, 8.0], [6.0, 1.0]])
         est = summarize(regrets, [VShapedLoss(), SquaredLoss()])
@@ -466,6 +476,44 @@ class TestRunTrials:
                        [VShapedLoss()], horizon=32, trials=5, base_seed=9)
         np.testing.assert_array_equal(a, b)
         assert len(np.unique(a)) > 1  # trials genuinely differ
+
+
+class TestTrialJobs:
+    """``trial_jobs`` is pure: a plan of (horizon, trial range) jobs, no games played."""
+
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=5, unique=True),
+           st.integers(1, 40), st.integers(1, 9), st.integers(1, 3000), st.booleans())
+    def test_cover_block_cuts_and_cost_order(self, horizons, trials, workers, cells, adaptive):
+        adversary = GreedyAdaptive(3, SquaredLoss()) if adaptive else IidUniform(3)
+        with unittest.mock.patch.object(engine, "BLOCK_CELLS", cells):
+            jobs = engine.trial_jobs(adversary, horizons, trials, workers)
+            blocks = {h: engine.lockstep_block(adversary, h) for h in horizons}
+        assert blocks == {h: max(1, cells // (3 * h)) if adaptive else 1 for h in horizons}
+        for horizon in horizons:
+            pieces = sorted((r for h, r in jobs if h == horizon), key=lambda r: r.start)
+            assert [t for r in pieces for t in r] == list(range(trials))
+            assert len(pieces) == min(workers, -(-trials // blocks[horizon]))
+            assert all(r.start % blocks[horizon] == 0 for r in pieces)
+            sizes = [-(-len(r) // blocks[horizon]) for r in pieces]
+            assert max(sizes) - min(sizes) <= 1
+        costs = [h * -(-len(r) // blocks[h]) for h, r in jobs]
+        assert costs == sorted(costs, reverse=True)
+
+    def test_one_block_per_horizon_runs_longest_first(self):
+        # the benchmark sweep: each horizon is one lockstep block, so one job per horizon
+        horizons = [64 * 2 ** i for i in range(7)]
+        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), horizons, 8, workers=2)
+        assert jobs == [(h, range(8)) for h in reversed(horizons)]
+
+    def test_oblivious_trials_split_evenly(self):
+        jobs = engine.trial_jobs(IidUniform(3), [16, 32], 7, workers=3)
+        assert jobs == [(32, range(4, 7)), (32, range(0, 2)), (32, range(2, 4)),
+                        (16, range(4, 7)), (16, range(0, 2)), (16, range(2, 4))]
+
+    def test_bad_counts_rejected(self):
+        for trials, workers in ((0, 2), (3, 0)):
+            with pytest.raises(ValueError):
+                engine.trial_jobs(IidUniform(3), [8], trials, workers)
 
 
 class TestCsv:
