@@ -21,7 +21,8 @@ refused before any trial or output (among them ``--K`` below 2, ``--T``
 below 1, a game above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds``
 below T = 2 and a closed form above ``minimax.CLOSED_FORM_MAX_HORIZON``).
 ``run`` and ``sweep`` resolve every spec once, plan their trials with
-``engine.trial_jobs`` (each horizon cut only on lockstep-block boundaries,
+``engine.trial_jobs`` (each horizon cut only between lockstep blocks, or
+into about trials/workers pieces when there are fewer blocks than workers;
 the jobs longest first) and map the jobs, with the resolved objects, through
 one process pool; every job runs through ``engine.run_trials``.  The pool
 has min(--workers, UCAL_THREADS, CPU count, jobs) processes, and there is
@@ -231,10 +232,11 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if not math.isfinite(args.T_factor):
         raise UsageError(f"--T-factor must be finite, got {args.T_factor}")
-    # Refused before the grid is built, which a factor near 1 builds one step at a
-    # time.  A product, not MAX_GAME_CELLS // K, so a K below 2 that passes here
-    # gets its own message from _resolve.
-    if args.T_stop * max(args.K, 1) > engine.MAX_GAME_CELLS:
+    # Both refused before the grid is built, which a factor near 1 builds one
+    # step at a time.
+    if args.K < 2:
+        raise UsageError("need at least 2 outcomes")
+    if args.T_stop * args.K > engine.MAX_GAME_CELLS:
         raise UsageError(f"--T-stop {args.T_stop} at K={args.K} is above the cap of "
                          f"{engine.MAX_GAME_CELLS} (2^24) cells per game")
     horizons = []

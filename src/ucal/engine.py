@@ -9,7 +9,8 @@ round.
 (base_seed, i), oblivious trials one at a time, adaptive trials in blocks
 of at most ``BLOCK_CELLS`` cells, and scores each with ``regret``.
 ``trial_jobs`` plans how those trials split across workers: it cuts each
-horizon's trials only on block boundaries and orders the pieces longest
+horizon's trials between blocks (or, when there are fewer blocks than
+workers, into about trials/workers pieces) and orders the pieces longest
 first.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
@@ -130,23 +131,29 @@ def lockstep_block(adversary: Adversary, horizon: int) -> int:
 def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> list:
     """(horizon, trial range) jobs covering every horizon's trials once, longest first.
 
-    Each horizon's trials are cut into at most ``workers`` contiguous pieces,
-    only on ``lockstep_block`` boundaries: a lockstep round costs about the
-    same at any width, so splitting a block would double its rounds.  For
-    an oblivious adversary (blocks of one trial) that is about
-    trials/workers trials a piece.  Jobs come in non-increasing order of
-    cost, T times the number of blocks in the job, so a pool that takes
-    them in order starts the longest first.
+    Each horizon's ``trials`` form ceil(trials / ``lockstep_block``) blocks
+    of near-equal size, and the horizon is cut into at most ``workers``
+    contiguous pieces only between those blocks: at small widths a lockstep
+    round costs about the same at any width, so splitting a block would
+    double its rounds.  When all horizons together have fewer blocks than
+    workers, each horizon is instead cut into min(workers, trials) pieces of
+    about trials/workers trials, so every worker gets a share: at large
+    widths a round's cost grows with the width.  For an oblivious adversary
+    (blocks of one trial) both rules give the same pieces.  Jobs come in
+    non-increasing order of cost, T times the number of blocks the job
+    plays, so a pool that takes them in order starts the longest first.
     """
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be >= 1")
+    block = {horizon: lockstep_block(adversary, horizon) for horizon in horizons}
+    blocks = {horizon: -(-trials // block[horizon]) for horizon in horizons}
+    split = sum(blocks.values()) < workers
     costed = []
     for horizon in horizons:
-        block = lockstep_block(adversary, horizon)
-        blocks = -(-trials // block)
-        pieces = min(workers, blocks)
-        cuts = [blocks * i // pieces for i in range(pieces + 1)]  # in blocks
-        costed += [(horizon * (b - a), horizon, range(a * block, min(trials, b * block)))
+        units = trials if split else blocks[horizon]  # the pieces are cut between units
+        pieces = min(workers, units)
+        cuts = [trials * (units * i // pieces) // units for i in range(pieces + 1)]
+        costed += [(horizon * -(-(b - a) // block[horizon]), horizon, range(a, b))
                    for a, b in zip(cuts, cuts[1:])]
     costed.sort(key=lambda job: -job[0])  # stable: ties keep horizon and trial order
     return [(horizon, piece) for _, horizon, piece in costed]

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ucal
@@ -389,15 +390,19 @@ class TestSweepCmd:
         assert [float(r[-1]) for r in rows] == [2.0, 4.0, 8.0, 16.0]
         assert all(r[0] == "sweep" for r in rows)
 
-    @pytest.mark.parametrize("k", ["2", "0"])
-    def test_runaway_grid_refused_up_front(self, capsys, tmp_path, k):
+    @pytest.mark.parametrize("k, t_stop, message", [
+        ("2", "1000000000000", "above the cap"),
+        ("0", "1000000000000", "need at least 2 outcomes"),
+        ("1", str(1 << 24), "need at least 2 outcomes"),
+    ])
+    def test_runaway_grid_refused_up_front(self, capsys, tmp_path, k, t_stop, message):
         path = tmp_path / "out.csv"
         start = time.perf_counter()
         code, out, err = run_cli(["sweep", *GAME, "--K", k, "--T-start", "1",
-                                  "--T-stop", "1000000000000", "--T-factor", "1",
+                                  "--T-stop", t_stop, "--T-factor", "1",
                                   "--output", str(path)], capsys)
         assert code == 2
-        assert out == "" and "above the cap" in err
+        assert out == "" and message in err
         assert not path.exists()
         assert time.perf_counter() - start < 1.0
 
@@ -434,18 +439,13 @@ def test_out_of_range_number_is_usage_error(capsys, tmp_path, monkeypatch, comma
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("cpus, threads, trials, pool", [
-    (3, None, 1000, 3),
-    (64, "5", 1000, 5),
-    (3, None, 2, 2),
-    (1, None, 1000, None),
-    (None, None, 1000, None),
-])
-def test_pool_capped_at_machine(capsys, monkeypatch, cpus, threads, trials, pool):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Puts a stand-in for ProcessPoolExecutor under the CLI; lists the pool sizes asked for."""
     sizes = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+        """Records its size and maps in this process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -459,8 +459,19 @@ def test_pool_capped_at_machine(capsys, monkeypatch, cpus, threads, trials, pool
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus, threads, trials, pool", [
+    (3, None, 1000, 3),
+    (64, "5", 1000, 5),
+    (3, None, 2, 2),
+    (1, None, 1000, None),
+    (None, None, 1000, None),
+])
+def test_pool_capped_at_machine(capsys, monkeypatch, pool_sizes, cpus, threads, trials, pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     if threads is None:
         monkeypatch.delenv("UCAL_THREADS", raising=False)
     else:
@@ -468,7 +479,20 @@ def test_pool_capped_at_machine(capsys, monkeypatch, cpus, threads, trials, pool
     code, out, _ = run_cli(["run", *GAME, "--K", "2", "--T", "2", "--trials", str(trials),
                             "--workers", "1000"], capsys)
     assert code == 0 and out.count("\n") == 1 + trials
-    assert sizes == ([] if pool is None else [pool])
+    assert pool_sizes == ([] if pool is None else [pool])
+
+
+def test_one_lockstep_block_still_fills_the_pool(capsys, monkeypatch, pool_sizes):
+    # K=2, T=4 holds all 40 greedy trials in one block; 2 workers still share them
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("UCAL_THREADS", raising=False)
+    base = ["run", "--forecaster", "ftpl-uniform", "--adversary", "greedy:squared",
+            "--loss", "squared", "--K", "2", "--T", "4", "--trials", "40", "--seed", "3"]
+    code, serial, _ = run_cli(base, capsys)
+    assert code == 0 and pool_sizes == []
+    code, out, _ = run_cli(base + ["--workers", "2"], capsys)
+    assert code == 0 and out == serial
+    assert pool_sizes == [2]
 
 
 @pytest.mark.parametrize("adversary", ["greedy:squared", "iid-uniform"])
@@ -478,24 +502,41 @@ def test_block_cuts_do_not_change_bytes(capsys, monkeypatch, adversary):
             "--trials", "7", "--seed", "5"]
     code, serial, _ = run_cli(base, capsys)
     assert code == 0
-    monkeypatch.setattr(engine, "BLOCK_CELLS", 2 * 16 * 3)  # 2-trial blocks at T=16
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # unpatched, greedy plays one block per horizon: 3 blocks, so 4 workers split them
+    for cells in (engine.BLOCK_CELLS, 2 * 16 * 3):  # then 2-trial blocks at T=16
+        monkeypatch.setattr(engine, "BLOCK_CELLS", cells)
+        for workers in ("1", "2", "4"):
+            code, out, _ = run_cli(base + ["--workers", workers], capsys)
+            assert code == 0 and out == serial
     assert engine.lockstep_block(cli.make_adversary(adversary, 3), 16) <= 2  # >= 4 blocks
-    for workers in ("1", "2", "4"):
-        code, out, _ = run_cli(base + ["--workers", workers], capsys)
-        assert code == 0 and out == serial
+
+
+def _import_ucal(**env):
+    """``import ucal`` in a fresh interpreter: its thread count and OPENBLAS_NUM_THREADS."""
+    probe = ("import os, ucal; "
+             "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+             "else 0, os.environ['OPENBLAS_NUM_THREADS'])")
+    env = dict({key: value for key, value in os.environ.items()
+                if key != "OPENBLAS_NUM_THREADS"}, **env)
+    env["PYTHONPATH"] = str(Path(ucal.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts"
+        return ""
+
+
+def test_import_defaults_blas_threads_to_one():
+    assert _import_ucal()[1] == "1"
+    assert _import_ucal(OPENBLAS_NUM_THREADS="2")[1] == "2"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+@pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy's BLAS is not OpenBLAS")
 def test_import_starts_no_blas_threads():
-    probe = ("import os, ucal; "
-             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(ucal.__file__).resolve().parent.parent)
-
-    def run(env):
-        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, check=True).stdout.split()
-
-    assert run(env) == ["1", "1"]
-    assert run(dict(env, OPENBLAS_NUM_THREADS="2"))[1] == "2"
+    assert _import_ucal()[0] == "1"

@@ -487,16 +487,23 @@ class TestTrialJobs:
         adversary = GreedyAdaptive(3, SquaredLoss()) if adaptive else IidUniform(3)
         with unittest.mock.patch.object(engine, "BLOCK_CELLS", cells):
             jobs = engine.trial_jobs(adversary, horizons, trials, workers)
-            blocks = {h: engine.lockstep_block(adversary, h) for h in horizons}
-        assert blocks == {h: max(1, cells // (3 * h)) if adaptive else 1 for h in horizons}
+            block = {h: engine.lockstep_block(adversary, h) for h in horizons}
+        assert block == {h: max(1, cells // (3 * h)) if adaptive else 1 for h in horizons}
+        blocks = {h: -(-trials // block[h]) for h in horizons}
+        split = sum(blocks.values()) < workers
         for horizon in horizons:
             pieces = sorted((r for h, r in jobs if h == horizon), key=lambda r: r.start)
             assert [t for r in pieces for t in r] == list(range(trials))
-            assert len(pieces) == min(workers, -(-trials // blocks[horizon]))
-            assert all(r.start % blocks[horizon] == 0 for r in pieces)
-            sizes = [-(-len(r) // blocks[horizon]) for r in pieces]
-            assert max(sizes) - min(sizes) <= 1
-        costs = [h * -(-len(r) // blocks[h]) for h, r in jobs]
+            sizes = [len(r) for r in pieces]
+            loops = [-(-size // block[horizon]) for size in sizes]
+            if split:  # too few blocks for the workers: about trials/workers a piece
+                assert len(pieces) == min(workers, trials)
+                assert max(sizes) - min(sizes) <= 1
+            else:  # cut between blocks: the pieces play the horizon's blocks once
+                assert len(pieces) == min(workers, blocks[horizon])
+                assert sum(loops) == blocks[horizon]
+                assert max(loops) - min(loops) <= 1
+        costs = [h * -(-len(r) // block[h]) for h, r in jobs]
         assert costs == sorted(costs, reverse=True)
 
     def test_one_block_per_horizon_runs_longest_first(self):
@@ -509,6 +516,18 @@ class TestTrialJobs:
         jobs = engine.trial_jobs(IidUniform(3), [16, 32], 7, workers=3)
         assert jobs == [(32, range(4, 7)), (32, range(0, 2)), (32, range(2, 4)),
                         (16, range(4, 7)), (16, range(0, 2)), (16, range(2, 4))]
+
+    def test_fewer_blocks_than_workers_split_every_block(self):
+        # one 5461-trial block at T=64: both workers still get half the trials
+        greedy = GreedyAdaptive(3, SquaredLoss())
+        assert engine.lockstep_block(greedy, 64) == 5461
+        assert engine.trial_jobs(greedy, [64], 4000, workers=2) == [
+            (64, range(0, 2000)), (64, range(2000, 4000))]
+
+    def test_blocks_are_cut_into_near_equal_sizes(self):
+        # two blocks at T=64 play 4000 trials each, not 5461 and 2539
+        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), [64], 8000, workers=2)
+        assert jobs == [(64, range(0, 4000)), (64, range(4000, 8000))]
 
     def test_bad_counts_rejected(self):
         for trials, workers in ((0, 2), (3, 0)):
