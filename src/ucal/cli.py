@@ -17,24 +17,25 @@ wins; a config ``loss`` is dropped when the command line has a ``--loss``.
 A config may set any option that takes a value, not a switch such as
 ``--check-bounds``; an unknown key is a usage error.
 Exit codes: 0 success, 1 validation or assertion failure, 2 usage error,
-refused before any trial or output (among them ``--K`` below 2, ``--T``
-below 1, a game above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds``
-below T = 2 and a closed form above ``minimax.CLOSED_FORM_MAX_HORIZON``).
-``run`` and ``sweep`` resolve every spec once, plan their trials with
-``engine.trial_jobs`` (each horizon cut only between lockstep blocks, or
-into about trials/workers pieces when there are fewer blocks than workers;
-the jobs longest first) and map the jobs, with the resolved objects, through
-one process pool; every job runs through ``engine.run_trials``.  The pool
-has min(--workers, UCAL_THREADS, CPU count, jobs) processes, and there is
-none when that is 1.  Results are byte-identical regardless of worker count
-because every trial owns its own RNG stream and each horizon's regrets are
-put back in trial order.
+refused before any trial or output (among them ``--K`` below 2, ``--T``,
+``--T-start`` or ``--workers`` below 1, a game above
+``engine.MAX_GAME_CELLS``, ``minimax --check-bounds`` below T = 2 and a
+closed form above ``minimax.CLOSED_FORM_MAX_HORIZON``).
+``run`` and ``sweep`` resolve every spec once, one forecaster per horizon;
+a forecaster keeps no per-game state, so it plays every trial at its
+horizon.  They plan their trials with ``engine.trial_jobs`` (each horizon
+cut only between lockstep blocks, or into about trials/workers pieces when
+there are fewer blocks than workers; the jobs longest first) and map the
+jobs, with the resolved objects, through one process pool; every job runs
+through ``engine.run_trials``.  The pool has min(--workers, UCAL_THREADS,
+CPU count, jobs) processes, and there is none when that is 1.  Results are
+byte-identical regardless of worker count because every trial owns its own
+RNG stream and each horizon's regrets are put back in trial order.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import math
 import os
 import sys
@@ -135,8 +136,7 @@ def make_adversary(spec: str, k: int) -> Adversary:
 def _block_job(job):
     """Regrets (len(trials), len(losses)) of one contiguous range of trials at one horizon."""
     forecaster, adversary, losses, horizon, base_seed, trials = job
-    return engine.run_trials(lambda: copy.deepcopy(forecaster), adversary, losses,
-                             horizon, trials, base_seed)
+    return engine.run_trials(lambda: forecaster, adversary, losses, horizon, trials, base_seed)
 
 
 def _worker_cap(requested: int) -> int:
@@ -147,7 +147,7 @@ def _worker_cap(requested: int) -> int:
             requested = min(requested, max(1, int(cap)))
         except ValueError:
             raise UsageError(f"UCAL_THREADS must be an integer, got {cap!r}")
-    return max(1, min(requested, os.cpu_count() or 1))
+    return min(requested, os.cpu_count() or 1)
 
 
 def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecaster]]:
@@ -159,6 +159,8 @@ def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecast
         losses = [make_loss(s) for s in specs]
         if args.trials < 1:
             raise ValueError("--trials must be >= 1")
+        if args.workers < 1:
+            raise ValueError("--workers must be >= 1")
         adversary = make_adversary(args.adversary, args.K)
         forecasters = []
         for horizon in horizons:
@@ -232,10 +234,12 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if not math.isfinite(args.T_factor):
         raise UsageError(f"--T-factor must be finite, got {args.T_factor}")
-    # Both refused before the grid is built, which a factor near 1 builds one
+    # All refused before the grid is built, which a factor near 1 builds one
     # step at a time.
     if args.K < 2:
         raise UsageError("need at least 2 outcomes")
+    if args.T_start < 1:
+        raise UsageError("--T-start must be >= 1")
     if args.T_stop * args.K > engine.MAX_GAME_CELLS:
         raise UsageError(f"--T-stop {args.T_stop} at K={args.K} is above the cap of "
                          f"{engine.MAX_GAME_CELLS} (2^24) cells per game")

@@ -1,13 +1,15 @@
 """Protocol runner and regret/calibration measurements.
 
 ``run_game`` plays T rounds of forecast-then-outcome and returns a
-transcript.  ``play_games`` holds the engine's one block path and one round
-loop: an oblivious adversary's game is played as one vectorized block, and
-the trials of an adaptive game run in lockstep, one (trials, K) step per
-round.
+transcript.  ``play_games`` plays n games of one forecaster, each from zero
+counts (a forecaster keeps no per-game state), and holds the engine's one
+block path and one round loop: an oblivious adversary's game is played as
+one vectorized block, and the trials of an adaptive game run in lockstep,
+one (trials, K) step per round.
 ``run_trials`` is the one trial runner: it plays trial i on stream
-(base_seed, i), oblivious trials one at a time, adaptive trials in blocks
-of at most ``BLOCK_CELLS`` cells, and scores each with ``regret``.
+(base_seed, i) with one forecaster, oblivious trials one at a time,
+adaptive trials in blocks of at most ``BLOCK_CELLS`` cells, and scores each
+with ``regret``.
 ``trial_jobs`` plans how those trials split across workers: it cuts each
 horizon's trials between blocks (or, when there are fewer blocks than
 workers, into about trials/workers pieces) and orders the pieces longest
@@ -163,8 +165,9 @@ def _bad_outcomes(horizon, k):
     return ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
 
 
-def play_games(forecasters, adversary: Adversary, horizon: int, rngs) -> list[Transcript]:
-    """Play one game per (forecaster, rng) pair against one adversary.
+def play_games(forecaster: Forecaster, adversary: Adversary, horizon: int,
+               rngs) -> list[Transcript]:
+    """Play ``len(rngs)`` games of ``forecaster`` against ``adversary``, each from zero counts.
 
     Every game reads its own ``rng`` in one fixed layout: first the
     forecaster's whole (horizon, K) noise block, then the adversary's
@@ -173,21 +176,16 @@ def play_games(forecasters, adversary: Adversary, horizon: int, rngs) -> list[Tr
     prefix counts (the block path).  Against any other adversary the n games
     run in lockstep (the round loop): round t applies the rule once to the
     stacked counts (n, K) and noise rows (n, K), then asks the adversary for
-    all n replies, which see forecasts 1..t-1 only.  The first forecaster's
-    rule serves every game, so the forecasters must differ only in their
-    counts and round index.  Each game's transcript is the one it would get
-    played alone.
+    all n replies, which see forecasts 1..t-1 only.  Each game's transcript
+    is the one it would get played alone.
     """
-    f0 = forecasters[0]
-    k, n = f0.k, len(forecasters)
-    for f in forecasters:
-        if f.k != adversary.k:
-            raise ValueError(f"dimension mismatch: forecaster k={f.k}, adversary k={adversary.k}")
-        if f.horizon - f.t + 1 < horizon:
-            raise ValueError("forecaster horizon shorter than the game")
+    k, n = forecaster.k, len(rngs)
+    if k != adversary.k:
+        raise ValueError(f"dimension mismatch: forecaster k={k}, adversary k={adversary.k}")
+    if forecaster.horizon < horizon:
+        raise ValueError("forecaster horizon shorter than the game")
     check_game_size(k, horizon)
-    noise = np.stack([f.noise(horizon, rng) for f, rng in zip(forecasters, rngs)], axis=1)
-    counts = np.stack([f.counts for f in forecasters])  # (n, K)
+    noise = np.stack([forecaster.noise(horizon, rng) for rng in rngs], axis=1)  # (T, n, K)
     if _plays_in_one_block(adversary):
         outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng), dtype=np.int64)
                              for rng in rngs], axis=1)
@@ -197,8 +195,8 @@ def play_games(forecasters, adversary: Adversary, horizon: int, rngs) -> list[Tr
         prefix = np.zeros((horizon, n, k), dtype=np.int64)
         prefix[np.arange(1, horizon)[:, None], np.arange(n), outcomes[:-1]] = 1
         np.cumsum(prefix, axis=0, out=prefix)
-        prefix += counts
-        forecasts = f0.rule(prefix.reshape(-1, k), noise.reshape(-1, k)).reshape(horizon, n, k)
+        forecasts = forecaster.rule(prefix.reshape(-1, k),
+                                    noise.reshape(-1, k)).reshape(horizon, n, k)
     else:
         # a subclass that overrides only next_outcome is asked game by game
         reply = (adversary.next_outcomes
@@ -206,9 +204,10 @@ def play_games(forecasters, adversary: Adversary, horizon: int, rngs) -> list[Tr
                  else partial(Adversary.next_outcomes, adversary))
         forecasts = np.empty((horizon, n, k))
         outcomes = np.empty((horizon, n), dtype=np.int64)
+        counts = np.zeros((n, k), dtype=np.int64)
         eye = np.eye(k, dtype=np.int64)  # row y adds one outcome y to a count vector
         for t in range(horizon):
-            forecasts[t] = f0.rule(counts, noise[t])
+            forecasts[t] = forecaster.rule(counts, noise[t])
             outcomes[t] = reply(t + 1, forecasts[:t], rngs)
             try:
                 counts += eye[outcomes[t]]
@@ -217,11 +216,9 @@ def play_games(forecasters, adversary: Adversary, horizon: int, rngs) -> list[Tr
         if outcomes.min() < 0:  # a negative index wraps instead of raising
             raise _bad_outcomes(horizon, k)
     games = []
-    for i, f in enumerate(forecasters):
+    for i in range(n):
         tr_outcomes = outcomes[:, i].copy()
         final_counts = np.bincount(tr_outcomes, minlength=k).astype(np.int64)
-        f.counts += final_counts
-        f.t += horizon
         games.append(Transcript(k=k, horizon=horizon,
                                 forecasts=np.ascontiguousarray(forecasts[:, i]),
                                 outcomes=tr_outcomes, final_counts=final_counts))
@@ -236,7 +233,7 @@ def run_game(forecaster: Forecaster, adversary: Adversary, horizon: int,
     as one block, any other round by round (the lockstep loop with n = 1),
     and both give the same transcript from one ``rng``.
     """
-    return play_games([forecaster], adversary, horizon, [rng])[0]
+    return play_games(forecaster, adversary, horizon, [rng])[0]
 
 
 def benchmark_cost(transcript: Transcript, loss: ProperLoss, point=None) -> float:
@@ -259,12 +256,11 @@ def run_trials(forecaster_factory, adversary: Adversary, losses, horizon: int,
     """Regret matrix of shape (len(trials), len(losses)); trial i uses stream (base_seed, i).
 
     ``trials`` is a count or a ``range`` of trial indices, so a worker can
-    run one contiguous block of a larger experiment.  Oblivious trials are
-    played, scored and released one at a time; adaptive trials run in
-    lockstep blocks of at most ``BLOCK_CELLS`` cells, which apply the first
-    forecaster's rule to every game, so the factory must return forecasters
-    that differ only in their counts and round index.  Either way row j is the regret the
-    trial would get played alone.
+    run one contiguous block of a larger experiment.  ``forecaster_factory``
+    is called once, and its forecaster plays every trial.  Oblivious trials
+    are played, scored and released one at a time; adaptive trials run in
+    lockstep blocks of at most ``BLOCK_CELLS`` cells.  Either way row j is
+    the regret the trial would get played alone.
     """
     trials = trials if isinstance(trials, range) else range(trials)
     losses = list(losses)
@@ -273,12 +269,12 @@ def run_trials(forecaster_factory, adversary: Adversary, losses, horizon: int,
     if not losses:
         raise ValueError("need at least one loss")
     check_game_size(adversary.k, horizon)
+    forecaster = forecaster_factory()
     block = lockstep_block(adversary, horizon)
     out = np.empty((len(trials), len(losses)))
     for start in range(0, len(trials), block):
-        chunk = trials[start:start + block]
-        rngs = [RngStream(base_seed, trial).generator() for trial in chunk]
-        games = play_games([forecaster_factory() for _ in chunk], adversary, horizon, rngs)
+        rngs = [RngStream(base_seed, trial).generator() for trial in trials[start:start + block]]
+        games = play_games(forecaster, adversary, horizon, rngs)
         for row, transcript in enumerate(games, start):
             out[row] = [regret(transcript, loss).regret for loss in losses]
     return out
@@ -309,9 +305,9 @@ def estimate_calibration(forecaster_factory, adversary: Adversary, losses,
                          horizon: int, trials: int, base_seed: int) -> CalibrationEstimate:
     """Monte Carlo pucal/ucal over a finite loss family.
 
-    ``forecaster_factory`` is a zero-argument callable returning a fresh
-    forecaster; each trial gets its own RNG stream so results do not depend
-    on execution order.
+    ``forecaster_factory`` is a zero-argument callable returning the
+    forecaster, called once; each trial gets its own RNG stream so results
+    do not depend on execution order.
     """
     losses = list(losses)
     regrets = run_trials(forecaster_factory, adversary, losses, horizon, trials, base_seed)

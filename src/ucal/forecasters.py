@@ -4,12 +4,9 @@ Every forecaster is one batched rule: ``rule(counts, noise)`` maps a stack
 of count vectors (n, K) and the hallucinated counts drawn for the same rows
 (n, K) to forecasts (n, K).  ``noise(horizon, rng)`` draws the hallucinated
 counts of a whole game as one (horizon, K) block, so a game engine can
-forecast every round of an oblivious game in one call.
-
-For online use a forecaster also owns K, a horizon T, the running outcome
-counts, and the 1-based round index t.  ``predict`` applies the rule to the
-current counts and one fresh noise row, and ``observe`` records the revealed
-outcome.  States are cheap mutable values; use one instance per game.
+forecast every round of an oblivious game in one call.  A forecaster holds
+only K, the horizon T it was built for, and the constants derived from them;
+it keeps no per-game state, so one instance serves any number of games.
 
 ``FollowTheLeader``        forecasts the running mean of past outcomes, the
                            simultaneous empirical risk minimizer for every
@@ -30,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import validate_outcome, validate_simplex
+from .core import validate_simplex
 
 
 def _normalize(totals: np.ndarray) -> np.ndarray:
@@ -44,7 +41,7 @@ def _normalize(totals: np.ndarray) -> np.ndarray:
 
 
 class Forecaster:
-    """Shared count/round bookkeeping and the one-row wrappers over ``rule``."""
+    """K, the horizon, and the default (noiseless) ``noise`` shared by every rule."""
 
     name = "forecaster"
 
@@ -55,8 +52,6 @@ class Forecaster:
             raise ValueError("horizon must be >= 1")
         self.k = int(k)
         self.horizon = int(horizon)
-        self.counts = np.zeros(self.k, dtype=np.int64)
-        self.t = 1  # 1-based round about to be played
 
     def noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
         """Hallucinated counts for ``horizon`` rounds, shape (horizon, K); none by default."""
@@ -65,17 +60,6 @@ class Forecaster:
     def rule(self, counts: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """Forecasts (n, K) from integer counts (n, K) and hallucinated counts (n, K)."""
         raise NotImplementedError
-
-    def predict(self, rng: np.random.Generator = None) -> np.ndarray:
-        """Forecast for the current round from the counts so far and one noise row."""
-        return self.rule(self.counts[None, :], self.noise(1, rng))[0]
-
-    def observe(self, y: int) -> None:
-        """Record the revealed outcome of the current round."""
-        if self.t > self.horizon:
-            raise ValueError("horizon exceeded")
-        self.counts[validate_outcome(y, self.k)] += 1
-        self.t += 1
 
 
 class FollowTheLeader(Forecaster):

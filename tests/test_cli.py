@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -390,15 +391,17 @@ class TestSweepCmd:
         assert [float(r[-1]) for r in rows] == [2.0, 4.0, 8.0, 16.0]
         assert all(r[0] == "sweep" for r in rows)
 
-    @pytest.mark.parametrize("k, t_stop, message", [
-        ("2", "1000000000000", "above the cap"),
-        ("0", "1000000000000", "need at least 2 outcomes"),
-        ("1", str(1 << 24), "need at least 2 outcomes"),
+    @pytest.mark.parametrize("k, t_start, t_stop, message", [
+        ("2", "1", "1000000000000", "above the cap"),
+        ("0", "1", "1000000000000", "need at least 2 outcomes"),
+        ("1", "1", str(1 << 24), "need at least 2 outcomes"),
+        ("2", "-100000000", "8", "--T-start must be >= 1"),
+        ("2", "0", "8", "--T-start must be >= 1"),
     ])
-    def test_runaway_grid_refused_up_front(self, capsys, tmp_path, k, t_stop, message):
+    def test_runaway_grid_refused_up_front(self, capsys, tmp_path, k, t_start, t_stop, message):
         path = tmp_path / "out.csv"
         start = time.perf_counter()
-        code, out, err = run_cli(["sweep", *GAME, "--K", k, "--T-start", "1",
+        code, out, err = run_cli(["sweep", *GAME, "--K", k, "--T-start", t_start,
                                   "--T-stop", t_stop, "--T-factor", "1",
                                   "--output", str(path)], capsys)
         assert code == 2
@@ -429,6 +432,10 @@ GAME = ["--forecaster", "ftl", "--adversary", "alternating", "--loss", "vshaped"
     (["minimax", "--T", "0", "--mode", "closed"], "--T"),
     (["minimax", "--T", "0", "--mode", "dp"], "--T"),
     (["minimax", "--T", "-3", "--mode", "both"], "--T"),
+    (["run", *GAME, "--K", "2", "--T", "10", "--workers", "0"], "--workers must be >= 1"),
+    (["run", *GAME, "--K", "2", "--T", "10", "--workers", "-3"], "--workers must be >= 1"),
+    (["sweep", *GAME, "--K", "2", "--T-start", "4", "--T-stop", "8", "--workers", "0"],
+     "--workers must be >= 1"),
 ])
 def test_out_of_range_number_is_usage_error(capsys, tmp_path, monkeypatch, command, message):
     monkeypatch.chdir(tmp_path)
@@ -510,6 +517,49 @@ def test_block_cuts_do_not_change_bytes(capsys, monkeypatch, adversary):
             code, out, _ = run_cli(base + ["--workers", workers], capsys)
             assert code == 0 and out == serial
     assert engine.lockstep_block(cli.make_adversary(adversary, 3), 16) <= 2  # >= 4 blocks
+
+
+CSV_DIGESTS = {
+    "ftpl-geometric-iid": (
+        ["run", "--forecaster", "ftpl-geometric", "--adversary", "iid-uniform",
+         "--loss", "vshaped;squared:0.5;spherical;tsallis:1.5", "--K", "5", "--T", "256",
+         "--trials", "8", "--seed", "3"],
+        "02e33692ddad18f923f6cd181cbdcb8193d1a034eceb53eccbdab9dc0876b225"),
+    "ftpl-uniform-greedy-sweep": (
+        ["sweep", "--forecaster", "ftpl-uniform", "--adversary", "greedy:squared",
+         "--loss", "vshaped;squared:0.5;spherical", "--K", "3", "--T-start", "16",
+         "--T-stop", "256", "--trials", "4", "--seed", "3"],
+        "39f03b18b42243b2dea01987d2e55a19285165184353d977dac98046d4f08b1e"),
+    "ftl-alternating": (
+        ["run", "--forecaster", "ftl", "--adversary", "alternating",
+         "--loss", "vshaped;squared;spherical", "--K", "3", "--T", "101", "--trials", "2",
+         "--seed", "3"],
+        "caad2592bb436673091692fb4536d4963b6452f882f9e3b30cca24081a4cf49d"),
+    "static-greedy": (
+        ["run", "--forecaster", "static:0.2,0.3,0.5", "--adversary", "greedy:vshaped",
+         "--loss", "vshaped;squared;tsallis:1.5", "--K", "3", "--T", "64", "--trials", "3",
+         "--seed", "3"],
+        "be872ac027886a69320c018a725bf6057e2474e75d43772d8037b1c90155f527"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
+def test_csv_bytes_pinned(capsys, tmp_path, monkeypatch, name, workers):
+    """The CSV bytes of four small command lines, as sha256 digests.
+
+    A change that should leave every game and score as it is must leave
+    these digests as they are.  They also pin the streams of numpy's
+    ``Generator`` (recorded with numpy 2.4.6): a numpy whose geometric or
+    integer draws differ changes them, and then they must be re-recorded.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("UCAL_THREADS", raising=False)
+    argv, digest = CSV_DIGESTS[name]
+    path = tmp_path / "out.csv"
+    code, _, _ = run_cli(argv + ["--workers", workers, "--output", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def _import_ucal(**env):

@@ -112,30 +112,23 @@ class TestKernelMatchesRoundLoop:
         assert np.array_equal(kernel.forecasts, loop.forecasts)
         assert np.array_equal(kernel.outcomes, loop.outcomes)
         assert np.array_equal(kernel.final_counts, loop.final_counts)
-        assert np.array_equal(f_kernel.counts, f_loop.counts) and f_kernel.t == f_loop.t
         kernel_regrets = [regret(kernel, loss).regret for loss in SHIPPED_LOSSES]
         loop_regrets = [regret(loop, loss).regret for loss in SHIPPED_LOSSES]
         assert np.array_equal(kernel_regrets, loop_regrets)
         if forecaster == "ftl" and adversary == "alternating" and k == 2 and horizon % 2 == 0:
             assert kernel_regrets[0] == horizon / 4  # vshaped, exactly
 
-    def test_forecaster_state_after_game(self):
-        f = PerturbedLeaderUniform(3, 40)
-        tr = run_game(f, IidUniform(3), 40, _gen(5))
-        np.testing.assert_array_equal(f.counts, tr.final_counts)
-        assert f.t == 41
-        with pytest.raises(ValueError, match="horizon exceeded"):
-            f.observe(0)
-
     def test_greedy_plays_round_by_round(self):
         loss = VShapedLoss()
         tr = run_game(FollowTheLeader(2, 6), GreedyAdaptive(2, loss), 6, _gen(0))
         f = FollowTheLeader(2, 6)
+        counts = np.zeros(2, dtype=np.int64)
         for t in range(6):
-            np.testing.assert_array_equal(tr.forecasts[t], f.predict())
+            np.testing.assert_array_equal(tr.forecasts[t],
+                                          f.rule(counts[None, :], f.noise(1, None))[0])
             past = tr.forecasts[:t]
             assert tr.outcomes[t] == GreedyAdaptive(2, loss).next_outcome(t + 1, past)
-            f.observe(tr.outcomes[t])
+            counts[tr.outcomes[t]] += 1
 
     @pytest.mark.parametrize("looped", [False, True])
     def test_short_fixed_sequence_exhausted(self, looped):
@@ -156,27 +149,24 @@ def _reference_greedy_game(forecaster, loss, horizon, rng):
     k = forecaster.k
     noise = forecaster.noise(horizon, rng)
     forecasts, outcomes = np.empty((horizon, k)), []
+    counts = np.zeros(k, dtype=np.int64)
     for t in range(horizon):
-        forecasts[t] = forecaster.rule(forecaster.counts[None, :], noise[t:t + 1])[0]
+        forecasts[t] = forecaster.rule(counts[None, :], noise[t:t + 1])[0]
         proxy = uniform_point(k) if t == 0 else forecasts[t - 1]
         outcomes.append(int(np.argmax(loss.bivariate(proxy, np.arange(k)))))
-        forecaster.observe(outcomes[-1])
+        counts[outcomes[-1]] += 1
     return forecasts, np.array(outcomes)
 
 
 def _assert_block_equals_solo(make_forecaster, make_adversary, k, horizon, n=3):
     """Every game of a lockstep block of n equals the same game played alone."""
-    block_fs = [make_forecaster(k, horizon) for _ in range(n)]
-    block = play_games(block_fs, make_adversary(k), horizon,
+    block = play_games(make_forecaster(k, horizon), make_adversary(k), horizon,
                        [_gen(31, i) for i in range(n)])
     for i, game in enumerate(block):
-        solo_f = make_forecaster(k, horizon)
-        solo = run_game(solo_f, make_adversary(k), horizon, _gen(31, i))
+        solo = run_game(make_forecaster(k, horizon), make_adversary(k), horizon, _gen(31, i))
         assert np.array_equal(game.forecasts, solo.forecasts)
         assert np.array_equal(game.outcomes, solo.outcomes)
         assert np.array_equal(game.final_counts, solo.final_counts)
-        assert np.array_equal(block_fs[i].counts, solo_f.counts)
-        assert block_fs[i].t == solo_f.t == horizon + 1
         assert np.array_equal([regret(game, loss).regret for loss in SHIPPED_LOSSES],
                               [regret(solo, loss).regret for loss in SHIPPED_LOSSES])
     return block
@@ -250,8 +240,46 @@ class TestLockstepMatchesSolo:
                 return bad if t == 4 else 0
 
         with pytest.raises(ValueError, match="indices in"):
-            play_games([FollowTheLeader(3, 8) for _ in range(2)], Bad(3), 8,
-                       [_gen(0, i) for i in range(2)])
+            play_games(FollowTheLeader(3, 8), Bad(3), 8, [_gen(0, i) for i in range(2)])
+
+
+def _state(forecaster):
+    """Every instance attribute of ``forecaster``, as plain values."""
+    return {key: np.asarray(value).tolist() for key, value in vars(forecaster).items()}
+
+
+class TestStatelessForecaster:
+    """A forecaster keeps no per-game state: every game starts from zero counts."""
+
+    @pytest.mark.parametrize("adversary", ["iid-uniform", "greedy"])
+    @pytest.mark.parametrize("forecaster", sorted(FORECASTERS))
+    def test_one_forecaster_plays_two_full_games(self, forecaster, adversary):
+        k, horizon = 3, 40
+        adv = IidUniform(k) if adversary == "iid-uniform" else GreedyAdaptive(k, SquaredLoss())
+        f = FORECASTERS[forecaster](k, horizon)
+        before = _state(f)
+        games = [run_game(f, adv, horizon, _gen(7)) for _ in range(2)]
+        assert np.array_equal(games[0].forecasts, games[1].forecasts)
+        assert np.array_equal(games[0].outcomes, games[1].outcomes)
+        blocks = [play_games(f, adv, horizon, [_gen(7, i) for i in range(3)]) for _ in range(2)]
+        for first, second in zip(*blocks):
+            assert np.array_equal(first.forecasts, second.forecasts)
+            assert np.array_equal(first.outcomes, second.outcomes)
+        losses = [VShapedLoss(), SquaredLoss(0.5)]
+        runs = [run_trials(lambda: f, adv, losses, horizon, 3, 7) for _ in range(2)]
+        assert np.array_equal(runs[0], runs[1])
+        assert runs[0].tolist() == [[regret(game, loss).regret for loss in losses]
+                                    for game in blocks[0]]
+        assert _state(f) == before
+
+    def test_play_games_checks_horizon_and_k(self):
+        f = FollowTheLeader(3, 8)
+        with pytest.raises(ValueError, match="horizon shorter than the game"):
+            play_games(f, IidUniform(3), 9, [_gen(0)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            play_games(f, IidUniform(2), 8, [_gen(0)])
+        assert [len(game.outcomes) for game in play_games(f, IidUniform(3), 8,
+                                                          [_gen(0), _gen(1)])] == [8, 8]
 
 
 class TestGameSizeCap:

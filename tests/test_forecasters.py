@@ -6,6 +6,11 @@ from ucal import (FollowTheLeader, PerturbedLeaderGeometric, PerturbedLeaderUnif
                   mean_of_counts, validate_simplex)
 
 
+def _forecast(f, counts, rng=None):
+    """The rule's forecast for one count vector and one fresh noise row."""
+    return f.rule(np.asarray(counts, dtype=np.int64)[None, :], f.noise(1, rng))[0]
+
+
 class TestSampleGeometric:
     """Geometric hallucinated counts, drawn by ``PerturbedLeaderGeometric.noise``."""
 
@@ -51,34 +56,32 @@ class TestSampleGeometric:
 class TestFollowTheLeader:
     def test_first_round_uniform(self):
         f = FollowTheLeader(3, 10)
-        np.testing.assert_allclose(f.predict(), [1 / 3] * 3)
+        np.testing.assert_allclose(_forecast(f, [0, 0, 0]), [1 / 3] * 3)
 
     def test_mean_of_past(self):
         f = FollowTheLeader(2, 10)
-        for y in (0, 0, 0, 1):
-            f.observe(y)
-        assert f.t == 5
-        np.testing.assert_allclose(f.predict(), [0.75, 0.25])
+        np.testing.assert_allclose(_forecast(f, [3, 1]), [0.75, 0.25])
 
     def test_deterministic_no_rng(self):
         seq = [0, 1, 1, 0, 1]
         runs = []
         for _ in range(2):
             f = FollowTheLeader(2, len(seq))
+            counts = np.zeros(2, dtype=np.int64)
             fc = []
             for y in seq:
-                fc.append(f.predict(None))
-                f.observe(y)
+                fc.append(_forecast(f, counts, None))
+                counts[y] += 1
             runs.append(np.asarray(fc))
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_equals_mean_of_counts(self):
         rng = RngStream(5, 0).generator()
         f = FollowTheLeader(3, 200)
+        counts = np.zeros(3, dtype=np.int64)
         for _ in range(200):
-            y = int(rng.integers(0, 3))
-            f.observe(y)
-            np.testing.assert_allclose(f.predict(), mean_of_counts(f.counts), atol=1e-15)
+            counts[int(rng.integers(0, 3))] += 1
+            np.testing.assert_allclose(_forecast(f, counts), mean_of_counts(counts), atol=1e-15)
 
     def test_grid_erm_oracle(self):
         # brute-force minimizer of the cumulative loss over a 1/100 mesh,
@@ -100,41 +103,12 @@ class TestFollowTheLeader:
                 assert abs(best[0] - mean[0]) <= 0.01 + 1e-12, loss.name
 
 
-class TestObserve:
-    def test_counts_update(self):
-        f = FollowTheLeader(2, 10)
-        for y in (0, 0, 0, 1):
-            f.observe(y)
-        np.testing.assert_array_equal(f.counts, [3, 1])
-        f.observe(1)
-        np.testing.assert_array_equal(f.counts, [3, 2])
-
-    def test_constant_stream(self):
-        horizon = 50
-        f = FollowTheLeader(3, horizon)
-        for _ in range(horizon):
-            f.observe(0)
-        np.testing.assert_array_equal(f.counts, [horizon, 0, 0])
-
-    def test_horizon_exceeded(self):
-        f = FollowTheLeader(2, 3)
-        for _ in range(3):
-            f.observe(0)
-        with pytest.raises(ValueError, match="horizon exceeded"):
-            f.observe(0)
-
-    def test_bad_outcome(self):
-        f = FollowTheLeader(2, 3)
-        with pytest.raises(ValueError):
-            f.observe(2)
-
-
 class TestPerturbedLeaderGeometric:
     def test_q_clipped_when_horizon_small(self):
         # T <= K forces q = 1, noise is deterministically one per outcome
         f = PerturbedLeaderGeometric(3, 2)
         assert f.q == 1.0
-        p = f.predict(RngStream(0, 0).generator())
+        p = _forecast(f, [0, 0, 0], RngStream(0, 0).generator())
         np.testing.assert_allclose(p, [1 / 3] * 3)
 
     def test_q_value(self):
@@ -144,10 +118,10 @@ class TestPerturbedLeaderGeometric:
     def test_valid_simplex_every_round(self):
         rng = RngStream(3, 0).generator()
         f = PerturbedLeaderGeometric(4, 300)
+        counts = np.zeros(4, dtype=np.int64)
         for _ in range(300):
-            p = f.predict(rng)
-            validate_simplex(p)
-            f.observe(int(rng.integers(0, 4)))
+            validate_simplex(_forecast(f, counts, rng))
+            counts[int(rng.integers(0, 4))] += 1
 
     def test_noise_mean(self):
         # mean of the hallucinated counts is 1/q = sqrt(T/K) ~ 70.7
@@ -158,13 +132,12 @@ class TestPerturbedLeaderGeometric:
         assert draws.mean() == pytest.approx(np.sqrt(10_000 / 2), abs=3 * se)
 
     def test_same_stream_identical_two_calls_differ(self):
-        mk = lambda: PerturbedLeaderGeometric(2, 100)
-        p_a = mk().predict(RngStream(9, 1).generator())
-        p_b = mk().predict(RngStream(9, 1).generator())
+        f = PerturbedLeaderGeometric(2, 100)
+        p_a = _forecast(f, [0, 0], RngStream(9, 1).generator())
+        p_b = _forecast(f, [0, 0], RngStream(9, 1).generator())
         np.testing.assert_array_equal(p_a, p_b)
-        f = mk()
         rng = RngStream(9, 1).generator()
-        first, second = f.predict(rng), f.predict(rng)
+        first, second = _forecast(f, [0, 0], rng), _forecast(f, [0, 0], rng)
         assert not np.array_equal(first, second)
 
 
@@ -189,22 +162,22 @@ class TestPerturbedLeaderUniform:
 
     def test_zero_denominator_fallback(self):
         f = PerturbedLeaderUniform(2, 100)
-        np.testing.assert_allclose(f.predict(_ZeroRng()), [0.5, 0.5])
+        np.testing.assert_allclose(_forecast(f, [0, 0], _ZeroRng()), [0.5, 0.5])
 
     def test_valid_simplex_every_round(self):
         rng = RngStream(4, 0).generator()
         f = PerturbedLeaderUniform(3, 200)
+        counts = np.zeros(3, dtype=np.int64)
         for _ in range(200):
-            validate_simplex(f.predict(rng))
-            f.observe(int(rng.integers(0, 3)))
+            validate_simplex(_forecast(f, counts, rng))
+            counts[int(rng.integers(0, 3))] += 1
 
 
 class TestStaticForecaster:
     def test_returns_fixed_point(self):
         f = StaticForecaster([0.2, 0.8], 10)
-        np.testing.assert_array_equal(f.predict(), [0.2, 0.8])
-        f.observe(0)
-        np.testing.assert_array_equal(f.predict(), [0.2, 0.8])
+        np.testing.assert_array_equal(_forecast(f, [0, 0]), [0.2, 0.8])
+        np.testing.assert_array_equal(_forecast(f, [1, 0]), [0.2, 0.8])
 
     def test_point_validated(self):
         with pytest.raises(ValueError):
