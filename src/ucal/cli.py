@@ -10,7 +10,8 @@ Subcommands:
     validate  numerical validation suite for a shipped loss
 
 Component specs are NAME or NAME:ARGS, e.g. ``ftl``, ``static:0.5,0.5``,
-``tsallis:1.5``, ``fixed:outcomes.txt``, ``greedy:vshaped``.  Each
+``tsallis:1.5``, ``fixed:outcomes.txt``, ``greedy:vshaped``; a spec with
+arguments its component does not take, or with too many, is a usage error.  Each
 ``key=value`` line of a ``--config`` file becomes ``--key=value`` ahead of
 the explicit flags, so the parser checks it like a flag and an explicit flag
 wins; a config ``loss`` is dropped when the command line has a ``--loss``.
@@ -27,8 +28,8 @@ horizon.  They plan their trials with ``engine.trial_jobs`` (each horizon
 cut only between lockstep blocks, or into about trials/workers pieces when
 there are fewer blocks than workers; the jobs longest first) and map the
 jobs, with the resolved objects, through one process pool; every job runs
-through ``engine.run_trials``.  The pool has min(--workers, UCAL_THREADS,
-CPU count, jobs) processes, and there is none when that is 1.  Results are
+through ``engine.run_trials``.  The pool has min(--workers, CPU count, jobs)
+processes, and there is none when that is 1.  Results are
 byte-identical regardless of worker count because every trial owns its own
 RNG stream and each horizon's regrets are put back in trial order.
 """
@@ -66,11 +67,14 @@ def _split_spec(spec: str) -> tuple[str, str]:
     return name.strip().lower(), args
 
 
-def _float_args(args: str) -> list[float]:
-    if not args:
-        return []
+def _float_args(spec: str, args: str, most: int) -> list[float]:
+    """The comma-separated numbers of ``spec``; more than ``most`` of them is a usage error."""
+    tokens = args.split(",") if args else []
+    if len(tokens) > most:
+        allowed = f"at most {most}" if most else "none"
+        raise UsageError(f"{spec!r} has {len(tokens)} argument(s); {allowed} allowed")
     try:
-        return [float(tok) for tok in args.split(",")]
+        return [float(tok) for tok in tokens]
     except ValueError as exc:
         raise UsageError(f"bad numeric arguments {args!r}") from exc
 
@@ -79,19 +83,17 @@ def make_loss(spec: str) -> ProperLoss:
     name, args = _split_spec(spec)
     try:
         if name == "squared":
-            vals = _float_args(args)
-            return SquaredLoss(*vals) if vals else SquaredLoss()
-        if name == "brier":
-            return SquaredLoss(0.5)
-        if name == "spherical":
-            return SphericalLoss()
-        if name == "vshaped":
-            return VShapedLoss()
+            return SquaredLoss(*_float_args(spec, args, 1))
         if name == "tsallis":
-            vals = _float_args(args)
+            vals = _float_args(spec, args, 2)
             if not vals:
                 raise UsageError("tsallis needs an alpha, e.g. tsallis:1.5")
             return TsallisLoss(*vals)
+        no_args = {"brier": lambda: SquaredLoss(0.5), "spherical": SphericalLoss,
+                 "vshaped": VShapedLoss}
+        if name in no_args:
+            _float_args(spec, args, 0)
+            return no_args[name]()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     raise UsageError(f"unknown loss {spec!r} (try squared, brier, spherical, vshaped, tsallis:ALPHA)")
@@ -99,14 +101,13 @@ def make_loss(spec: str) -> ProperLoss:
 
 def make_forecaster(spec: str, k: int, horizon: int) -> Forecaster:
     name, args = _split_spec(spec)
-    if name == "ftl":
-        return FollowTheLeader(k, horizon)
-    if name == "ftpl-geometric":
-        return PerturbedLeaderGeometric(k, horizon)
-    if name == "ftpl-uniform":
-        return PerturbedLeaderUniform(k, horizon)
+    no_args = {"ftl": FollowTheLeader, "ftpl-geometric": PerturbedLeaderGeometric,
+             "ftpl-uniform": PerturbedLeaderUniform}
+    if name in no_args:
+        _float_args(spec, args, 0)
+        return no_args[name](k, horizon)
     if name == "static":
-        point = _float_args(args)
+        point = _float_args(spec, args, k)
         if len(point) != k:
             raise UsageError(f"static forecaster needs {k} probabilities, got {len(point)}")
         return StaticForecaster(point, horizon)
@@ -115,10 +116,10 @@ def make_forecaster(spec: str, k: int, horizon: int) -> Forecaster:
 
 def make_adversary(spec: str, k: int) -> Adversary:
     name, args = _split_spec(spec)
-    if name == "alternating":
-        return Alternating(k)
-    if name == "iid-uniform":
-        return IidUniform(k)
+    no_args = {"alternating": Alternating, "iid-uniform": IidUniform}
+    if name in no_args:
+        _float_args(spec, args, 0)
+        return no_args[name](k)
     if name == "fixed":
         if not args:
             raise UsageError("fixed adversary needs a path, e.g. fixed:outcomes.txt")
@@ -137,17 +138,6 @@ def _block_job(job):
     """Regrets (len(trials), len(losses)) of one contiguous range of trials at one horizon."""
     forecaster, adversary, losses, horizon, base_seed, trials = job
     return engine.run_trials(lambda: forecaster, adversary, losses, horizon, trials, base_seed)
-
-
-def _worker_cap(requested: int) -> int:
-    """``requested`` capped by UCAL_THREADS and by the machine's CPU count."""
-    cap = os.environ.get("UCAL_THREADS")
-    if cap is not None:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            raise UsageError(f"UCAL_THREADS must be an integer, got {cap!r}")
-    return min(requested, os.cpu_count() or 1)
 
 
 def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecaster]]:
@@ -181,7 +171,7 @@ def _play(args, horizons) -> tuple[list[ProperLoss], list]:
     and each job's regrets land in its horizon's matrix at its trial rows.
     """
     losses, adversary, forecasters = _resolve(args, horizons)
-    workers = _worker_cap(args.workers)
+    workers = min(args.workers, os.cpu_count() or 1)
     plan = engine.trial_jobs(adversary, horizons, args.trials, workers)
     forecaster_at = dict(zip(horizons, forecasters))
     jobs = [(forecaster_at[horizon], adversary, losses, horizon, args.seed, trials)
@@ -305,10 +295,7 @@ def cmd_minimax(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    spec = args.loss
-    if args.alpha is not None and ":" not in spec:
-        spec = f"{spec}:{args.alpha:g}" + (f",{args.scale:g}" if args.scale is not None else "")
-    loss = make_loss(spec)
+    loss = make_loss(args.loss)
     k = args.K
     if k < 2:
         raise UsageError("--K must be >= 2")
@@ -416,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="CSV path (default: stdout)")
         p.add_argument("--workers", type=int, default=1,
-                       help="trial workers; capped by UCAL_THREADS and the CPU count")
+                       help="trial workers; capped by the CPU count")
 
     p_run = sub.add_parser("run", help="play games and report regrets")
     add_common(p_run)
@@ -442,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="numerical loss validation suite")
     p_val.add_argument("--config", help="key=value defaults file; flags override")
-    p_val.add_argument("--loss", required=True)
-    p_val.add_argument("--alpha", type=float)
-    p_val.add_argument("--scale", type=float)
+    p_val.add_argument("--loss", required=True, help="loss spec, e.g. tsallis:1.5")
     p_val.add_argument("--K", type=int, default=3)
     p_val.add_argument("--samples", type=int, default=10_000)
     p_val.add_argument("--seed", type=int, default=0)

@@ -239,8 +239,7 @@ def run_game(forecaster: Forecaster, adversary: Adversary, horizon: int,
 def benchmark_cost(transcript: Transcript, loss: ProperLoss, point=None) -> float:
     """Cumulative loss of a fixed forecast (default: the mean of outcomes)."""
     beta = mean_of_counts(transcript.final_counts) if point is None else np.asarray(point, float)
-    per_outcome = loss.bivariate(beta, np.arange(transcript.k))
-    return float(np.dot(transcript.final_counts, per_outcome))
+    return float(np.dot(transcript.final_counts, loss.outcome_losses(beta)))
 
 
 def regret(transcript: Transcript, loss: ProperLoss) -> RegretRecord:

@@ -9,8 +9,10 @@ for a concave function f on the simplex and a subgradient g_p of f at p.
 Here f is the "univariate form" (the expected loss of forecasting p when the
 outcome truly follows p) and the two-argument "bivariate form" is
 reconstructed from f and its subgradient.  Each loss class below supplies
-``univariate`` and ``subgradient``; ``bivariate`` is derived, and so is
-``outcome_losses``, the loss of a forecast at every outcome at once.
+``univariate`` and ``subgradient``.  ``outcome_losses(p)``, the table of
+loss(p, y) over every outcome y at once, is the layer's one arithmetic:
+``bivariate(p, y)`` reads entry y of it, and the validators, the benchmark
+cost and the greedy adversary read the whole table.
 
 Shipped losses
 --------------
@@ -36,7 +38,7 @@ leading dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +55,13 @@ def _as_points(p) -> np.ndarray:
 def _take_outcome(values: np.ndarray, y) -> np.ndarray:
     """values[..., y] with y broadcast against the leading axes of values."""
     y = np.asarray(y, dtype=np.int64)
-    if np.any(y < 0) or np.any(y >= values.shape[-1]):
+    if y.size and (y.min() < 0 or y.max() >= values.shape[-1]):
         raise ValueError("outcome index out of range")
-    batch = np.broadcast_shapes(values.shape[:-1], y.shape)
-    values_b = np.broadcast_to(values, batch + values.shape[-1:])
-    y_b = np.broadcast_to(y, batch)
-    return np.take_along_axis(values_b, y_b[..., None], axis=-1)[..., 0]
+    # take_along_axis broadcasts the leading axes once both have the same count
+    ndim = max(values.ndim, y.ndim + 1)
+    values = values.reshape((1,) * (ndim - values.ndim) + values.shape)
+    y = y.reshape((1,) * (ndim - 1 - y.ndim) + y.shape + (1,))
+    return np.take_along_axis(values, y, axis=-1)[..., 0]
 
 
 class ProperLoss:
@@ -79,20 +82,21 @@ class ProperLoss:
         raise NotImplementedError
 
     def bivariate(self, p, y) -> np.ndarray:
-        """loss(p, y) = f(p) + <g_p, e_y - p> for outcome index y."""
-        p = _as_points(p)
-        g = self.subgradient(p)
-        return self.univariate(p) + _take_outcome(g, y) - (g * p).sum(axis=-1)
+        """loss(p, y) for outcome index y: entry y of ``outcome_losses(p)``."""
+        return _take_outcome(self.outcome_losses(p), y)
 
     def outcome_losses(self, p) -> np.ndarray:
-        """loss(p, y) for every outcome y at once, shape (..., K).
+        """loss(p, y) = f(p) + <g_p, e_y - p> for every outcome y at once, shape (..., K).
 
-        The same arithmetic as ``bivariate``, element for element, so
-        ``outcome_losses(p)[..., y] == bivariate(p, y)`` exactly.
+        The one place a loss is computed, and ``bivariate`` reads it.  A
+        subclass overrides it only for a direct form (spherical) or an exact
+        combination of tables (mixture).
         """
         p = _as_points(p)
         g = self.subgradient(p)
-        return self.univariate(p)[..., None] + g - (g * p).sum(axis=-1)[..., None]
+        table = self.univariate(p)[..., None] + g
+        table -= (g * p).sum(axis=-1)[..., None]  # in place: one (..., K) temporary fewer
+        return table
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -131,13 +135,8 @@ class SphericalLoss(ProperLoss):
         norm = np.sqrt((p * p).sum(axis=-1, keepdims=True))
         return -p / norm
 
-    def bivariate(self, p, y):
-        # direct form -p_y / ||p||; equals the subgradient construction
-        p = _as_points(p)
-        norm = np.sqrt((p * p).sum(axis=-1))
-        return -_take_outcome(p, y) / norm
-
     def outcome_losses(self, p):
+        # direct form -p_y / ||p||; equals the subgradient construction
         p = _as_points(p)
         return -p / np.sqrt((p * p).sum(axis=-1))[..., None]
 
@@ -203,9 +202,9 @@ class MixtureLoss(ProperLoss):
     """weight * loss1 + (1 - weight) * loss2, an exact affine combination.
 
     Affine combinations of proper losses are proper (the univariate forms and
-    subgradients combine affinely), and ``bivariate`` is computed as the
-    affine combination of the component bivariate values so the identity
-    holds exactly in floating point.
+    subgradients combine affinely), and ``outcome_losses`` is computed as the
+    affine combination of the component tables so the identity holds exactly
+    in floating point.
     """
 
     def __init__(self, loss1: ProperLoss, loss2: ProperLoss, weight: float):
@@ -227,10 +226,6 @@ class MixtureLoss(ProperLoss):
     def subgradient(self, p):
         w = self.weight
         return w * self.loss1.subgradient(p) + (1 - w) * self.loss2.subgradient(p)
-
-    def bivariate(self, p, y):
-        w = self.weight
-        return w * self.loss1.bivariate(p, y) + (1 - w) * self.loss2.bivariate(p, y)
 
     def outcome_losses(self, p):
         w = self.weight
@@ -272,11 +267,6 @@ class LossValidationReport:
     loss_name: str
     properness_violations: int = 0
     max_violation: float = 0.0
-    range_min: float = np.inf
-    range_max: float = -np.inf
-    lipschitz_estimate: float = float("nan")
-    concavity_violations: int = 0
-    notes: list[str] = field(default_factory=list)
 
 
 def random_simplex_points(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -314,49 +304,22 @@ def validation_points(loss_k: int, rng: np.random.Generator,
     return np.concatenate(pts, axis=0)
 
 
-def expected_loss(loss: ProperLoss, belief: np.ndarray, report: np.ndarray) -> np.ndarray:
-    """sum_i belief_i * loss(report, e_i), vectorized over stacked points."""
-    belief = _as_points(belief)
-    report = _as_points(report)
-    k = report.shape[-1]
-    outcomes = np.arange(k)
-    # loss(report, e_i) for every i: shape (..., K)
-    per_outcome = loss.bivariate(report[..., None, :], outcomes)
-    return np.sum(belief * per_outcome, axis=-1)
-
-
 def check_proper(loss: ProperLoss, sample_pairs, tol: float = 1e-9) -> LossValidationReport:
     """Test E_{y~p}[loss(p, y)] <= E_{y~p}[loss(p', y)] on the given pairs.
 
-    ``sample_pairs`` is a pair (P, Q) of equal-shaped (n, K) arrays, or an
-    iterable of (p, p') tuples.  Violations beyond ``tol`` are counted and
-    the worst gap recorded; they are data, not exceptions.  The report also
-    tracks the range of every bivariate value evaluated along the way.
+    ``sample_pairs`` is a pair (P, Q) of equal-shaped (n, K) arrays.
+    Violations beyond ``tol`` are counted and the worst gap recorded; they
+    are data, not exceptions.
     """
-    if isinstance(sample_pairs, tuple) and len(sample_pairs) == 2:
-        p_arr = np.asarray(sample_pairs[0], dtype=float)
-        q_arr = np.asarray(sample_pairs[1], dtype=float)
-    else:
-        pairs = list(sample_pairs)
-        p_arr = np.asarray([p for p, _ in pairs], dtype=float)
-        q_arr = np.asarray([q for _, q in pairs], dtype=float)
+    p_arr, q_arr = (np.asarray(a, dtype=float) for a in sample_pairs)
     if p_arr.shape != q_arr.shape:
         raise ValueError("pair arrays must have identical shapes")
-
-    report = LossValidationReport(loss_name=loss.name)
-    k = p_arr.shape[-1]
-    outcomes = np.arange(k)
-    loss_p = loss.bivariate(p_arr[..., None, :], outcomes)   # (n, K)
-    loss_q = loss.bivariate(q_arr[..., None, :], outcomes)   # (n, K)
-    lhs = np.sum(p_arr * loss_p, axis=-1)
-    rhs = np.sum(p_arr * loss_q, axis=-1)
+    lhs = np.sum(p_arr * loss.outcome_losses(p_arr), axis=-1)
+    rhs = np.sum(p_arr * loss.outcome_losses(q_arr), axis=-1)
     gaps = lhs - rhs
-    report.properness_violations = int(np.sum(gaps > tol))
-    report.max_violation = float(max(gaps.max(initial=0.0), 0.0))
-    seen = np.concatenate([loss_p.ravel(), loss_q.ravel()])
-    report.range_min = float(seen.min())
-    report.range_max = float(seen.max())
-    return report
+    return LossValidationReport(loss_name=loss.name,
+                                properness_violations=int(np.sum(gaps > tol)),
+                                max_violation=float(max(gaps.max(initial=0.0), 0.0)))
 
 
 def check_concavity(loss: ProperLoss, sample_pairs, tol: float = 1e-9) -> int:
@@ -375,8 +338,7 @@ def check_concavity(loss: ProperLoss, sample_pairs, tol: float = 1e-9) -> int:
 
 def check_range(loss: ProperLoss, points: np.ndarray, tol: float = 1e-9) -> tuple[float, float, bool]:
     """(min, max, within_declared_bound) of the bivariate form over ``points``."""
-    k = points.shape[-1]
-    values = loss.bivariate(points[..., None, :], np.arange(k))
+    values = loss.outcome_losses(points)
     lo, hi = float(values.min()), float(values.max())
     blo, bhi = loss.range_bound
     ok = lo >= blo - tol and hi <= bhi + tol

@@ -73,24 +73,20 @@ class TestRun:
             assert run_cli(args, capsys)[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_workers_do_not_change_bytes(self, capsys, tmp_path, monkeypatch):
+    def test_workers_do_not_change_bytes(self, capsys, tmp_path):
         base = ["run", "--forecaster", "ftpl-geometric", "--adversary", "iid-uniform",
                 "--loss", "vshaped", "--K", "2", "--T", "32", "--trials", "4", "--seed", "3"]
         serial = tmp_path / "serial.csv"
         assert run_cli(base + ["--output", str(serial)], capsys)[0] == 0
         parallel = tmp_path / "parallel.csv"
         assert run_cli(base + ["--workers", "4", "--output", str(parallel)], capsys)[0] == 0
-        capped = tmp_path / "capped.csv"
-        monkeypatch.setenv("UCAL_THREADS", "1")
-        assert run_cli(base + ["--workers", "4", "--output", str(capped)], capsys)[0] == 0
-        assert serial.read_bytes() == parallel.read_bytes() == capped.read_bytes()
+        assert serial.read_bytes() == parallel.read_bytes()
 
     @pytest.mark.parametrize("command", [
         ["run", "--adversary", "greedy:vshaped", "--T", "50"],
         ["sweep", "--adversary", "greedy:squared", "--T-start", "16", "--T-stop", "64"],
     ])
-    def test_adaptive_workers_do_not_change_bytes(self, command, capsys, tmp_path,
-                                                  monkeypatch):
+    def test_adaptive_workers_do_not_change_bytes(self, command, capsys, tmp_path):
         base = command + ["--forecaster", "ftpl-uniform", "--loss", "vshaped;squared:0.5",
                           "--K", "3", "--trials", "3", "--seed", "5"]
         bodies = []
@@ -98,10 +94,6 @@ class TestRun:
             path = tmp_path / f"w{workers}.csv"
             assert run_cli(base + ["--workers", workers, "--output", str(path)], capsys)[0] == 0
             bodies.append(path.read_bytes())
-        monkeypatch.setenv("UCAL_THREADS", "1")
-        capped = tmp_path / "capped.csv"
-        assert run_cli(base + ["--workers", "4", "--output", str(capped)], capsys)[0] == 0
-        bodies.append(capped.read_bytes())
         assert len(set(bodies)) == 1
         assert bodies[0].count(b"\n") == 1 + 3 * 2 * (1 if command[0] == "run" else 3)
 
@@ -339,18 +331,30 @@ class TestMinimaxCmd:
 
 
 class TestValidateCmd:
-    def test_config_sets_loss_and_alpha(self, capsys, tmp_path):
+    def test_config_sets_loss_spec(self, capsys, tmp_path):
         cfg = tmp_path / "val.cfg"
-        cfg.write_text("loss=tsallis\nalpha=1.5\nK=3\nsamples=2000\n")
+        cfg.write_text("loss=tsallis:1.5\nK=3\nsamples=2000\n")
         code, out, _ = run_cli(["validate", "--config", str(cfg)], capsys)
         assert code == 0
         assert "hessian growth" in out and "ok" in out
 
     def test_tsallis_ok(self, capsys):
-        code, out, _ = run_cli(["validate", "--loss", "tsallis", "--alpha", "1.5",
+        code, out, _ = run_cli(["validate", "--loss", "tsallis:1.5",
                                 "--K", "3", "--samples", "2000"], capsys)
         assert code == 0
         assert "hessian growth" in out and "ok" in out
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--loss", "squared", "--scale", "0.5"], ""),
+        (["--loss", "tsallis:1.5", "--alpha", "2"], ""),
+        ([], "loss=tsallis\nalpha=1.5\n"),
+    ], ids=["scale-flag", "alpha-flag", "alpha-config-line"])
+    def test_loss_parameters_only_in_the_spec(self, capsys, tmp_path, argv, config):
+        # a loss's parameters are spelt only in its spec, e.g. tsallis:1.5
+        cfg = tmp_path / "val.cfg"
+        cfg.write_text(config)
+        code, out, err = run_cli(["validate", "--config", str(cfg), *argv], capsys)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
 
     def test_spherical_reports_lipschitz(self, capsys):
         code, out, _ = run_cli(["validate", "--loss", "spherical", "--K", "4",
@@ -360,7 +364,7 @@ class TestValidateCmd:
         assert float(line.split(":")[1]) <= 2.0 + 1e-5
 
     def test_tsallis_bad_alpha_usage_error(self, capsys):
-        code, _, err = run_cli(["validate", "--loss", "tsallis", "--alpha", "0.5"], capsys)
+        code, _, err = run_cli(["validate", "--loss", "tsallis:0.5"], capsys)
         assert code == 2
         assert "alpha" in err
 
@@ -419,6 +423,25 @@ class TestSweepCmd:
 GAME = ["--forecaster", "ftl", "--adversary", "alternating", "--loss", "vshaped"]
 
 
+@pytest.mark.parametrize("flag, spec", [
+    ("--loss", "squared:1,2"),
+    ("--loss", "tsallis:1.5,0.5,9"),
+    ("--loss", "vshaped:banana"),
+    ("--loss", "spherical:1"),
+    ("--forecaster", "ftl:7"),
+    ("--adversary", "alternating:3"),
+])
+def test_spec_with_wrong_arity_is_usage_error(capsys, tmp_path, monkeypatch, flag, spec):
+    monkeypatch.chdir(tmp_path)
+    game = {"--forecaster": "ftl", "--adversary": "alternating", "--loss": "vshaped", flag: spec}
+    argv = ["run", *[tok for pair in game.items() for tok in pair], "--K", "2", "--T", "8",
+            "--output", "out.csv"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and spec in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("command, message", [
     (["run", *GAME, "--K", "1", "--T", "10"], "outcomes"),
     (["sweep", *GAME, "--K", "1", "--T-start", "4", "--T-stop", "8"], "outcomes"),
@@ -470,29 +493,32 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("cpus, threads, trials, pool", [
-    (3, None, 1000, 3),
-    (64, "5", 1000, 5),
-    (3, None, 2, 2),
-    (1, None, 1000, None),
-    (None, None, 1000, None),
+@pytest.mark.parametrize("cpus, trials, pool", [
+    (3, 1000, 3),
+    (3, 2, 2),
+    (1, 1000, None),
+    (None, 1000, None),
 ])
-def test_pool_capped_at_machine(capsys, monkeypatch, pool_sizes, cpus, threads, trials, pool):
+def test_pool_capped_at_machine(capsys, monkeypatch, pool_sizes, cpus, trials, pool):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    if threads is None:
-        monkeypatch.delenv("UCAL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("UCAL_THREADS", threads)
     code, out, _ = run_cli(["run", *GAME, "--K", "2", "--T", "2", "--trials", str(trials),
                             "--workers", "1000"], capsys)
     assert code == 0 and out.count("\n") == 1 + trials
     assert pool_sizes == ([] if pool is None else [pool])
 
 
+def test_pool_ignores_ucal_threads(capsys, monkeypatch, pool_sizes):
+    # the pool is min(--workers, CPU count, jobs); no environment variable caps it
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("UCAL_THREADS", "1")
+    code, _, _ = run_cli(["run", *GAME, "--K", "2", "--T", "2", "--trials", "1000",
+                          "--workers", "1000"], capsys)
+    assert code == 0 and pool_sizes == [3]
+
+
 def test_one_lockstep_block_still_fills_the_pool(capsys, monkeypatch, pool_sizes):
     # K=2, T=4 holds all 40 greedy trials in one block; 2 workers still share them
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("UCAL_THREADS", raising=False)
     base = ["run", "--forecaster", "ftpl-uniform", "--adversary", "greedy:squared",
             "--loss", "squared", "--K", "2", "--T", "4", "--trials", "40", "--seed", "3"]
     code, serial, _ = run_cli(base, capsys)
@@ -554,12 +580,33 @@ def test_csv_bytes_pinned(capsys, tmp_path, monkeypatch, name, workers):
     integer draws differ changes them, and then they must be re-recorded.
     """
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("UCAL_THREADS", raising=False)
     argv, digest = CSV_DIGESTS[name]
     path = tmp_path / "out.csv"
     code, _, _ = run_cli(argv + ["--workers", workers, "--output", str(path)], capsys)
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+VALIDATE_DIGESTS = {
+    "brier": "ea98acbcd92d7e4b646af132c38ed4433bd3692461b6e465d2da15859760b9db",
+    "spherical": "1156cc55894f5a1588b3526fc48532b3176c3ac26aaea8fbc0f98879656b867b",
+    "squared": "1df5e8d6da8e6a61884ab74d0caca5e6776d39ce6c60cb54e083a1043e4ac46a",
+    "tsallis:1.5": "7799a64095c80f23e0e895241d1a58aabded05096419b6c814d97d009eed312b",
+    "vshaped": "235a567e8e52e5010e6e79844bbfea0309a97a80ed6712b6588c57f961b16cb3",
+}
+
+
+@pytest.mark.parametrize("loss", sorted(VALIDATE_DIGESTS))
+def test_validate_output_pinned(capsys, loss):
+    """The printed report of ``validate --K 3 --samples 2000``, as sha256 digests.
+
+    Every number in it comes from the loss tables (properness, range,
+    Lipschitz estimate, extremes), so a change that should leave the losses
+    as they are must leave these digests as they are.
+    """
+    code, out, _ = run_cli(["validate", "--loss", loss, "--K", "3", "--samples", "2000"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_DIGESTS[loss]
 
 
 def _import_ucal(**env):

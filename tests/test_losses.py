@@ -95,11 +95,27 @@ class TestBivariate:
             np.testing.assert_allclose(batch, single, atol=1e-14)
 
 
+def savage_form(loss, points, y):
+    """loss(p, y) computed here from the loss's own forms, independently of the loss layer.
+
+    f(p) + g_y - <g, p> from ``univariate`` and ``subgradient``, in that order;
+    -p_y / ||p|| for the spherical score; the weighted sum of the two
+    components for a mixture.
+    """
+    if isinstance(loss, MixtureLoss):
+        w = loss.weight
+        return w * savage_form(loss.loss1, points, y) + (1 - w) * savage_form(loss.loss2, points, y)
+    if isinstance(loss, SphericalLoss):
+        return -points[..., y] / np.sqrt((points * points).sum(axis=-1))
+    g = loss.subgradient(points)
+    return loss.univariate(points) + g[..., y] - (g * points).sum(axis=-1)
+
+
 class TestOutcomeLosses:
-    """The per-outcome table equals bivariate element for element, exactly."""
+    """The per-outcome table, and ``bivariate`` read from it, equal the Savage form exactly."""
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_table_equals_bivariate(self, k):
+    def test_table_equals_savage_form(self, k):
         rng = RNG.generator()
         stack = random_simplex_points(k, 24, rng).reshape(4, 6, k)
         # kinks of the step-shaped loss and vertices, where ties and zeros sit
@@ -110,10 +126,11 @@ class TestOutcomeLosses:
                 table = loss.outcome_losses(points)
                 assert table.shape == points.shape
                 for y in range(k):
-                    assert np.array_equal(table[..., y], loss.bivariate(points, y)), loss
-            assert np.array_equal(loss.outcome_losses(edges[0]),
-                                  loss.bivariate(edges[0], np.arange(k))), loss
-
+                    expected = savage_form(loss, points, y)
+                    assert np.array_equal(table[..., y], expected), loss
+                    assert np.array_equal(loss.bivariate(points, y), expected), loss
+            every_outcome = [savage_form(loss, edges[0], y) for y in range(k)]
+            assert np.array_equal(loss.bivariate(edges[0], np.arange(k)), every_outcome), loss
 
 
 class TestCustomLossNonFinite:
