@@ -1,20 +1,14 @@
 """Outcome-sequence generators for the forecasting protocol.
 
-An adversary produces the outcome of round t given the round index, the
-forecasts of rounds 1..t-1, and a random generator.  Oblivious adversaries
-(fixed sequences, i.i.d. draws, alternation) ignore the past forecasts, so
-they also provide ``outcomes(horizon, rng)``, all T outcomes in one array,
-drawn from the generator exactly as T successive ``next_outcome`` calls
-would draw them.  ``GreedyAdaptive`` is the one adaptive stress-tester and
-reads the past forecasts.
-
-The engine plays the trials of an adaptive game in lockstep and asks for
-the replies of all n games of a round in one ``next_outcomes`` call, with
-the past forecasts stacked as (t-1, n, K) and one generator per game.  The
-base class answers it with one ``next_outcome`` call per game, each with
-that game's own generator, so a subclass that only defines ``next_outcome``
-keeps its per-stream draws; ``GreedyAdaptive`` answers all n games from one
-``ProperLoss.outcome_losses`` table.
+Each adversary speaks one protocol.  An oblivious one (fixed sequences,
+i.i.d. draws, alternation) does not see the forecasts and draws a game's T
+outcomes in one ``outcomes(horizon, rng)`` call.  An adaptive one answers
+``next_outcomes(t, past_forecasts, rngs)`` once a round for n games played
+in lockstep, from their forecasts of rounds 1..t-1 stacked as (t-1, n, K)
+and one generator per game; ``GreedyAdaptive`` answers all n from one
+``ProperLoss.outcome_losses`` table.  The engine plays any adversary that
+has ``outcomes`` as one block, so one that reacts to the forecasts
+subclasses ``Adversary`` or ``GreedyAdaptive``.
 """
 
 from __future__ import annotations
@@ -23,11 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import uniform_point, validate_outcome
+from .core import validate_outcome
 from .losses import ProperLoss
 
 
 class Adversary:
+    """Base class: K outcomes; a subclass defines ``outcomes`` or ``next_outcomes``."""
+
     name = "adversary"
 
     def __init__(self, k: int):
@@ -35,13 +31,10 @@ class Adversary:
             raise ValueError("need at least 2 outcomes")
         self.k = int(k)
 
-    def next_outcome(self, t: int, past_forecasts, rng: np.random.Generator) -> int:
-        raise NotImplementedError
-
     def next_outcomes(self, t: int, past_forecasts: np.ndarray, rngs) -> np.ndarray:
         """Round-t outcomes (n,) of n games from their past forecasts (t-1, n, K)."""
-        return np.array([self.next_outcome(t, past_forecasts[:, i], rng)
-                         for i, rng in enumerate(rngs)], dtype=np.int64)
+        raise NotImplementedError(f"{type(self).__name__} must define `outcomes` (oblivious) "
+                                  "or `next_outcomes` (adaptive)")
 
 
 class FixedSequence(Adversary):
@@ -65,17 +58,10 @@ class FixedSequence(Adversary):
             indices.append(value - 1)
         return cls(k, indices)
 
-    def _exhausted(self, t):
-        return ValueError(f"fixed sequence of length {len(self.sequence)} exhausted at round {t}")
-
-    def next_outcome(self, t, past_forecasts, rng=None) -> int:
-        if not 1 <= t <= len(self.sequence):
-            raise self._exhausted(t)
-        return self.sequence[t - 1]
-
     def outcomes(self, horizon, rng=None):
         if horizon > len(self.sequence):
-            raise self._exhausted(len(self.sequence) + 1)
+            raise ValueError(f"fixed sequence of length {len(self.sequence)} exhausted "
+                             f"at round {len(self.sequence) + 1}")
         return np.array(self.sequence[:horizon], dtype=np.int64)
 
 
@@ -83,9 +69,6 @@ class IidUniform(Adversary):
     """Independent uniform draws over the k outcomes."""
 
     name = "iid-uniform"
-
-    def next_outcome(self, t, past_forecasts, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, self.k))
 
     def outcomes(self, horizon, rng):
         return rng.integers(0, self.k, size=horizon)
@@ -101,9 +84,6 @@ class Alternating(Adversary):
     """
 
     name = "alternating"
-
-    def next_outcome(self, t, past_forecasts, rng=None) -> int:
-        return 0 if t % 2 == 1 else 1
 
     def outcomes(self, horizon, rng=None):
         return np.arange(horizon, dtype=np.int64) % 2
@@ -125,16 +105,7 @@ class GreedyAdaptive(Adversary):
         super().__init__(k)
         self.loss = loss
 
-    def _worst(self, proxies) -> np.ndarray:
-        """The outcome of largest loss for each proxy forecast, lowest index on ties."""
-        return self.loss.outcome_losses(proxies).argmax(axis=-1)
-
-    def next_outcome(self, t, past_forecasts, rng=None) -> int:
-        if len(past_forecasts) == 0:
-            return int(self._worst(uniform_point(self.k)))
-        return int(self._worst(np.asarray(past_forecasts[-1], dtype=float)))
-
     def next_outcomes(self, t, past_forecasts, rngs):
-        if len(past_forecasts) == 0:
-            return self._worst(np.tile(uniform_point(self.k), (len(rngs), 1)))
-        return self._worst(past_forecasts[-1])
+        """The outcome of largest loss at each game's proxy forecast, lowest index on ties."""
+        proxies = past_forecasts[-1] if t > 1 else np.full((len(rngs), self.k), 1.0 / self.k)
+        return self.loss.outcome_losses(proxies).argmax(axis=-1)

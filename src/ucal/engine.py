@@ -3,9 +3,10 @@
 ``run_game`` plays T rounds of forecast-then-outcome and returns a
 transcript.  ``play_games`` plays n games of one forecaster, each from zero
 counts (a forecaster keeps no per-game state), and holds the engine's one
-block path and one round loop: an oblivious adversary's game is played as
-one vectorized block, and the trials of an adaptive game run in lockstep,
-one (trials, K) step per round.
+block path and one round loop.  An adversary that has ``outcomes`` is
+oblivious, and its game is played as one vectorized block; any other is
+adaptive, and the trials of its game run in lockstep, one (trials, K) step
+per round with one ``next_outcomes`` call.
 ``run_trials`` is the one trial runner: it plays trial i on stream
 (base_seed, i) with one forecaster, oblivious trials one at a time,
 adaptive trials in blocks of at most ``BLOCK_CELLS`` cells, and scores each
@@ -42,7 +43,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -104,28 +104,14 @@ def check_game_size(k: int, horizon: int) -> None:
                          f"cells, above the cap of {MAX_GAME_CELLS} (2^24) cells per game")
 
 
-def _more_derived(adversary: Adversary, name: str, than: str) -> bool:
-    """Whether method ``name`` is defined at least as deep in the MRO as ``than``."""
-    mro = type(adversary).__mro__
-
-    def owner(attr):
-        return next((i for i, cls in enumerate(mro) if attr in vars(cls)), len(mro))
-
-    return owner(name) <= owner(than)
-
-
-def _plays_in_one_block(adversary: Adversary) -> bool:
-    """Whether the adversary's ``outcomes`` is at least as specific as its ``next_outcome``.
-
-    A subclass that overrides only ``next_outcome`` (to react to the
-    forecasts, or just to watch them) is played round by round.
-    """
-    return _more_derived(adversary, "outcomes", "next_outcome")
+def _oblivious(adversary: Adversary) -> bool:
+    """Whether the adversary is oblivious: it draws a game's outcomes in one ``outcomes`` call."""
+    return hasattr(adversary, "outcomes")
 
 
 def lockstep_block(adversary: Adversary, horizon: int) -> int:
     """Trials per lockstep block at ``horizon``: 1 for an oblivious adversary."""
-    if _plays_in_one_block(adversary):
+    if _oblivious(adversary):
         return 1
     return max(1, BLOCK_CELLS // (horizon * adversary.k))
 
@@ -171,13 +157,14 @@ def play_games(forecaster: Forecaster, adversary: Adversary, horizon: int,
 
     Every game reads its own ``rng`` in one fixed layout: first the
     forecaster's whole (horizon, K) noise block, then the adversary's
-    outcomes.  Against an oblivious adversary each game's outcomes are drawn
-    at once, and every forecast comes from one ``rule`` call on the integer
-    prefix counts (the block path).  Against any other adversary the n games
-    run in lockstep (the round loop): round t applies the rule once to the
-    stacked counts (n, K) and noise rows (n, K), then asks the adversary for
-    all n replies, which see forecasts 1..t-1 only.  Each game's transcript
-    is the one it would get played alone.
+    outcomes.  Against an oblivious adversary (one that has ``outcomes``)
+    each game's outcomes are drawn at once, and every forecast comes from
+    one ``rule`` call on the integer prefix counts (the block path).  Against
+    any other adversary the n games run in lockstep (the round loop): round
+    t applies the rule once to the stacked counts (n, K) and noise rows
+    (n, K), then asks ``next_outcomes`` for all n replies, which see
+    forecasts 1..t-1 only.  Each game's transcript is the one it would get
+    played alone.
     """
     k, n = forecaster.k, len(rngs)
     if k != adversary.k:
@@ -186,7 +173,7 @@ def play_games(forecaster: Forecaster, adversary: Adversary, horizon: int,
         raise ValueError("forecaster horizon shorter than the game")
     check_game_size(k, horizon)
     noise = np.stack([forecaster.noise(horizon, rng) for rng in rngs], axis=1)  # (T, n, K)
-    if _plays_in_one_block(adversary):
+    if _oblivious(adversary):
         outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng), dtype=np.int64)
                              for rng in rngs], axis=1)
         if outcomes.shape != (horizon, n) or outcomes.min() < 0 or outcomes.max() >= k:
@@ -198,17 +185,13 @@ def play_games(forecaster: Forecaster, adversary: Adversary, horizon: int,
         forecasts = forecaster.rule(prefix.reshape(-1, k),
                                     noise.reshape(-1, k)).reshape(horizon, n, k)
     else:
-        # a subclass that overrides only next_outcome is asked game by game
-        reply = (adversary.next_outcomes
-                 if _more_derived(adversary, "next_outcomes", "next_outcome")
-                 else partial(Adversary.next_outcomes, adversary))
         forecasts = np.empty((horizon, n, k))
         outcomes = np.empty((horizon, n), dtype=np.int64)
         counts = np.zeros((n, k), dtype=np.int64)
         eye = np.eye(k, dtype=np.int64)  # row y adds one outcome y to a count vector
         for t in range(horizon):
             forecasts[t] = forecaster.rule(counts, noise[t])
-            outcomes[t] = reply(t + 1, forecasts[:t], rngs)
+            outcomes[t] = adversary.next_outcomes(t + 1, forecasts[:t], rngs)
             try:
                 counts += eye[outcomes[t]]
             except IndexError as exc:
@@ -283,6 +266,8 @@ def summarize(regrets: np.ndarray, losses) -> CalibrationEstimate:
     """pucal, ucal and their standard errors from a (trials, losses) regret matrix."""
     regrets = np.asarray(regrets, dtype=float)
     trials = regrets.shape[0]
+    if trials < 1:
+        raise ValueError("need at least one trial")
     per_loss = regrets.mean(axis=0)
     sup_per_trial = regrets.max(axis=1)
     worst = int(np.argmax(per_loss))
@@ -342,8 +327,10 @@ def check_high_prob_bound(regrets, k: int, horizon: int, delta: float) -> float:
     """Fraction of trial regrets exceeding 4*sqrt(KT) + sqrt(2T log(1/delta))."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    threshold = 4.0 * np.sqrt(k * horizon) + np.sqrt(2.0 * horizon * np.log(1.0 / delta))
     regrets = np.asarray(regrets, dtype=float)
+    if regrets.size < 1:
+        raise ValueError("need at least one trial")
+    threshold = 4.0 * np.sqrt(k * horizon) + np.sqrt(2.0 * horizon * np.log(1.0 / delta))
     return float(np.mean(regrets > threshold))
 
 

@@ -52,9 +52,19 @@ def _as_points(p) -> np.ndarray:
     return p
 
 
+def _finite_parameter(value, parameter: str) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{parameter} must be finite, got {value}")
+    return value
+
+
 def _take_outcome(values: np.ndarray, y) -> np.ndarray:
-    """values[..., y] with y broadcast against the leading axes of values."""
-    y = np.asarray(y, dtype=np.int64)
+    """values[..., y] with integer indices y broadcast against the leading axes of values."""
+    y = np.asarray(y)
+    if y.size and y.dtype.kind not in "iu":  # as numpy indexing does, refuse 1.7 and True
+        raise ValueError(f"outcome index must be an integer, got dtype {y.dtype}")
+    y = y.astype(np.int64, copy=False)
     if y.size and (y.min() < 0 or y.max() >= values.shape[-1]):
         raise ValueError("outcome index out of range")
     # take_along_axis broadcasts the leading axes once both have the same count
@@ -106,9 +116,9 @@ class SquaredLoss(ProperLoss):
     """scale * ||p - y||^2 with univariate scale * (1 - ||p||^2)."""
 
     def __init__(self, scale: float = 1.0):
-        if scale <= 0:
+        self.scale = _finite_parameter(scale, "scale")
+        if self.scale <= 0:
             raise ValueError("scale must be positive")
-        self.scale = float(scale)
         self.name = f"squared:{self.scale:g}"
         self.range_bound = (0.0, 2.0 * self.scale)
 
@@ -177,10 +187,10 @@ class TsallisLoss(ProperLoss):
     """
 
     def __init__(self, alpha: float, scale: float | None = None):
-        if not alpha > 1:
+        self.alpha = _finite_parameter(alpha, "alpha")
+        if not self.alpha > 1:
             raise ValueError("alpha must exceed 1")
-        self.alpha = float(alpha)
-        self.scale = float(scale) if scale is not None else 1.0 / self.alpha
+        self.scale = _finite_parameter(scale, "scale") if scale is not None else 1.0 / self.alpha
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if scale is None:

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from ucal import (Alternating, FixedSequence, GreedyAdaptive, IidUniform, RngStream,
-                  VShapedLoss)
+from ucal import Alternating, FixedSequence, GreedyAdaptive, IidUniform, RngStream, VShapedLoss
 
 
 class TestAlternating:
     def test_parity(self):
-        adv = Alternating(2)
-        assert adv.next_outcome(1, []) == 0
-        assert adv.next_outcome(2, []) == 1
-        assert adv.next_outcome(11, []) == 0
+        assert Alternating(2).outcomes(11).tolist() == [0, 1] * 5 + [0]
 
     def test_needs_two_outcomes(self):
         with pytest.raises(ValueError):
@@ -19,23 +15,18 @@ class TestAlternating:
 
 class TestIidUniform:
     def test_frequencies(self):
-        rng = RngStream(21, 0).generator()
-        adv = IidUniform(4)
-        draws = np.array([adv.next_outcome(t, [], rng) for t in range(1, 1_000_001)])
+        draws = IidUniform(4).outcomes(1_000_000, RngStream(21, 0).generator())
         freqs = np.bincount(draws, minlength=4) / draws.size
         np.testing.assert_allclose(freqs, 0.25, atol=0.002)
 
 
 class TestFixedSequence:
     def test_replay(self):
-        adv = FixedSequence(2, [1, 0])
-        assert adv.next_outcome(1, []) == 1
-        assert adv.next_outcome(2, []) == 0
+        assert FixedSequence(2, [1, 0]).outcomes(2).tolist() == [1, 0]
 
     def test_exhausted(self):
-        adv = FixedSequence(2, [1, 0])
-        with pytest.raises(ValueError, match="exhausted"):
-            adv.next_outcome(3, [])
+        with pytest.raises(ValueError, match="length 2 exhausted at round 3"):
+            FixedSequence(2, [1, 0]).outcomes(3)
 
     def test_from_file_one_based(self, tmp_path):
         path = tmp_path / "outcomes.txt"
@@ -54,31 +45,18 @@ class TestFixedSequence:
             FixedSequence(2, [0, 2])
 
 
-class TestObliviousness:
-    # oblivious adversaries must not read the forecast history: feeding an
-    # empty list instead of the true history changes nothing
-    def test_ignores_past_forecasts(self):
-        fakes = [np.array([0.9, 0.1])] * 5
-        assert Alternating(2).next_outcome(3, fakes) == Alternating(2).next_outcome(3, [])
-        seq = FixedSequence(2, [0, 1, 1])
-        assert seq.next_outcome(2, fakes) == seq.next_outcome(2, [])
-        with_past = IidUniform(3).next_outcome(1, fakes, RngStream(5, 0).generator())
-        without = IidUniform(3).next_outcome(1, [], RngStream(5, 0).generator())
-        assert with_past == without
-
-
 class TestGreedyAdaptive:
     def test_kicks_where_forecast_low(self):
         # vshaped: loss(p, e_2) = +1/2 when p_2 < 1/2, so outcome 2 hurts most
         adv = GreedyAdaptive(2, VShapedLoss())
-        assert adv.next_outcome(2, [np.array([0.9, 0.1])]) == 1
-        assert adv.next_outcome(2, [np.array([0.1, 0.9])]) == 0
+        past = np.array([[[0.9, 0.1], [0.1, 0.9]]])  # (t - 1, n, K): one round, two games
+        assert adv.next_outcomes(2, past, [None, None]).tolist() == [1, 0]
 
     def test_first_round_tie_breaks_low(self):
         adv = GreedyAdaptive(3, VShapedLoss())
-        assert adv.next_outcome(1, []) == 0
+        assert adv.next_outcomes(1, np.empty((0, 2, 3)), [None, None]).tolist() == [0, 0]
 
     def test_deterministic(self):
         adv = GreedyAdaptive(2, VShapedLoss())
-        past = [np.array([0.3, 0.7])]
-        assert adv.next_outcome(2, past) == adv.next_outcome(2, past)
+        past = np.array([[[0.3, 0.7]]])
+        assert adv.next_outcomes(2, past, [None]) == adv.next_outcomes(2, past, [None])

@@ -459,6 +459,15 @@ def test_spec_with_wrong_arity_is_usage_error(capsys, tmp_path, monkeypatch, fla
     (["run", *GAME, "--K", "2", "--T", "10", "--workers", "-3"], "--workers must be >= 1"),
     (["sweep", *GAME, "--K", "2", "--T-start", "4", "--T-stop", "8", "--workers", "0"],
      "--workers must be >= 1"),
+    (["run", *GAME, "--loss", "squared:nan", "--K", "2", "--T", "8"], "scale must be finite"),
+    (["run", *GAME, "--loss", "squared:inf", "--K", "2", "--T", "8"], "scale must be finite"),
+    (["run", *GAME, "--loss", "tsallis:1.5,nan", "--K", "2", "--T", "8"],
+     "scale must be finite"),
+    (["run", *GAME, "--loss", "tsallis:1.5,inf", "--K", "2", "--T", "8"],
+     "scale must be finite"),
+    (["run", *GAME, "--loss", "tsallis:inf", "--K", "2", "--T", "8"], "alpha must be finite"),
+    (["run", *GAME, "--adversary", "greedy:squared:nan", "--K", "2", "--T", "8"],
+     "scale must be finite"),
 ])
 def test_out_of_range_number_is_usage_error(capsys, tmp_path, monkeypatch, command, message):
     monkeypatch.chdir(tmp_path)
@@ -585,6 +594,34 @@ def test_csv_bytes_pinned(capsys, tmp_path, monkeypatch, name, workers):
     code, _, _ = run_cli(argv + ["--workers", workers, "--output", str(path)], capsys)
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+REGRET_DIGESTS = {
+    "ftl-alternating": "8b19e07426d27fdeb2f4a4d164d8355fd6be61d1bbfeac2c5dc37d04ef65b58c",
+    "ftpl-geometric-iid": "27128a4391a21ef0fe17b6652f1069485121be24af6d158c146e8dcda8940076",
+    "ftpl-uniform-greedy-sweep":
+        "c77d4eca4d29df81527905bc874574655c49e027279d569ddff4129ae9bfcbb2",
+    "static-greedy": "37b4796776352b6d0296885ed7c1f40c8c973ca87496bc03eb96b27cf9388501",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGRET_DIGESTS))
+def test_regrets_pinned_at_full_precision(name):
+    """The regret matrices of ``CSV_DIGESTS``' command lines, every bit, as sha256 digests.
+
+    The CSV rounds regrets to 12 significant digits, so a last-bit change in
+    the loss or game arithmetic can leave its bytes as they are; this pin
+    hashes the float64 bytes of each horizon's ``run_trials`` matrix, in
+    horizon order.
+    """
+    args = cli.build_parser().parse_args(CSV_DIGESTS[name][0])
+    horizons = [args.T] if args.command == "run" else [16, 32, 64, 128, 256]
+    losses, adversary, forecasters = cli._resolve(args, horizons)
+    digest = hashlib.sha256()
+    for horizon, forecaster in zip(horizons, forecasters):
+        digest.update(engine.run_trials(lambda: forecaster, adversary, losses, horizon,
+                                        args.trials, args.seed).tobytes())
+    assert digest.hexdigest() == REGRET_DIGESTS[name]
 
 
 VALIDATE_DIGESTS = {

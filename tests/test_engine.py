@@ -49,29 +49,57 @@ class TestRunGame:
             run_game(FollowTheLeader(2, 5), IidUniform(3), 5, _gen(0))
 
     def test_adaptive_adversary_sees_only_past(self):
-        class Recorder(Alternating):
+        class Recorder(Adversary):
             def __init__(self, k):
                 super().__init__(k)
                 self.lengths = []
 
-            def next_outcome(self, t, past_forecasts, rng=None):
+            def next_outcomes(self, t, past_forecasts, rngs):
                 self.lengths.append(len(past_forecasts))
-                return super().next_outcome(t, past_forecasts, rng)
+                return np.full(len(rngs), (t - 1) % 2)
 
         adv = Recorder(2)
         run_game(FollowTheLeader(2, 6), adv, 6, _gen(0))
         assert adv.lengths == [0, 1, 2, 3, 4, 5]
 
+    def test_oblivious_subclass_is_played_as_one_block(self):
+        class Watching(Alternating):  # has outcomes, so its reply is never asked
+            def next_outcomes(self, t, past_forecasts, rngs):
+                raise AssertionError("an oblivious adversary is not asked round by round")
 
-def _round_by_round(adversary_cls):
-    """A pass-through subclass: overriding next_outcome makes run_game loop over rounds."""
+        tr = run_game(FollowTheLeader(2, 6), Watching(2), 6, _gen(0))
+        assert tr.outcomes.tolist() == [0, 1] * 3
 
-    class Looped(adversary_cls):
-        def next_outcome(self, t, past_forecasts, rng=None):
-            self.calls = getattr(self, "calls", 0) + 1
-            return super().next_outcome(t, past_forecasts, rng)
+    def test_adversary_without_a_protocol_is_refused(self):
+        with pytest.raises(NotImplementedError, match="`outcomes` .* or `next_outcomes`"):
+            run_game(FollowTheLeader(2, 6), Adversary(2), 6, _gen(0))
 
-    return Looped
+
+class RoundByRound(Adversary):
+    """An adaptive reference that gives an oblivious adversary's outcomes one round at a time.
+
+    ``reply(t, rng)`` is round t's outcome of the game drawing from ``rng``,
+    written here independently of the adversary's ``outcomes``.
+    """
+
+    def __init__(self, k, reply):
+        super().__init__(k)
+        self.reply = reply
+        self.calls = 0
+
+    def next_outcomes(self, t, past_forecasts, rngs):
+        self.calls += 1
+        return np.array([self.reply(t, rng) for rng in rngs], dtype=np.int64)
+
+
+def _oblivious_and_reference(name, k, horizon):
+    """The shipped oblivious adversary ``name`` and its round-by-round reference."""
+    if name == "iid-uniform":
+        return IidUniform(k), RoundByRound(k, lambda t, rng: rng.integers(0, k))
+    if name == "alternating":
+        return Alternating(k), RoundByRound(k, lambda t, rng: (t - 1) % 2)
+    sequence = _gen(99).integers(0, k, size=horizon).tolist()
+    return FixedSequence(k, sequence), RoundByRound(k, lambda t, rng: sequence[t - 1])
 
 
 FORECASTERS = {
@@ -81,13 +109,7 @@ FORECASTERS = {
     "static": lambda k, horizon: StaticForecaster(np.arange(1, k + 1) / (k * (k + 1) / 2),
                                                   horizon),
 }
-ADVERSARIES = {
-    "iid-uniform": lambda cls, k, horizon: cls(k),
-    "alternating": lambda cls, k, horizon: cls(k),
-    "fixed": lambda cls, k, horizon: cls(k, _gen(99).integers(0, k, size=horizon).tolist()),
-}
-ADVERSARY_CLASSES = {"iid-uniform": IidUniform, "alternating": Alternating,
-                     "fixed": FixedSequence}
+OBLIVIOUS = ["alternating", "fixed", "iid-uniform"]
 SHIPPED_LOSSES = [VShapedLoss(), SquaredLoss(1.0), SquaredLoss(0.5), SphericalLoss(),
                   TsallisLoss(1.5), TsallisLoss(3.0),
                   MixtureLoss(SquaredLoss(0.5), VShapedLoss(), 0.3)]
@@ -98,17 +120,15 @@ class TestKernelMatchesRoundLoop:
 
     @pytest.mark.parametrize("horizon", [1, 7, 256])
     @pytest.mark.parametrize("k", [2, 5])
-    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+    @pytest.mark.parametrize("adversary", OBLIVIOUS)
     @pytest.mark.parametrize("forecaster", sorted(FORECASTERS))
     def test_identical_transcripts(self, forecaster, adversary, k, horizon):
-        cls = ADVERSARY_CLASSES[adversary]
-        kernel_adv = ADVERSARIES[adversary](cls, k, horizon)
-        loop_adv = ADVERSARIES[adversary](_round_by_round(cls), k, horizon)
+        kernel_adv, loop_adv = _oblivious_and_reference(adversary, k, horizon)
         f_kernel = FORECASTERS[forecaster](k, horizon)
         f_loop = FORECASTERS[forecaster](k, horizon)
         kernel = run_game(f_kernel, kernel_adv, horizon, _gen(31, horizon))
         loop = run_game(f_loop, loop_adv, horizon, _gen(31, horizon))
-        assert loop_adv.calls == horizon and not hasattr(kernel_adv, "calls")
+        assert loop_adv.calls == horizon
         assert np.array_equal(kernel.forecasts, loop.forecasts)
         assert np.array_equal(kernel.outcomes, loop.outcomes)
         assert np.array_equal(kernel.final_counts, loop.final_counts)
@@ -121,20 +141,15 @@ class TestKernelMatchesRoundLoop:
     def test_greedy_plays_round_by_round(self):
         loss = VShapedLoss()
         tr = run_game(FollowTheLeader(2, 6), GreedyAdaptive(2, loss), 6, _gen(0))
-        f = FollowTheLeader(2, 6)
-        counts = np.zeros(2, dtype=np.int64)
-        for t in range(6):
-            np.testing.assert_array_equal(tr.forecasts[t],
-                                          f.rule(counts[None, :], f.noise(1, None))[0])
-            past = tr.forecasts[:t]
-            assert tr.outcomes[t] == GreedyAdaptive(2, loss).next_outcome(t + 1, past)
-            counts[tr.outcomes[t]] += 1
+        forecasts, outcomes = _reference_greedy_game(FollowTheLeader(2, 6), loss, 6, _gen(0))
+        assert np.array_equal(tr.forecasts, forecasts)
+        assert np.array_equal(tr.outcomes, outcomes)
+        # by hand: the proxy is the previous forecast, and a tie (sign 0 at 1/2) picks outcome 0
+        assert tr.outcomes.tolist() == [0, 0, 1, 1, 1, 0]
 
-    @pytest.mark.parametrize("looped", [False, True])
-    def test_short_fixed_sequence_exhausted(self, looped):
-        cls = _round_by_round(FixedSequence) if looped else FixedSequence
+    def test_short_fixed_sequence_exhausted(self):
         with pytest.raises(ValueError, match="length 3 exhausted at round 4"):
-            run_game(FollowTheLeader(2, 5), cls(2, [0, 1, 0]), 5, _gen(0))
+            run_game(FollowTheLeader(2, 5), FixedSequence(2, [0, 1, 0]), 5, _gen(0))
 
 
 GREEDY_LOSSES = {
@@ -189,33 +204,32 @@ class TestLockstepMatchesSolo:
         assert np.array_equal(block[2].outcomes, outcomes)
 
     def test_recorder_sees_only_the_past(self):
-        class Recorder(Alternating):
-            lengths = []
+        class Recorder(Adversary):
+            shapes = []
 
-            def next_outcome(self, t, past_forecasts, rng=None):
-                self.lengths.append(len(past_forecasts))
-                assert np.shape(past_forecasts) == (t - 1, 2)
-                return super().next_outcome(t, past_forecasts, rng)
+            def next_outcomes(self, t, past_forecasts, rngs):
+                self.shapes.append(past_forecasts.shape)
+                return np.full(len(rngs), (t - 1) % 2)
 
         _assert_block_equals_solo(FollowTheLeader, Recorder, 2, 6)
-        # three games in the block, then three solo games
-        assert Recorder.lengths[:18] == [t for t in range(6) for _ in range(3)]
-        assert Recorder.lengths[18:] == list(range(6)) * 3
+        # one call a round for the block of three games, then three solo games
+        assert Recorder.shapes[:6] == [(t, 3, 2) for t in range(6)]
+        assert Recorder.shapes[6:] == [(t, 1, 2) for t in range(6)] * 3
 
     def test_adaptive_subclass_draws_from_its_own_stream(self):
         class Drawing(Adversary):
-            def next_outcome(self, t, past_forecasts, rng):
-                if len(past_forecasts) and past_forecasts[-1][0] > 0.6:
-                    return 1
-                return int(rng.integers(0, self.k))
+            def next_outcomes(self, t, past_forecasts, rngs):
+                return np.array([1 if t > 1 and past_forecasts[-1, i, 0] > 0.6
+                                 else rng.integers(0, self.k)
+                                 for i, rng in enumerate(rngs)])
 
         block = _assert_block_equals_solo(PerturbedLeaderUniform, Drawing, 3, 64)
         assert len({tuple(game.outcomes) for game in block}) == 3
 
-    def test_override_of_next_outcome_alone_is_honoured(self):
+    def test_subclass_reply_is_honoured(self):
         class Contrarian(GreedyAdaptive):
-            def next_outcome(self, t, past_forecasts, rng=None):
-                return (super().next_outcome(t, past_forecasts, rng) + 1) % self.k
+            def next_outcomes(self, t, past_forecasts, rngs):
+                return (super().next_outcomes(t, past_forecasts, rngs) + 1) % self.k
 
         def contrarian(k):
             return Contrarian(k, SquaredLoss())
@@ -229,15 +243,15 @@ class TestLockstepMatchesSolo:
         for loss in GREEDY_LOSSES.values():
             adv = GreedyAdaptive(4, loss)
             batched = adv.next_outcomes(6, past, [None] * 6)
-            single = [adv.next_outcome(6, past[:, i]) for i in range(6)]
+            single = [int(np.argmax(loss.bivariate(past[-1, i], np.arange(4)))) for i in range(6)]
             assert batched.tolist() == single
             assert adv.next_outcomes(1, past[:0], [None] * 6).tolist() == [0] * 6
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_reply_rejected(self, bad):
         class Bad(Adversary):
-            def next_outcome(self, t, past_forecasts, rng=None):
-                return bad if t == 4 else 0
+            def next_outcomes(self, t, past_forecasts, rngs):
+                return np.full(len(rngs), bad if t == 4 else 0)
 
         with pytest.raises(ValueError, match="indices in"):
             play_games(FollowTheLeader(3, 8), Bad(3), 8, [_gen(0, i) for i in range(2)])
@@ -391,6 +405,10 @@ class TestEstimateCalibration:
         single = summarize(regrets[:1], [VShapedLoss(), SquaredLoss()])
         assert single.pucal_se == single.std_error == 0.0
 
+    def test_summarize_needs_a_trial(self):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            summarize(np.empty((0, 2)), [VShapedLoss(), SquaredLoss()])
+
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             estimate_calibration(lambda: FollowTheLeader(2, 4), Alternating(2),
@@ -460,6 +478,10 @@ class TestHighProbBound:
     def test_delta_domain(self):
         with pytest.raises(ValueError):
             check_high_prob_bound([0.0], k=2, horizon=10, delta=0.0)
+
+    def test_needs_a_trial(self):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            check_high_prob_bound([], k=2, horizon=10, delta=0.1)
 
 
 class TestExactBinomialMad:

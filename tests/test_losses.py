@@ -85,6 +85,16 @@ class TestBivariate:
         shifted = SquaredLoss(0.5).bivariate(pts, ys) - 0.5
         np.testing.assert_allclose(loss.bivariate(pts, ys), shifted, atol=1e-12)
 
+    @pytest.mark.parametrize("y", [1.7, 1.0, [0.0, 1.5], True])
+    def test_non_integer_outcome_refused(self, y):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SquaredLoss().bivariate([0.2, 0.8], y)
+
+    @pytest.mark.parametrize("y", [1, np.int32(1), np.array([1], dtype=np.uint8)])
+    def test_any_integer_dtype_taken(self, y):
+        table = SquaredLoss().outcome_losses([0.2, 0.8])
+        assert np.all(SquaredLoss().bivariate([0.2, 0.8], y) == table[1])
+
     def test_vectorized_matches_scalar(self):
         rng = RNG.generator()
         pts = random_simplex_points(4, 20, rng)
@@ -315,6 +325,17 @@ class TestConstruction:
     def test_squared_scale_positive(self):
         with pytest.raises(ValueError):
             SquaredLoss(0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("make, parameter", [
+        (lambda x: SquaredLoss(x), "scale"),
+        (lambda x: TsallisLoss(1.5, x), "scale"),
+        (lambda x: TsallisLoss(x), "alpha"),
+        (lambda x: TsallisLoss(x, 0.5), "alpha"),
+    ])
+    def test_non_finite_parameter_refused(self, make, parameter, value):
+        with pytest.raises(ValueError, match=f"{parameter} must be finite"):
+            make(value)
 
     def test_tsallis_default_scale(self):
         assert TsallisLoss(1.5).scale == pytest.approx(1 / 1.5)
