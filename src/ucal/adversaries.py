@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import validate_outcome
+from .core import validate_integer, validate_outcome
 from .losses import ProperLoss
 
 
@@ -27,9 +27,9 @@ class Adversary:
     name = "adversary"
 
     def __init__(self, k: int):
-        if k < 2:
+        self.k = validate_integer(k, "K")
+        if self.k < 2:
             raise ValueError("need at least 2 outcomes")
-        self.k = int(k)
 
     def next_outcomes(self, t: int, past_forecasts: np.ndarray, rngs) -> np.ndarray:
         """Round-t outcomes (n,) of n games from their past forecasts (t-1, n, K)."""

@@ -40,7 +40,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -180,6 +179,8 @@ def _play(args, horizons) -> tuple[list[ProperLoss], list]:
     if workers == 1:
         parts = [_block_job(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a one-worker run never imports it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_block_job, jobs))
     matrix_at = {horizon: np.empty((args.trials, len(losses))) for horizon in horizons}

@@ -2,17 +2,20 @@
 
 Forecasts are probability vectors over ``k`` outcomes, outcomes are vertex
 indices in ``[0, k)``, and histories are integer count vectors.  Everything
-downstream (losses, forecasters, the experiment engine) builds on the three
-helpers here plus the reproducible-stream contract of :class:`RngStream`.
+downstream (losses, forecasters, the experiment engine) builds on the
+helpers here, sums over the K axis with :func:`row_sum`, and draws through
+the reproducible-stream contract of :class:`RngStream`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 SIMPLEX_TOL = 1e-12
+_COLUMN_SUM_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
 
 def validate_simplex(v, tol: float = SIMPLEX_TOL) -> np.ndarray:
@@ -40,6 +43,25 @@ def validate_simplex(v, tol: float = SIMPLEX_TOL) -> np.ndarray:
     return p / p.sum()
 
 
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``, bit for bit: the one way the K axis is summed.
+
+    numpy reduces a short last axis row by row, and that per-row reduce costs
+    several times the arithmetic.  With fewer than 8 terms numpy adds them
+    left to right, starting from zero, so for 2 <= K < 8 and at least 64 rows
+    of float64 or int64 the same sums are taken as whole-column adds.
+    Everything else, such as a lockstep round's few rows or K >= 8, where
+    numpy sums pairwise, goes to numpy's reduce.
+    """
+    k = a.shape[-1] if a.ndim else 0
+    if not 2 <= k < 8 or a.size < 64 * k or a.dtype not in _COLUMN_SUM_DTYPES:
+        return a.sum(axis=-1)
+    out = a[..., 0] + a.dtype.type(0)  # numpy's start: a row of -0.0 sums to +0.0
+    for j in range(1, k):
+        out += a[..., j]
+    return out
+
+
 def uniform_point(k: int) -> np.ndarray:
     """The barycenter (1/k, ..., 1/k) of the simplex over ``k`` outcomes."""
     if k < 1:
@@ -63,6 +85,14 @@ def validate_outcome(index: int, k: int) -> int:
     if not 0 <= i < k:
         raise ValueError(f"outcome index {i} out of range [0, {k})")
     return i
+
+
+def validate_integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, 2.7 and 5.0 are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def validate_counts(counts) -> np.ndarray:

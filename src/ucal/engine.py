@@ -268,6 +268,8 @@ def summarize(regrets: np.ndarray, losses) -> CalibrationEstimate:
     trials = regrets.shape[0]
     if trials < 1:
         raise ValueError("need at least one trial")
+    if regrets.shape[1] < 1:
+        raise ValueError("need at least one loss")
     per_loss = regrets.mean(axis=0)
     sup_per_trial = regrets.max(axis=1)
     worst = int(np.argmax(per_loss))

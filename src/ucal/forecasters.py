@@ -27,12 +27,12 @@ import math
 
 import numpy as np
 
-from .core import validate_simplex
+from .core import row_sum, validate_integer, validate_simplex
 
 
 def _normalize(totals: np.ndarray) -> np.ndarray:
     """Rows of integer ``totals`` divided by their sums; all-zero rows become uniform."""
-    denom = totals.sum(axis=1, keepdims=True)
+    denom = row_sum(totals)[:, None]
     if denom.all():
         return totals / denom
     out = totals / np.maximum(denom, 1)
@@ -46,12 +46,12 @@ class Forecaster:
     name = "forecaster"
 
     def __init__(self, k: int, horizon: int):
-        if k < 2:
+        self.k = validate_integer(k, "K")
+        self.horizon = validate_integer(horizon, "horizon")
+        if self.k < 2:
             raise ValueError("need at least 2 outcomes")
-        if horizon < 1:
+        if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.k = int(k)
-        self.horizon = int(horizon)
 
     def noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
         """Hallucinated counts for ``horizon`` rounds, shape (horizon, K); none by default."""
@@ -90,7 +90,7 @@ class PerturbedLeaderGeometric(Forecaster):
 
     def rule(self, counts, noise):
         totals = counts + noise
-        return totals / totals.sum(axis=1, keepdims=True)
+        return totals / row_sum(totals)[:, None]
 
 
 class PerturbedLeaderUniform(Forecaster):

@@ -33,7 +33,9 @@ Shipped losses
 
 All evaluation methods are vectorized: ``p`` may be a single length-K vector
 or an (..., K) stack of them, and outcome indices broadcast against the
-leading dimensions.
+leading dimensions.  Every sum over the K axis (``<g, p>`` and the
+univariate forms) is ``core.row_sum``, which equals ``sum(axis=-1)`` bit for
+bit but adds whole columns where numpy's per-row reduce would dominate.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import uniform_point
+from .core import row_sum, uniform_point
 
 
 def _as_points(p) -> np.ndarray:
@@ -105,7 +107,7 @@ class ProperLoss:
         p = _as_points(p)
         g = self.subgradient(p)
         table = self.univariate(p)[..., None] + g
-        table -= (g * p).sum(axis=-1)[..., None]  # in place: one (..., K) temporary fewer
+        table -= row_sum(g * p)[..., None]  # in place: one (..., K) temporary fewer
         return table
 
     def __repr__(self):
@@ -124,7 +126,7 @@ class SquaredLoss(ProperLoss):
 
     def univariate(self, p):
         p = _as_points(p)
-        return self.scale * (1.0 - (p * p).sum(axis=-1))
+        return self.scale * (1.0 - row_sum(p * p))
 
     def subgradient(self, p):
         return -2.0 * self.scale * _as_points(p)
@@ -138,17 +140,15 @@ class SphericalLoss(ProperLoss):
 
     def univariate(self, p):
         p = _as_points(p)
-        return -np.sqrt((p * p).sum(axis=-1))
+        return -np.sqrt(row_sum(p * p))
 
     def subgradient(self, p):
         p = _as_points(p)
-        norm = np.sqrt((p * p).sum(axis=-1, keepdims=True))
-        return -p / norm
+        return -p / np.sqrt(row_sum(p * p))[..., None]
 
     def outcome_losses(self, p):
-        # direct form -p_y / ||p||; equals the subgradient construction
-        p = _as_points(p)
-        return -p / np.sqrt((p * p).sum(axis=-1))[..., None]
+        # direct form: loss(p, y) = -p_y / ||p|| is the subgradient itself
+        return self.subgradient(p)
 
 
 class VShapedLoss(ProperLoss):
@@ -166,7 +166,7 @@ class VShapedLoss(ProperLoss):
     def univariate(self, p):
         p = _as_points(p)
         k = p.shape[-1]
-        return -0.5 * np.abs(p - 1.0 / k).sum(axis=-1)
+        return -0.5 * row_sum(np.abs(p - 1.0 / k))
 
     def subgradient(self, p):
         p = _as_points(p)
@@ -200,7 +200,7 @@ class TsallisLoss(ProperLoss):
 
     def univariate(self, p):
         p = _as_points(p)
-        return -self.scale * (p ** self.alpha).sum(axis=-1)
+        return -self.scale * row_sum(p ** self.alpha)
 
     def subgradient(self, p):
         p = _as_points(p)
@@ -324,8 +324,8 @@ def check_proper(loss: ProperLoss, sample_pairs, tol: float = 1e-9) -> LossValid
     p_arr, q_arr = (np.asarray(a, dtype=float) for a in sample_pairs)
     if p_arr.shape != q_arr.shape:
         raise ValueError("pair arrays must have identical shapes")
-    lhs = np.sum(p_arr * loss.outcome_losses(p_arr), axis=-1)
-    rhs = np.sum(p_arr * loss.outcome_losses(q_arr), axis=-1)
+    lhs = row_sum(p_arr * loss.outcome_losses(p_arr))
+    rhs = row_sum(p_arr * loss.outcome_losses(q_arr))
     gaps = lhs - rhs
     return LossValidationReport(loss_name=loss.name,
                                 properness_violations=int(np.sum(gaps > tol)),

@@ -60,3 +60,13 @@ class TestGreedyAdaptive:
         adv = GreedyAdaptive(2, VShapedLoss())
         past = np.array([[[0.3, 0.7]]])
         assert adv.next_outcomes(2, past, [None]) == adv.next_outcomes(2, past, [None])
+
+
+@pytest.mark.parametrize("make", [IidUniform, Alternating, lambda k: FixedSequence(k, [0]),
+                                  lambda k: GreedyAdaptive(k, VShapedLoss())])
+def test_non_integer_k_refused(make):
+    for k in (2.7, 3.0, np.float64(2)):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            make(k)
+    adversary = make(np.int64(3))
+    assert adversary.k == 3 and type(adversary.k) is int

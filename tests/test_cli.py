@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -498,7 +499,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -674,3 +675,12 @@ def test_import_defaults_blas_threads_to_one():
 @pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy's BLAS is not OpenBLAS")
 def test_import_starts_no_blas_threads():
     assert _import_ucal()[0] == "1"
+
+
+def test_import_leaves_the_process_pool_out():
+    # the pool module is imported only by a run that starts workers
+    probe = "import sys, ucal.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(ucal.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == ["False"]

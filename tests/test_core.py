@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucal import RngStream, mean_of_counts, one_hot, uniform_point, validate_simplex
+from ucal.core import row_sum
 
 
 class TestMeanOfCounts:
@@ -90,3 +91,44 @@ def test_one_hot_bounds():
     np.testing.assert_array_equal(one_hot(1, 3), [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         one_hot(3, 3)
+
+
+def _wide_floats(rng, shape):
+    """Mixed-sign floats spanning 1e-8..1e8, with a tenth of the entries -0.0."""
+    a = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    a[rng.random(shape) < 0.1] = -0.0
+    return a
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+class TestRowSum:
+    """``row_sum`` is ``a.sum(axis=-1)`` bit for bit, on both of its branches."""
+
+    @pytest.mark.parametrize("k", range(1, 18))
+    @pytest.mark.parametrize("lead", [(0,), (1,), (63,), (64,), (65,), (4096,), (48, 4096)])
+    def test_equals_numpy_sum(self, k, lead):
+        rng = np.random.default_rng(k * 1000 + sum(lead))
+        a = _wide_floats(rng, lead + (k,))
+        assert _same_bits(row_sum(a), a.sum(axis=-1))
+        ints = rng.integers(-10**12, 10**12, size=lead + (k,))
+        assert _same_bits(row_sum(ints), ints.sum(axis=-1))
+
+    @pytest.mark.parametrize("k", [2, 5, 7, 9])
+    def test_non_contiguous_views(self, k):
+        a = _wide_floats(np.random.default_rng(k), (300, 2 * k))
+        for view in (a[::3, ::2], a[:, ::-2], np.asfortranarray(a)[:, :k]):
+            assert _same_bits(row_sum(view), view.sum(axis=-1))
+
+    def test_rows_of_negative_zero_sum_to_positive_zero(self):
+        a = np.full((100, 5), -0.0)
+        assert _same_bits(row_sum(a), a.sum(axis=-1))
+        assert not np.signbit(row_sum(a)).any()
+
+    def test_other_dtypes_keep_numpys_sum_dtype(self):
+        for dtype in (np.int32, np.bool_, np.float32):
+            a = np.ones((100, 3), dtype=dtype)
+            assert _same_bits(row_sum(a), a.sum(axis=-1))

@@ -409,6 +409,10 @@ class TestEstimateCalibration:
         with pytest.raises(ValueError, match="need at least one trial"):
             summarize(np.empty((0, 2)), [VShapedLoss(), SquaredLoss()])
 
+    def test_summarize_needs_a_loss(self):
+        with pytest.raises(ValueError, match="need at least one loss"):
+            summarize(np.empty((3, 0)), [])
+
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             estimate_calibration(lambda: FollowTheLeader(2, 4), Alternating(2),

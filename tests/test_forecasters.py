@@ -189,3 +189,24 @@ def test_constructor_contracts():
         FollowTheLeader(1, 10)
     with pytest.raises(ValueError):
         FollowTheLeader(2, 0)
+
+
+@pytest.mark.parametrize("forecaster", [FollowTheLeader, PerturbedLeaderGeometric,
+                                        PerturbedLeaderUniform])
+@pytest.mark.parametrize("k, horizon, message", [
+    (2.7, 10, "K must be an integer, got 2.7"),
+    (5.0, 10, "K must be an integer, got 5.0"),
+    (5, 10.5, "horizon must be an integer, got 10.5"),
+    (np.float64(3), 10, "K must be an integer"),
+])
+def test_non_integer_size_refused(forecaster, k, horizon, message):
+    with pytest.raises(ValueError, match=message):
+        forecaster(k, horizon)
+
+
+def test_numpy_integer_sizes_accepted():
+    f = PerturbedLeaderGeometric(np.int64(5), np.int32(16))
+    assert (f.k, f.horizon) == (5, 16)
+    assert type(f.k) is int and type(f.horizon) is int
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        StaticForecaster([0.5, 0.5], 3.5)
