@@ -17,11 +17,13 @@ the explicit flags, so the parser checks it like a flag and an explicit flag
 wins; a config ``loss`` is dropped when the command line has a ``--loss``.
 A config may set any option that takes a value, not a switch such as
 ``--check-bounds``; an unknown key is a usage error.
-Exit codes: 0 success, 1 validation or assertion failure, 2 usage error,
-refused before any trial or output (among them ``--K`` below 2, ``--T``,
-``--T-start`` or ``--workers`` below 1, a game above
-``engine.MAX_GAME_CELLS``, ``minimax --check-bounds`` below T = 2 and a
-closed form above ``minimax.CLOSED_FORM_MAX_HORIZON``).
+Exit codes: 0 success, 1 validation or assertion failure (or an ``--output``
+that fails while it is written), 2 usage error, refused before any trial or
+output (among them ``--K`` below 2, ``--T``, ``--T-start`` or ``--workers``
+below 1, a game above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds``
+below T = 2, a DP above ``minimax.DP_MAX_HORIZON``, a closed form above
+``minimax.CLOSED_FORM_MAX_HORIZON``, and an ``--output`` in a missing
+directory or naming a directory).
 ``run`` and ``sweep`` resolve every spec once, one forecaster per horizon;
 a forecaster keeps no per-game state, so it plays every trial at its
 horizon.  They plan their trials with ``engine.trial_jobs`` (each horizon
@@ -133,6 +135,26 @@ def make_adversary(spec: str, k: int) -> Adversary:
     raise UsageError(f"unknown adversary {spec!r} (try alternating, iid-uniform, fixed:PATH, greedy:LOSS)")
 
 
+def _check_output(path) -> None:
+    """Refuse an ``--output`` that cannot be created: its directory is missing or it is one."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write --output {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write --output {path}: no directory {parent}")
+
+
+def _write_output(path, write) -> None:
+    """Open ``path`` for writing and call ``write(fh)``; an OSError becomes a failure (exit 1)."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
+
+
 def _block_job(job):
     """Regrets (len(trials), len(losses)) of one contiguous range of trials at one horizon."""
     forecaster, adversary, losses, horizon, base_seed, trials = job
@@ -150,6 +172,7 @@ def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecast
             raise ValueError("--trials must be >= 1")
         if args.workers < 1:
             raise ValueError("--workers must be >= 1")
+        _check_output(args.output)
         adversary = make_adversary(args.adversary, args.K)
         forecasters = []
         for horizon in horizons:
@@ -204,8 +227,7 @@ def _play(args, horizons) -> tuple[list[ProperLoss], list]:
                 })
     text = engine.write_csv(rows)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_output(args.output, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
     return losses, matrices
@@ -258,6 +280,10 @@ def cmd_minimax(args) -> int:
     if needs_closed and t > minimax.CLOSED_FORM_MAX_HORIZON:
         raise UsageError(f"--T {t} is above the closed form's cap of "
                          f"{minimax.CLOSED_FORM_MAX_HORIZON} (2^24) rounds")
+    if args.mode in ("dp", "both") and t > minimax.DP_MAX_HORIZON:
+        raise UsageError(f"--T {t} is above the DP's limit of {minimax.DP_MAX_HORIZON} rounds; "
+                         f"--mode closed has no such limit")
+    _check_output(args.output)
     value_dp = value_closed = None
     seqs = None
     if args.mode in ("dp", "both"):
@@ -290,8 +316,7 @@ def cmd_minimax(args) -> int:
             print("FAIL: sandwich bounds violated", file=sys.stderr)
             return EXIT_FAIL
     if args.output:
-        with open(args.output, "w") as fh:
-            minimax.write_sequences_csv(seqs, fh)
+        _write_output(args.output, lambda fh: minimax.write_sequences_csv(seqs, fh))
     return EXIT_OK
 
 

@@ -37,6 +37,17 @@ a[r+1] = a[r] + a[r]^2 from a[0] = 1/T.  The increments are sandwiched as
 which pins the value between logarithmic bounds; ``check_a_bounds`` measures
 any violation of the sandwich and ``value_lower_bound`` gives the resulting
 floor (1/2) * log(T / (log T + 1) + 1) on the game value.
+
+``write_sequences_csv`` dumps the sequences and both bounds as CSV, with the
+bytes of ``"%d,%.12g,%.12g,%.12g,%.12g,%.12g" % row`` but without formatting
+one value at a time.  A numpy kernel rounds each float to twelve significant
+digits with one correctly rounded scaling by an exact power of ten (error at
+most 2^-14 of the unit in the last digit), lays out the digits in ``%g``'s
+fixed or exponent notation, and deletes NUL padding from a position-major
+byte block.  A value it cannot certify -- zero, a non-finite value, an
+exponent outside [-10, 32], or a scaled value within 10^-3 of a rounding
+tie -- is formatted by ``'%.12g' % x`` itself, so the output never rests on
+the float argument alone.
 """
 
 from __future__ import annotations
@@ -56,6 +67,16 @@ CLOSED_FORM_MAX_HORIZON = 1 << 24
 
 #: Rows rendered per ``write`` call by ``write_sequences_csv``.
 CSV_CHUNK_ROWS = 4096
+
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # 10^0..10^22, each exact in float64
+#: Byte slots of one rendered float: its sign, the "0.000" of fixed notation
+#: below 1, thirteen for twelve digits and a point after any one of them, and
+#: "e+dd".  The widest '%.12g' text, "-1.23456789012e-308", fits as well.
+_FLOAT_SLOTS = 23
+_PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)[:, None, None]
+_PREFIX_SLOT = np.arange(5, dtype=np.int8)[:, None, None]
+_DIGIT = np.arange(12, dtype=np.uint8)[:, None, None]
+_MIDDLE_SLOT = np.arange(13, dtype=np.int8)[:, None, None]
 
 
 @dataclass
@@ -197,26 +218,136 @@ def check_a_bounds(horizon: int, seqs: ClosedFormSequences | None = None) -> tup
 def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
     """Write ``r,u_r,v_r,a_r,upper_bound,lower_bound`` rows for r in [0, T) to ``fh``.
 
-    Floats carry 12 significant digits (``engine.format_float``); the
-    bounds are 1/(T-r) and 1/(T-r+log T).  Rows are rendered
-    ``CSV_CHUNK_ROWS`` at a time, so memory stays O(chunk) in T.
+    The bytes are those of ``"%d,%.12g,%.12g,%.12g,%.12g,%.12g\\n" % row``
+    (``engine.format_float`` for the floats); the bounds are 1/(T-r) and
+    1/(T-r+log T).  Rows are rendered ``CSV_CHUNK_ROWS`` at a time by
+    ``_csv_rows``, so memory stays O(chunk) in T.  Each float is rounded by
+    ``_round_g12``: one correctly rounded product or quotient with an exact
+    power of ten scales it into [10^11, 10^12) with an error of at most 2^-14,
+    and ``rint`` then gives the twelve digits exactly unless the scaled value
+    lies within 10^-3 of a tie.  Such values, zeros, non-finite values and
+    exponents outside [-10, 32] are formatted by ``'%.12g' % x`` itself.
     """
     t = seqs.horizon
     log_t = math.log(t)
-    row = "%d,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+    width = len(str(t - 1))
     fh.write("r,u_r,v_r,a_r,upper_bound,lower_bound\n")
     for lo in range(0, t, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, t)
         r = np.arange(lo, hi)
         left = t - r  # int64, exact like the Python int T - r
-        # one float64 block (r < 2^53 is exact; %d prints it as an integer)
-        block = np.column_stack((r, seqs.u[lo:hi], seqs.v[lo:hi], seqs.a[lo:hi],
-                                 1.0 / left, 1.0 / (left + log_t)))
-        fh.write(row * (hi - lo) % tuple(block.ravel().tolist()))
+        fh.write(_csv_rows(r, (seqs.u[lo:hi], seqs.v[lo:hi], seqs.a[lo:hi],
+                               1.0 / left, 1.0 / (left + log_t)), width))
+
+
+def _csv_rows(r: np.ndarray, columns, width: int) -> str:
+    """CSV lines ``r[i],columns[0][i],...``: ``%d`` for r (below 10^width), ``%.12g`` after.
+
+    The lines are built in a position-major (characters x rows) uint8 block,
+    because numpy ops along a short per-line axis run line by line and ops
+    along the long one do not.  Unused positions hold NUL and are deleted
+    after one transpose.
+    """
+    n = r.size
+    slots = _FLOAT_SLOTS + 1  # a comma, then the float
+    block = np.empty((width + len(columns) * slots + 1, n), dtype=np.uint8)
+    rest = r
+    for pos in range(width - 1, -1, -1):  # the digits of r, its leading zeros NUL
+        higher = rest // 10
+        np.multiply(rest - 10 * higher + ord("0"), (rest > 0) | (pos == width - 1),
+                    out=block[pos], casting="unsafe")
+        rest = higher
+    cells = block[width:-1].reshape(len(columns), slots, n).transpose(1, 0, 2)
+    cells[0] = ord(",")
+    block[-1] = ord("\n")
+    _format_g12(np.stack(columns), cells[1:])
+    return block.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _round_g12(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(m, exponent, certified)``: each x as m * 10^(exponent - 11), m in [10^11, 10^12).
+
+    Where ``certified`` holds, m (int64) is the correctly rounded twelve-digit
+    significand that ``'%.12g'`` prints and ``exponent`` (int8) the power of
+    ten of its first digit.  With k = 11 - floor(log10|x|), the scaled
+    s = |x| * 10^k is one correctly rounded multiply or divide by an exact
+    power 10^0..10^22, so |s - exact| <= 2^-14 on [10^11, 10^12); a floor of
+    log10 that misses by one near a power of ten is corrected once from s.
+    Not certified: 0, inf and nan (their log10 is not finite), |k| > 21, an s
+    that still lies outside [10^11, 10^12), and an s within 10^-3 of a
+    half-integer, where the error bound could not decide the rounding.
+    """
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 11.0 - np.floor(np.log10(ax))
+        certified = np.abs(k) <= 21.0
+    ax[~certified] = 1.0  # placeholders keep the arithmetic below finite
+    k = np.where(certified, k, 11.0).astype(np.intp)
+    s = _times_pow10(ax, k)
+    k += s < 1e11
+    k -= s >= 1e12
+    s = _times_pow10(ax, k)
+    m = np.rint(s)
+    certified &= (s >= 1e11) & (s < 1e12) & (np.abs(s - m) <= 0.499)
+    carry = m == 1e12  # 999999999999.5 and up round to 10^12: one more digit
+    m[carry] = 1e11
+    return m.astype(np.int64), (11 - k + carry).astype(np.int8), certified
+
+
+def _times_pow10(ax: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """ax * 10^k, |k| <= 22, in one rounding: the other factor or divisor is 1."""
+    return ax * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
+
+
+def _format_g12(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``'%.12g' % v`` for each v of ``x`` into ``out``, NUL-padded.
+
+    ``out`` is uint8 of shape ``(_FLOAT_SLOTS,) + x.shape``, one position per
+    row.  Its slots hold the sign, the "0." and zeros of fixed notation below
+    1 (exponent -4..-1), thirteen digit-or-point slots and the exponent suffix
+    "e+dd" of exponent notation (exponent below -4 or above 11).  Digit j sits
+    in slot j up to the point and in slot j + 1 after it, so no row shifts its
+    digits; trailing zeros of the fraction, and a point with no digit after
+    it, are NUL.
+    """
+    m, exp10, certified = _round_g12(x)
+    digits = np.zeros((14,) + x.shape, dtype=np.uint8)  # D0..D11 in rows 1..12, NUL around
+    for row in range(12, 0, -1):
+        higher = m // 10
+        digits[row] = m - 10 * higher
+        m = higher
+    last = ((digits[1:13] != 0) * _DIGIT).max(axis=0)  # the last nonzero digit
+    digits[1:13] += ord("0")
+    fixed = (exp10 >= -4) & (exp10 < 12)
+    below_one = fixed & (exp10 < 0)
+    whole = np.where(fixed & (exp10 >= 0), exp10, np.int8(0))  # the last digit before the point
+    digits[1:13] *= _DIGIT <= np.maximum(last, whole)
+    point = np.where(below_one, np.int8(12), whole)  # the point follows this digit
+    sign, prefix, middle, suffix = out[0], out[1:6], out[6:19], out[19:]
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=sign)
+    np.multiply(_PREFIX_SLOT < np.where(below_one, 1 - exp10, np.int8(0)), _PREFIX, out=prefix)
+    np.copyto(middle, digits[:13])
+    np.copyto(middle, digits[1:], where=_MIDDLE_SLOT <= point)
+    np.copyto(middle, np.where(last > point, np.uint8(ord(".")), np.uint8(0)),
+              where=_MIDDLE_SLOT == point + 1)
+    sci = ~fixed
+    mag = np.abs(exp10)
+    suffix[0] = sci * np.uint8(ord("e"))
+    suffix[1] = sci * np.where(exp10 < 0, np.uint8(ord("-")), np.uint8(ord("+")))
+    suffix[2] = sci * (mag // 10 + ord("0"))
+    suffix[3] = sci * (mag % 10 + ord("0"))
+    slow = np.nonzero(~certified)
+    if slow[0].size:
+        fmt = f"%-{_FLOAT_SLOTS}.12g"
+        text = "".join([fmt % v for v in x[slow].tolist()]).replace(" ", "\0")
+        out[(slice(None),) + slow] = np.frombuffer(
+            text.encode("ascii"), dtype=np.uint8).reshape(-1, _FLOAT_SLOTS).T
 
 
 def value_lower_bound(horizon: int) -> float:
     """(1/2) * log(T / (log T + 1) + 1), implied by the sandwich lower bound."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     t = horizon
     return 0.5 * math.log(t / (math.log(t) + 1.0) + 1.0)
 

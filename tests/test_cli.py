@@ -254,8 +254,25 @@ class TestMinimaxCmd:
         assert code == 0
 
     def test_dp_rejects_huge_horizon(self, capsys):
-        code, _, err = run_cli(["minimax", "--T", "100000", "--mode", "both"], capsys)
-        assert code == 1
+        code, out, err = run_cli(["minimax", "--T", "100000", "--mode", "both"], capsys)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("mode", ["dp", "both"])
+    def test_dp_limit_is_usage_error_before_any_output(self, capsys, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(minimax, "dp_value", _never_called)
+        monkeypatch.setattr(minimax, "closed_form", _never_called)
+        path = tmp_path / "seqs.csv"
+        code, out, err = run_cli(["minimax", "--T", str(minimax.DP_MAX_HORIZON + 1), "--mode", mode,
+                                  "--output", str(path)], capsys)
+        assert code == 2
+        assert out == "" and f"DP's limit of {minimax.DP_MAX_HORIZON}" in err
+        assert not path.exists()
+
+    def test_dp_limit_is_inclusive(self, capsys):
+        code, out, _ = run_cli(["minimax", "--T", str(minimax.DP_MAX_HORIZON), "--mode", "dp"],
+                               capsys)
+        assert code == 0 and out.startswith(f"dp value V(T={minimax.DP_MAX_HORIZON})")
 
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "seqs.csv"
@@ -326,9 +343,10 @@ class TestMinimaxCmd:
         assert not (tmp_path / "seqs.csv").exists()
 
     def test_dp_alone_ignores_closed_form_cap(self, capsys):
-        code, out, _ = run_cli(["minimax", "--T", str(minimax.CLOSED_FORM_MAX_HORIZON + 1),
-                                "--mode", "dp"], capsys)
-        assert code == 1 and out == ""  # dp_value's own horizon limit
+        code, out, err = run_cli(["minimax", "--T", str(minimax.CLOSED_FORM_MAX_HORIZON + 1),
+                                  "--mode", "dp"], capsys)
+        assert code == 2 and out == ""  # the DP's own horizon limit
+        assert "DP's limit" in err and "closed form's cap" not in err
 
 
 class TestValidateCmd:
@@ -477,6 +495,39 @@ def test_out_of_range_number_is_usage_error(capsys, tmp_path, monkeypatch, comma
     assert code == 2
     assert out == "" and message in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("ran although the command should have been refused")
+
+
+OUTPUT_COMMANDS = {
+    "run": ["run", *GAME, "--K", "2", "--T", "8"],
+    "sweep": ["sweep", *GAME, "--K", "2", "--T-start", "4", "--T-stop", "8"],
+    "minimax": ["minimax", "--T", "16", "--mode", "both"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_refused_up_front(capsys, tmp_path, monkeypatch, command, where):
+    for name in ("run_trials", "play_games"):
+        monkeypatch.setattr(engine, name, _never_called)
+    for name in ("dp_value", "closed_form"):
+        monkeypatch.setattr(minimax, name, _never_called)
+    path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(OUTPUT_COMMANDS[command] + ["--output", str(path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: cannot write --output {path}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_failed_write_exits_one_with_a_message(capsys, command):
+    code, _, err = run_cli(OUTPUT_COMMANDS[command] + ["--output", "/dev/full"], capsys)
+    assert code == 1
+    assert err.startswith("error: cannot write --output /dev/full") and "Traceback" not in err
 
 
 @pytest.fixture

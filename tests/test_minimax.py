@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ucal import (check_a_bounds, closed_form, dp_value, optimal_q,
                   structural_identity_error, value_lower_bound)
-from ucal import minimax
+from ucal import cli, engine, minimax
 from ucal.minimax import CLOSED_FORM_MAX_HORIZON, _backward_step
 
 
@@ -224,6 +225,14 @@ class TestSandwichBounds:
         with pytest.raises(ValueError):
             check_a_bounds(1)
 
+    @pytest.mark.parametrize("horizon", [0, -1, -100])
+    def test_floor_needs_one_round(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            value_lower_bound(horizon)
+
+    def test_floor_at_one_round(self):
+        assert value_lower_bound(1) == pytest.approx(0.5 * math.log(2.0), abs=0)
+
     @pytest.mark.parametrize("horizon", [2, 3, 1000])
     def test_given_sequences(self, horizon):
         seqs = closed_form(horizon)
@@ -261,3 +270,93 @@ class TestOptimalQ:
         payoff = lambda q: v2 + (v1 - v2) * q - 2 * (q * q - q)
         grid = np.linspace(0, 1, 201)
         assert payoff(q_star) >= payoff(grid).max() - 1e-9
+
+
+def _neighbours(values, steps=3):
+    """``values`` and their first ``steps`` float64 neighbours on both sides."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    up, down = values, values
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+POWERS = np.array([float(f"1e{k}") for k in range(-25, 26)])
+# Halfway between two 12-digit significands: exactly, or within the float64
+# value's own error, where rounding the scaled value could go either way.
+TIES = np.array([123456789012.5, 1234567890125.0, 999999999999.5, 100000000000.5,
+                 1.000000000005e-3, 4.567890123455e7])
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+                     np.inf, -np.inf, np.nan])
+# %g switches from exponent to fixed notation at 1e-4, and back at 1e12;
+# 1e11 is the last exponent with a point.  Values that round up across a
+# switch (9.999999999995e-5, 999999999999.5) change their exponent.
+SWITCHES = _neighbours([1e-4, 9.999999999995e-5, 9.99999999999e-5, 1e11, 99999999999.95,
+                        1e12, 999999999999.4, 1e-5, 1e16, 1e22, 1e23, 1e33, 1e34, 1e-11,
+                        1e-12], steps=5)
+
+
+def _random_doubles(count, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(1.0, 10.0, count) * 10.0 ** rng.integers(-30, 31, count)
+    values[rng.random(count) < 0.5] *= -1.0
+    values[::7] = np.round(values[::7], 3)  # short decimals: trailing zeros to strip
+    return values
+
+
+class TestCsvKernel:
+    """The vectorized dump rows equal ``str(int)`` and ``engine.format_float`` value by value."""
+
+    @staticmethod
+    def rows_both_ways(values):
+        values = np.asarray(values, dtype=float)
+        values = np.concatenate([values, np.full(-values.size % 5, 1.0)])
+        columns = values.reshape(5, -1)
+        n = columns.shape[1]
+        r = np.arange(n) * 7919 % 10 ** 7  # zero, short and 7-digit integers
+        got = minimax._csv_rows(r, tuple(columns), 7)
+        want = "".join(",".join([str(int(r[i]))] + [engine.format_float(float(columns[c, i]))
+                                                     for c in range(5)]) + "\n" for i in range(n))
+        return got, want
+
+    @pytest.mark.parametrize("name, values", [
+        ("specials", SPECIALS), ("ties", TIES), ("switches", SWITCHES),
+        ("powers of ten", _neighbours(POWERS, steps=1)),
+        ("random", _random_doubles(100_000, seed=20)),
+        ("integers", np.arange(-50.0, 5000.0)),
+    ])
+    def test_rows_equal_per_value_formatting(self, name, values):
+        got, want = self.rows_both_ways(values)
+        assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+    def test_fallback_takes_what_it_cannot_certify(self):
+        uncertain = np.concatenate([SPECIALS, TIES, [1e-12, 1e34]])
+        assert not minimax._round_g12(uncertain)[2].any()
+        got, want = self.rows_both_ways(uncertain)
+        assert got == want
+
+    def test_most_values_take_the_fast_path(self):
+        _, _, certified = minimax._round_g12(np.concatenate([SWITCHES, POWERS]))
+        assert certified.mean() > 0.5
+        m, exponent, certified = minimax._round_g12(np.array([1.5, -0.000123, 98765.4321e20]))
+        assert certified.all()
+        assert m.tolist() == [150000000000, 123000000000, 987654321000]
+        assert exponent.tolist() == [0, -4, 24]
+
+    def test_carry_into_a_new_digit(self):
+        # 999999999999.6 rounds to 10^12: one more digit, exponent 12, exponent notation
+        m, exponent, certified = minimax._round_g12(np.array([999999999999.6, 9.999999999996e-5]))
+        assert certified.all() and m.tolist() == [10 ** 11] * 2
+        assert exponent.tolist() == [12, -4]
+        got, _ = self.rows_both_ways([999999999999.6, 9.999999999996e-5])
+        assert got.split("\n")[0].split(",")[1:3] == ["1e+12", "0.0001"]
+
+
+def test_benchmark_dump_bytes_pinned(tmp_path):
+    """The T = 250000 dump the benchmark writes, byte for byte as ``%``-formatting gave it."""
+    path = tmp_path / "seqs.csv"
+    assert cli.main(["minimax", "--T", "250000", "--mode", "closed", "--output", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "63a0b81eea530f8a97d48c1691ec8614f1521ff13c6ca837d054153ebd7622f3"
