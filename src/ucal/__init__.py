@@ -20,7 +20,7 @@ from .core import (RngStream, mean_of_counts, one_hot, uniform_point,
 from .engine import (CalibrationEstimate, RegretRecord, Transcript, benchmark_cost,
                      check_high_prob_bound, estimate_calibration, exact_binomial_mad,
                      play_games, regret, run_game, run_trials, summarize,
-                     sup_regret_mixture, write_csv)
+                     sup_regret_mixture)
 from .forecasters import (FollowTheLeader, Forecaster, PerturbedLeaderGeometric,
                           PerturbedLeaderUniform, StaticForecaster)
 from .losses import (CustomLoss, LossValidationReport, MixtureLoss, ProperLoss,
@@ -45,5 +45,5 @@ __all__ = [
     "optimal_q", "play_games", "random_simplex_points", "regret", "run_game",
     "run_trials", "simplex_mesh", "structural_identity_error", "summarize",
     "sup_regret_mixture", "uniform_point", "validate_outcome", "validate_simplex",
-    "value_lower_bound", "write_csv",
+    "value_lower_bound",
 ]

@@ -22,23 +22,23 @@ that fails while it is written), 2 usage error, refused before any trial or
 output (among them ``--K`` below 2, ``--T``, ``--T-start`` or ``--workers``
 below 1, a game above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds``
 below T = 2, a DP above ``minimax.DP_MAX_HORIZON``, a closed form above
-``minimax.CLOSED_FORM_MAX_HORIZON``, and an ``--output`` in a missing
-directory or naming a directory).
-``run`` and ``sweep`` resolve every spec once, one forecaster per horizon;
-a forecaster keeps no per-game state, so it plays every trial at its
-horizon.  They plan their trials with ``engine.trial_jobs`` (each horizon
-cut only between lockstep blocks, or into about trials/workers pieces when
-there are fewer blocks than workers; the jobs longest first) and map the
-jobs, with the resolved objects, through one process pool; every job runs
-through ``engine.run_trials``.  The pool has min(--workers, CPU count, jobs)
-processes, and there is none when that is 1.  Results are
-byte-identical regardless of worker count because every trial owns its own
-RNG stream and each horizon's regrets are put back in trial order.
+``minimax.CLOSED_FORM_MAX_HORIZON``, a ``validate --tol`` that is negative
+or not finite, and an ``--output`` in a missing directory or naming a
+directory).
+``run`` and ``sweep`` resolve every spec once, one forecaster per horizon,
+and hand them to ``engine.run_experiment``, which plans the trials and runs
+the pool.  They stream one CSV row per (T, trial, loss) through
+``csv.writer``: horizons in grid order, trials in order, and each trial's
+losses sorted by name (a stable sort, so duplicate names keep their
+``--loss`` order); a field that holds a comma, such as ``static:0.2,0.8``,
+is quoted.  Results are byte-identical regardless of worker count because
+every trial owns its own RNG stream.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -155,12 +155,6 @@ def _write_output(path, write) -> None:
         raise ValueError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
 
 
-def _block_job(job):
-    """Regrets (len(trials), len(losses)) of one contiguous range of trials at one horizon."""
-    forecaster, adversary, losses, horizon, base_seed, trials = job
-    return engine.run_trials(lambda: forecaster, adversary, losses, horizon, trials, base_seed)
-
-
 def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecaster]]:
     """The losses, the adversary and one forecaster per horizon, all checked before any trial."""
     try:
@@ -187,49 +181,26 @@ def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecast
 
 
 def _play(args, horizons) -> tuple[list[ProperLoss], list]:
-    """Play every horizon and write its CSV rows; returns the losses and one regret matrix per horizon.
-
-    The jobs of ``engine.trial_jobs`` go through one pool, longest first,
-    and each job's regrets land in its horizon's matrix at its trial rows.
-    """
+    """Play every horizon and write its CSV rows; returns the losses and one regret matrix per horizon."""
     losses, adversary, forecasters = _resolve(args, horizons)
-    workers = min(args.workers, os.cpu_count() or 1)
-    plan = engine.trial_jobs(adversary, horizons, args.trials, workers)
-    forecaster_at = dict(zip(horizons, forecasters))
-    jobs = [(forecaster_at[horizon], adversary, losses, horizon, args.seed, trials)
-            for horizon, trials in plan]
-    workers = min(workers, len(jobs))
-    if workers == 1:
-        parts = [_block_job(job) for job in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # a one-worker run never imports it
+    matrices = engine.run_experiment(forecasters, adversary, losses, args.trials, args.seed,
+                                     args.workers)
+    order = sorted(range(len(losses)), key=lambda j: losses[j].name)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_block_job, jobs))
-    matrix_at = {horizon: np.empty((args.trials, len(losses))) for horizon in horizons}
-    for (horizon, trials), part in zip(plan, parts):
-        matrix_at[horizon][trials.start:trials.stop] = part
-    matrices = [matrix_at[horizon] for horizon in horizons]
-    rows = []
-    for horizon, regrets in zip(horizons, matrices):
-        for trial in range(regrets.shape[0]):
-            for j, loss in enumerate(losses):
-                rows.append({
-                    "experiment": args.experiment,
-                    "forecaster": args.forecaster,
-                    "adversary": args.adversary,
-                    "loss": loss.name,
-                    "K": args.K,
-                    "T": horizon,
-                    "trial": trial,
-                    "seed": args.seed,
-                    "regret": float(regrets[trial, j]),
-                })
-    text = engine.write_csv(rows)
+    def write(fh):
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(("experiment", "forecaster", "adversary", "loss", "K", "T", "trial",
+                       "seed", "regret"))
+        for horizon, regrets in zip(horizons, matrices):
+            for trial, regret in enumerate(regrets.tolist()):
+                rows.writerows((args.experiment, args.forecaster, args.adversary,
+                                losses[j].name, args.K, horizon, trial, args.seed,
+                                engine.format_float(regret[j])) for j in order)
+
     if args.output:
-        _write_output(args.output, lambda fh: fh.write(text))
+        _write_output(args.output, write)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
     return losses, matrices
 
 
@@ -327,6 +298,8 @@ def cmd_validate(args) -> int:
         raise UsageError("--K must be >= 2")
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     rng = RngStream(args.seed, 0).generator()
     failures = []
 

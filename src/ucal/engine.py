@@ -14,7 +14,10 @@ with ``regret``.
 ``trial_jobs`` plans how those trials split across workers: it cuts each
 horizon's trials between blocks (or, when there are fewer blocks than
 workers, into about trials/workers pieces) and orders the pieces longest
-first.
+first.  ``run_experiment`` runs a whole experiment, one forecaster per
+horizon: it maps that plan's jobs through ``run_trials``, in one process
+pool when there is more than one worker, and puts each job's regrets back
+at its trial rows, so the result does not depend on the worker count.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
 loss against the mean-of-outcomes benchmark, which is the empirical risk
@@ -40,18 +43,17 @@ quantity behind the matching regret lower bound for the step-shaped loss.
 
 from __future__ import annotations
 
-import io
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversaries import Adversary
-from .core import RngStream, mean_of_counts
+from .core import RngStream, mean_of_counts, validate_integer
 from .forecasters import Forecaster
 from .losses import ProperLoss
-
-CSV_HEADER = "experiment,forecaster,adversary,loss,K,T,trial,seed,regret"
 
 
 @dataclass
@@ -97,7 +99,7 @@ BLOCK_CELLS = 1 << 20
 
 def check_game_size(k: int, horizon: int) -> None:
     """Refuse a game of ``horizon`` rounds over ``k`` outcomes above ``MAX_GAME_CELLS`` cells."""
-    if horizon < 1:
+    if validate_integer(horizon, "horizon") < 1:
         raise ValueError("horizon must be >= 1")
     if horizon * k > MAX_GAME_CELLS:
         raise ValueError(f"a game of T={horizon} rounds over K={k} outcomes has {horizon * k} "
@@ -169,9 +171,9 @@ def play_games(forecaster: Forecaster, adversary: Adversary, horizon: int,
     k, n = forecaster.k, len(rngs)
     if k != adversary.k:
         raise ValueError(f"dimension mismatch: forecaster k={k}, adversary k={adversary.k}")
+    check_game_size(k, horizon)
     if forecaster.horizon < horizon:
         raise ValueError("forecaster horizon shorter than the game")
-    check_game_size(k, horizon)
     noise = np.stack([forecaster.noise(horizon, rng) for rng in rngs], axis=1)  # (T, n, K)
     if _oblivious(adversary):
         outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng), dtype=np.int64)
@@ -262,6 +264,47 @@ def run_trials(forecaster_factory, adversary: Adversary, losses, horizon: int,
     return out
 
 
+def _run_job(adversary: Adversary, losses, base_seed: int, job) -> np.ndarray:
+    """Regrets of one (forecaster, trial range) job at the forecaster's horizon."""
+    forecaster, trials = job
+    return run_trials(lambda: forecaster, adversary, losses, forecaster.horizon, trials,
+                      base_seed)
+
+
+def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_seed: int,
+                   workers: int = 1) -> list[np.ndarray]:
+    """One regret matrix of shape (trials, len(losses)) per forecaster, each at its horizon.
+
+    The forecasters' horizons must differ.  ``workers`` is capped at the CPU
+    count, and the ``trial_jobs`` plan for that many workers goes through one
+    pool of min(workers, CPU count, jobs) processes, longest job first; there
+    is no pool when that is 1.  Trial i of every horizon plays on stream
+    (base_seed, i), and each job's regrets land at its trial rows, so the
+    matrices are the per-horizon ``run_trials`` matrices at any worker count.
+    """
+    forecasters, losses = list(forecasters), list(losses)
+    horizons = [forecaster.horizon for forecaster in forecasters]
+    if len(set(horizons)) < len(horizons):
+        raise ValueError(f"forecaster horizons {horizons} repeat")
+    workers = min(workers, os.cpu_count() or 1)
+    plan = trial_jobs(adversary, horizons, trials, workers)
+    index = {horizon: i for i, horizon in enumerate(horizons)}
+    jobs = [(forecasters[index[horizon]], piece) for horizon, piece in plan]
+    run_job = functools.partial(_run_job, adversary, losses, base_seed)
+    workers = min(workers, len(jobs))
+    if workers == 1:
+        parts = map(run_job, jobs)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # a one-worker run never imports it
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_job, jobs))
+    matrices = [np.empty((trials, len(losses))) for _ in forecasters]
+    for (horizon, piece), part in zip(plan, parts):
+        matrices[index[horizon]][piece.start:piece.stop] = part
+    return matrices
+
+
 def summarize(regrets: np.ndarray, losses) -> CalibrationEstimate:
     """pucal, ucal and their standard errors from a (trials, losses) regret matrix."""
     regrets = np.asarray(regrets, dtype=float)
@@ -345,11 +388,11 @@ def exact_binomial_mad(trials: int, p: float) -> float:
     ratio a/d and rounded once; beyond, through ``lgamma`` (relative error
     about 1e-9 at n = 10^6).
     """
-    if trials < 1:
+    n = validate_integer(trials, "trials")
+    if n < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    n = trials
     a, d = float(p).as_integer_ratio()
     m = n * a // d + 1
     if n <= 10_000:
@@ -362,26 +405,3 @@ def exact_binomial_mad(trials: int, p: float) -> float:
 def format_float(x: float) -> str:
     """Render a float at 12 significant digits for CSV output."""
     return f"{x:.12g}"
-
-
-def write_csv(rows, fileobj=None) -> str:
-    """Write experiment rows (dicts keyed like CSV_HEADER) as CSV text.
-
-    Rows are sorted by (T, trial, loss) so concurrent trial execution cannot
-    change the bytes.  Returns the CSV body; also writes to ``fileobj`` when
-    given.
-    """
-    header_fields = CSV_HEADER.split(",")
-    ordered = sorted(rows, key=lambda r: (r["T"], r["trial"], r["loss"]))
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for row in ordered:
-        rendered = []
-        for field in header_fields:
-            value = row[field]
-            rendered.append(format_float(value) if isinstance(value, float) else str(value))
-        buf.write(",".join(rendered) + "\n")
-    text = buf.getvalue()
-    if fileobj is not None:
-        fileobj.write(text)
-    return text

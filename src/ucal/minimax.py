@@ -58,6 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import validate_integer
+
 DP_MAX_HORIZON = 4096
 
 #: Largest horizon ``closed_form`` accepts.  Its sequences and temporaries
@@ -99,9 +101,9 @@ class MinimaxTable:
 
 def dp_value(horizon: int, keep_layers: bool = False) -> MinimaxTable:
     """Compute the game value by backward induction over O(T^2) states."""
-    if not 1 <= horizon <= DP_MAX_HORIZON:
+    t = validate_integer(horizon, "horizon")
+    if not 1 <= t <= DP_MAX_HORIZON:
         raise ValueError(f"horizon must lie in [1, {DP_MAX_HORIZON}]")
-    t = horizon
     n = np.arange(t + 1, dtype=float)
     layer = 2.0 * t * (n / t) * (n / t - 1.0)  # base: -2 n1 n2 / T
     layers = [layer] if keep_layers else None
@@ -154,12 +156,12 @@ class ClosedFormSequences:
 
 def closed_form(horizon: int) -> ClosedFormSequences:
     """O(T) evaluation of the game value via the u/v recurrences."""
-    if horizon < 1:
+    t = validate_integer(horizon, "horizon")
+    if t < 1:
         raise ValueError("horizon must be >= 1")
-    if horizon > CLOSED_FORM_MAX_HORIZON:
-        raise ValueError(f"closed form at T={horizon} is above the cap of "
+    if t > CLOSED_FORM_MAX_HORIZON:
+        raise ValueError(f"closed form at T={t} is above the cap of "
                          f"{CLOSED_FORM_MAX_HORIZON} (2^24) rounds")
-    t = horizon
     inv_t = 1.0 / t
     # v unrolls to v_m = (1/2) sum_{s<m} u_s + m(m+1-T)/(2T); taking the
     # linear part as one exact-integer ratio and the u part with Kahan
@@ -199,9 +201,9 @@ def check_a_bounds(horizon: int, seqs: ClosedFormSequences | None = None) -> tup
     both are expected to vanish.  ``seqs``, if given, must be
     ``closed_form(horizon)``; otherwise it is computed here.
     """
-    if horizon < 2:
+    t = validate_integer(horizon, "horizon")
+    if t < 2:
         raise ValueError("horizon must be >= 2")
-    t = horizon
     if seqs is None:
         seqs = closed_form(t)
     elif seqs.horizon != t:
@@ -346,9 +348,9 @@ def _format_g12(x: np.ndarray, out: np.ndarray) -> None:
 
 def value_lower_bound(horizon: int) -> float:
     """(1/2) * log(T / (log T + 1) + 1), implied by the sandwich lower bound."""
-    if horizon < 1:
+    t = validate_integer(horizon, "horizon")
+    if t < 1:
         raise ValueError("horizon must be >= 1")
-    t = horizon
     return 0.5 * math.log(t / (math.log(t) + 1.0) + 1.0)
 
 

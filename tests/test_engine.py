@@ -1,5 +1,6 @@
 import fractions
 import math
+import os
 import unittest.mock
 import warnings
 
@@ -14,8 +15,8 @@ from ucal import (Adversary, Alternating, FixedSequence, FollowTheLeader, Greedy
                   VShapedLoss, benchmark_cost,
                   check_high_prob_bound, estimate_calibration, exact_binomial_mad,
                   mean_of_counts, play_games, random_simplex_points, regret, run_game,
-                  run_trials, summarize, sup_regret_mixture, write_csv)
-from ucal import engine
+                  run_trials, summarize, sup_regret_mixture)
+from ucal import check_a_bounds, closed_form, dp_value, engine, value_lower_bound
 from ucal.core import uniform_point
 from ucal.engine import format_float, mixture_weight_grid
 
@@ -589,30 +590,52 @@ class TestTrialJobs:
                 engine.trial_jobs(IidUniform(3), [8], trials, workers)
 
 
-class TestCsv:
-    ROWS = [
-        {"experiment": "run", "forecaster": "ftl", "adversary": "alternating",
-         "loss": "vshaped", "K": 2, "T": 8, "trial": 1, "seed": 0, "regret": 2.0},
-        {"experiment": "run", "forecaster": "ftl", "adversary": "alternating",
-         "loss": "squared:0.5", "K": 2, "T": 8, "trial": 0, "seed": 0,
-         "regret": 0.123456789012345},
-    ]
+class TestRunExperiment:
+    LOSSES = [VShapedLoss(), SquaredLoss(0.5)]
+    FORECASTERS = [PerturbedLeaderUniform(3, horizon) for horizon in (16, 32, 64)]
 
-    def test_header_and_sorting(self):
-        text = write_csv(self.ROWS)
-        lines = text.strip().split("\n")
-        assert lines[0] == "experiment,forecaster,adversary,loss,K,T,trial,seed,regret"
-        assert lines[1].startswith("run,ftl,alternating,squared:0.5,2,8,0,")
-        assert lines[2].startswith("run,ftl,alternating,vshaped,2,8,1,")
+    @pytest.mark.parametrize("adversary", [GreedyAdaptive(3, SquaredLoss()), IidUniform(3)],
+                             ids=["greedy:squared", "iid-uniform"])
+    def test_stitched_matrices_equal_per_horizon_run_trials(self, adversary, monkeypatch):
+        expected = [run_trials(lambda: f, adversary, self.LOSSES, f.horizon, 7, 5)
+                    for f in self.FORECASTERS]
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        # one greedy block per horizon, then 2-trial blocks at T=16 and 1-trial ones above
+        for cells in (engine.BLOCK_CELLS, 2 * 16 * 3):
+            monkeypatch.setattr(engine, "BLOCK_CELLS", cells)
+            for workers in (1, 2, 3):
+                got = engine.run_experiment(self.FORECASTERS, adversary, self.LOSSES, 7, 5,
+                                            workers)
+                assert len(got) == len(expected)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
-    def test_twelve_significant_digits(self):
-        assert format_float(0.123456789012345) == "0.123456789012"
-        assert format_float(2500.0) == "2500"
-        text = write_csv(self.ROWS)
-        assert "0.123456789012" in text
+    def test_repeated_horizon_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            engine.run_experiment([FollowTheLeader(2, 8), StaticForecaster([0.5, 0.5], 8)],
+                                  Alternating(2), [VShapedLoss()], 2, 0)
 
-    def test_byte_determinism(self):
-        assert write_csv(self.ROWS) == write_csv(list(reversed(self.ROWS)))
+
+def test_format_float_twelve_significant_digits():
+    assert format_float(0.123456789012345) == "0.123456789012"
+    assert format_float(2500.0) == "2500"
+
+
+NON_INTEGER_HORIZON_CALLS = [
+    (value_lower_bound, (10.5,)),
+    (exact_binomial_mad, (20000.5, 0.5)),
+    (dp_value, (8.0,)),
+    (closed_form, (10.5,)),
+    (check_a_bounds, (10.5,)),
+    (run_trials, (lambda: FollowTheLeader(2, 16), IidUniform(2), [SquaredLoss()], 8.0, 2, 0)),
+    (run_game, (FollowTheLeader(2, 16), Alternating(2), 8.5, _gen(0))),
+]
+
+
+@pytest.mark.parametrize("function, args", NON_INTEGER_HORIZON_CALLS,
+                         ids=[function.__name__ for function, _ in NON_INTEGER_HORIZON_CALLS])
+def test_non_integer_horizon_is_value_error(function, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        function(*args)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=60))
