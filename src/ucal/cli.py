@@ -20,8 +20,9 @@ A config may set any option that takes a value, not a switch such as
 Exit codes: 0 success, 1 validation or assertion failure (or an ``--output``
 that fails while it is written), 2 usage error, refused before any trial or
 output (among them ``--K`` below 2, ``--T``, ``--T-start`` or ``--workers``
-below 1, a game above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds``
-below T = 2, a DP above ``minimax.DP_MAX_HORIZON``, a closed form above
+below 1, a ``sweep --T-factor`` that is not finite or not above 1, a game
+above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds`` below T = 2, a
+DP above ``minimax.DP_MAX_HORIZON``, a closed form above
 ``minimax.CLOSED_FORM_MAX_HORIZON``, a ``validate --tol`` that is negative
 or not finite, and an ``--output`` in a missing directory or naming a
 directory).
@@ -216,8 +217,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not math.isfinite(args.T_factor):
-        raise UsageError(f"--T-factor must be finite, got {args.T_factor}")
     # All refused before the grid is built, which a factor near 1 builds one
     # step at a time.
     if args.K < 2:
@@ -227,6 +226,8 @@ def cmd_sweep(args) -> int:
     if args.T_stop * args.K > engine.MAX_GAME_CELLS:
         raise UsageError(f"--T-stop {args.T_stop} at K={args.K} is above the cap of "
                          f"{engine.MAX_GAME_CELLS} (2^24) cells per game")
+    if not (math.isfinite(args.T_factor) and args.T_factor > 1):
+        raise UsageError(f"--T-factor must be finite and above 1, got {args.T_factor}")
     horizons = []
     horizon = args.T_start
     while horizon <= args.T_stop:

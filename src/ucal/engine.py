@@ -1,16 +1,17 @@
 """Protocol runner and regret/calibration measurements.
 
+A forecaster carries its game: K and the horizon T are fixed when it is
+made, and it keeps no per-game state, so every call below takes the
+forecaster itself and reads T from ``forecaster.horizon``.
 ``run_game`` plays T rounds of forecast-then-outcome and returns a
 transcript.  ``play_games`` plays n games of one forecaster, each from zero
-counts (a forecaster keeps no per-game state), and holds the engine's one
-block path and one round loop.  An adversary that has ``outcomes`` is
-oblivious, and its game is played as one vectorized block; any other is
-adaptive, and the trials of its game run in lockstep, one (trials, K) step
-per round with one ``next_outcomes`` call.
+counts, and holds the engine's one block path and one round loop.  An
+adversary that has ``outcomes`` is oblivious, and its game is played as one
+vectorized block; any other is adaptive, and the trials of its game run in
+lockstep, one (trials, K) step per round with one ``next_outcomes`` call.
 ``run_trials`` is the one trial runner: it plays trial i on stream
-(base_seed, i) with one forecaster, oblivious trials one at a time,
-adaptive trials in blocks of at most ``BLOCK_CELLS`` cells, and scores each
-with ``regret``.
+(base_seed, i), oblivious trials one at a time, adaptive trials in blocks
+of at most ``BLOCK_CELLS`` cells, and scores each with ``regret``.
 ``trial_jobs`` plans how those trials split across workers: it cuts each
 horizon's trials between blocks (or, when there are fewer blocks than
 workers, into about trials/workers pieces) and orders the pieces longest
@@ -43,10 +44,11 @@ quantity behind the matching regret lower bound for the step-shaped loss.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -58,18 +60,19 @@ from .losses import ProperLoss
 
 @dataclass
 class Transcript:
-    """Per-round record of one game: forecasts, outcomes, final counts."""
+    """Per-round record of one game: forecasts and outcomes."""
 
-    k: int
-    horizon: int
     forecasts: np.ndarray  # (T, K)
     outcomes: np.ndarray   # (T,) int
-    final_counts: np.ndarray  # (K,) int
+
+    @cached_property
+    def final_counts(self) -> np.ndarray:
+        """How often each of the K outcomes occurred, as int64 (K,)."""
+        return np.bincount(self.outcomes, minlength=self.forecasts.shape[1]).astype(np.int64)
 
 
 @dataclass
 class RegretRecord:
-    loss_id: str
     algorithm_cost: float
     benchmark_cost: float
     regret: float
@@ -153,27 +156,24 @@ def _bad_outcomes(horizon, k):
     return ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
 
 
-def play_games(forecaster: Forecaster, adversary: Adversary, horizon: int,
-               rngs) -> list[Transcript]:
-    """Play ``len(rngs)`` games of ``forecaster`` against ``adversary``, each from zero counts.
+def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Transcript]:
+    """Play ``len(rngs)`` games of ``forecaster.horizon`` rounds against ``adversary``.
 
-    Every game reads its own ``rng`` in one fixed layout: first the
-    forecaster's whole (horizon, K) noise block, then the adversary's
-    outcomes.  Against an oblivious adversary (one that has ``outcomes``)
-    each game's outcomes are drawn at once, and every forecast comes from
-    one ``rule`` call on the integer prefix counts (the block path).  Against
-    any other adversary the n games run in lockstep (the round loop): round
-    t applies the rule once to the stacked counts (n, K) and noise rows
-    (n, K), then asks ``next_outcomes`` for all n replies, which see
-    forecasts 1..t-1 only.  Each game's transcript is the one it would get
+    Each game starts from zero counts and reads its own ``rng`` in one
+    fixed layout: first the forecaster's whole (horizon, K) noise block,
+    then the adversary's outcomes.  Against an oblivious adversary (one that
+    has ``outcomes``) each game's outcomes are drawn at once, and every
+    forecast comes from one ``rule`` call on the integer prefix counts (the
+    block path).  Against any other adversary the n games run in lockstep
+    (the round loop): round t applies the rule once to the stacked counts
+    (n, K) and noise rows (n, K), then asks ``next_outcomes`` for all n
+    replies, which see forecasts 1..t-1 only.  Each game's transcript is the one it would get
     played alone.
     """
-    k, n = forecaster.k, len(rngs)
+    k, horizon, n = forecaster.k, forecaster.horizon, len(rngs)
     if k != adversary.k:
         raise ValueError(f"dimension mismatch: forecaster k={k}, adversary k={adversary.k}")
     check_game_size(k, horizon)
-    if forecaster.horizon < horizon:
-        raise ValueError("forecaster horizon shorter than the game")
     noise = np.stack([forecaster.noise(horizon, rng) for rng in rngs], axis=1)  # (T, n, K)
     if _oblivious(adversary):
         outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng), dtype=np.int64)
@@ -200,25 +200,19 @@ def play_games(forecaster: Forecaster, adversary: Adversary, horizon: int,
                 raise _bad_outcomes(horizon, k) from exc
         if outcomes.min() < 0:  # a negative index wraps instead of raising
             raise _bad_outcomes(horizon, k)
-    games = []
-    for i in range(n):
-        tr_outcomes = outcomes[:, i].copy()
-        final_counts = np.bincount(tr_outcomes, minlength=k).astype(np.int64)
-        games.append(Transcript(k=k, horizon=horizon,
-                                forecasts=np.ascontiguousarray(forecasts[:, i]),
-                                outcomes=tr_outcomes, final_counts=final_counts))
-    return games
+    return [Transcript(np.ascontiguousarray(forecasts[:, i]), outcomes[:, i].copy())
+            for i in range(n)]
 
 
-def run_game(forecaster: Forecaster, adversary: Adversary, horizon: int,
+def run_game(forecaster: Forecaster, adversary: Adversary,
              rng: np.random.Generator) -> Transcript:
-    """Play ``horizon`` rounds; each forecast is committed before its outcome.
+    """Play ``forecaster.horizon`` rounds; each forecast is committed before its outcome.
 
     One game through ``play_games``: an oblivious adversary's game is played
     as one block, any other round by round (the lockstep loop with n = 1),
     and both give the same transcript from one ``rng``.
     """
-    return play_games(forecaster, adversary, horizon, [rng])[0]
+    return play_games(forecaster, adversary, [rng])[0]
 
 
 def benchmark_cost(transcript: Transcript, loss: ProperLoss, point=None) -> float:
@@ -231,20 +225,19 @@ def regret(transcript: Transcript, loss: ProperLoss) -> RegretRecord:
     """Cumulative loss of the played forecasts minus the benchmark cost."""
     alg = float(np.sum(loss.bivariate(transcript.forecasts, transcript.outcomes)))
     bench = benchmark_cost(transcript, loss)
-    return RegretRecord(loss_id=loss.name, algorithm_cost=alg,
-                        benchmark_cost=bench, regret=alg - bench)
+    return RegretRecord(algorithm_cost=alg, benchmark_cost=bench, regret=alg - bench)
 
 
-def run_trials(forecaster_factory, adversary: Adversary, losses, horizon: int,
-               trials, base_seed: int) -> np.ndarray:
+def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials,
+               base_seed: int) -> np.ndarray:
     """Regret matrix of shape (len(trials), len(losses)); trial i uses stream (base_seed, i).
 
     ``trials`` is a count or a ``range`` of trial indices, so a worker can
-    run one contiguous block of a larger experiment.  ``forecaster_factory``
-    is called once, and its forecaster plays every trial.  Oblivious trials
-    are played, scored and released one at a time; adaptive trials run in
-    lockstep blocks of at most ``BLOCK_CELLS`` cells.  Either way row j is
-    the regret the trial would get played alone.
+    run one contiguous block of a larger experiment.  ``forecaster`` plays
+    every trial at its horizon.  Oblivious trials are played, scored and
+    released one at a time; adaptive trials run in lockstep blocks of at most
+    ``BLOCK_CELLS`` cells.  Either way row j is the regret the trial would
+    get played alone.
     """
     trials = trials if isinstance(trials, range) else range(trials)
     losses = list(losses)
@@ -252,23 +245,16 @@ def run_trials(forecaster_factory, adversary: Adversary, losses, horizon: int,
         raise ValueError("trials must be >= 1")
     if not losses:
         raise ValueError("need at least one loss")
-    check_game_size(adversary.k, horizon)
-    forecaster = forecaster_factory()
+    horizon = forecaster.horizon
+    check_game_size(forecaster.k, horizon)
     block = lockstep_block(adversary, horizon)
     out = np.empty((len(trials), len(losses)))
     for start in range(0, len(trials), block):
         rngs = [RngStream(base_seed, trial).generator() for trial in trials[start:start + block]]
-        games = play_games(forecaster, adversary, horizon, rngs)
+        games = play_games(forecaster, adversary, rngs)
         for row, transcript in enumerate(games, start):
             out[row] = [regret(transcript, loss).regret for loss in losses]
     return out
-
-
-def _run_job(adversary: Adversary, losses, base_seed: int, job) -> np.ndarray:
-    """Regrets of one (forecaster, trial range) job at the forecaster's horizon."""
-    forecaster, trials = job
-    return run_trials(lambda: forecaster, adversary, losses, forecaster.horizon, trials,
-                      base_seed)
 
 
 def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_seed: int,
@@ -288,21 +274,21 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
         raise ValueError(f"forecaster horizons {horizons} repeat")
     workers = min(workers, os.cpu_count() or 1)
     plan = trial_jobs(adversary, horizons, trials, workers)
-    index = {horizon: i for i, horizon in enumerate(horizons)}
-    jobs = [(forecasters[index[horizon]], piece) for horizon, piece in plan]
-    run_job = functools.partial(_run_job, adversary, losses, base_seed)
-    workers = min(workers, len(jobs))
+    by_horizon = dict(zip(horizons, forecasters))
+    jobs = ([by_horizon[horizon] for horizon, _ in plan], repeat(adversary), repeat(losses),
+            [piece for _, piece in plan], repeat(base_seed))
+    workers = min(workers, len(plan))
     if workers == 1:
-        parts = map(run_job, jobs)
+        parts = map(run_trials, *jobs)
     else:
         from concurrent.futures import ProcessPoolExecutor  # a one-worker run never imports it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_job, jobs))
-    matrices = [np.empty((trials, len(losses))) for _ in forecasters]
+            parts = list(pool.map(run_trials, *jobs))
+    matrices = {horizon: np.empty((trials, len(losses))) for horizon in horizons}
     for (horizon, piece), part in zip(plan, parts):
-        matrices[index[horizon]][piece.start:piece.stop] = part
-    return matrices
+        matrices[horizon][piece.start:piece.stop] = part
+    return list(matrices.values())
 
 
 def summarize(regrets: np.ndarray, losses) -> CalibrationEstimate:
@@ -330,16 +316,15 @@ def summarize(regrets: np.ndarray, losses) -> CalibrationEstimate:
     )
 
 
-def estimate_calibration(forecaster_factory, adversary: Adversary, losses,
-                         horizon: int, trials: int, base_seed: int) -> CalibrationEstimate:
-    """Monte Carlo pucal/ucal over a finite loss family.
+def estimate_calibration(forecaster: Forecaster, adversary: Adversary, losses,
+                         trials: int, base_seed: int) -> CalibrationEstimate:
+    """Monte Carlo pucal/ucal over a finite loss family at ``forecaster.horizon``.
 
-    ``forecaster_factory`` is a zero-argument callable returning the
-    forecaster, called once; each trial gets its own RNG stream so results
-    do not depend on execution order.
+    Each trial gets its own RNG stream, so results do not depend on
+    execution order.
     """
     losses = list(losses)
-    regrets = run_trials(forecaster_factory, adversary, losses, horizon, trials, base_seed)
+    regrets = run_trials(forecaster, adversary, losses, trials, base_seed)
     return summarize(regrets, losses)
 
 

@@ -47,7 +47,7 @@ def _ftl_transcripts(k, horizon, sequences):
     out = []
     for seq in sequences:
         adversary = FixedSequence(k, np.asarray(seq, dtype=int).tolist())
-        out.append(run_game(FollowTheLeader(k, horizon), adversary, horizon, _game_rng()))
+        out.append(run_game(FollowTheLeader(k, horizon), adversary, _game_rng()))
     return out
 
 
@@ -55,7 +55,7 @@ def test_criterion_1_ftl_alternating_exact_quarter():
     start = time.perf_counter()
     worst = 0.0
     for horizon in (8, 100, 10_000):
-        tr = run_game(FollowTheLeader(2, horizon), Alternating(2), horizon, _game_rng())
+        tr = run_game(FollowTheLeader(2, horizon), Alternating(2), _game_rng())
         gap = abs(regret(tr, VShapedLoss()).regret - horizon / 4)
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start
@@ -114,8 +114,8 @@ def test_criterion_4_ftpl_sqrt_kt_ceiling():
     flagged = []
     for k in (2, 5, 10):
         for adversary in (IidUniform(k), Alternating(k)):
-            est = estimate_calibration(lambda: PerturbedLeaderGeometric(k, horizon),
-                                       adversary, losses, horizon, trials,
+            est = estimate_calibration(PerturbedLeaderGeometric(k, horizon),
+                                       adversary, losses, trials,
                                        base_seed=1004)
             soft = 4.0 * math.sqrt(k * horizon) + 3.0 * est.std_error
             hard = 5.0 * math.sqrt(k * horizon) + 3.0 * est.std_error
@@ -138,8 +138,8 @@ def test_criterion_5_lower_bound_witness():
     mad_ok = all(exact_binomial_mad(t, 0.5) >= math.sqrt(t / 8)
                  for t in (12, 100, 10_000))
     horizon, trials = 4096, 500
-    est = estimate_calibration(lambda: PerturbedLeaderGeometric(2, horizon),
-                               IidUniform(2), [VShapedLoss()], horizon, trials,
+    est = estimate_calibration(PerturbedLeaderGeometric(2, horizon),
+                               IidUniform(2), [VShapedLoss()], trials,
                                base_seed=1005)
     floor = math.sqrt(horizon / 8) - 3.0 * est.std_error
     elapsed = time.perf_counter() - start
@@ -239,13 +239,13 @@ def test_criterion_9_mixture_family_sup():
     eps = 1.0 / horizon
     smooth, step = SquaredLoss(0.5), VShapedLoss()
 
-    tr = run_game(FollowTheLeader(2, horizon), Alternating(2), horizon, _game_rng())
+    tr = run_game(FollowTheLeader(2, horizon), Alternating(2), _game_rng())
     ftl_sup, _ = sup_regret_mixture(tr, smooth, step, eps)
 
     sups = np.empty(100)
     for trial in range(100):
         rng = RngStream(1009, trial).generator()
-        tr = run_game(PerturbedLeaderGeometric(2, horizon), Alternating(2), horizon, rng)
+        tr = run_game(PerturbedLeaderGeometric(2, horizon), Alternating(2), rng)
         sups[trial] = sup_regret_mixture(tr, smooth, step, eps)[0]
     ceiling = (2.0 + 4.0 * eps * horizon + 4.0 * math.sqrt(2 * horizon)
                + math.sqrt(2 * horizon * math.log(horizon / eps)))
@@ -259,8 +259,8 @@ def test_criterion_9_mixture_family_sup():
 def test_criterion_10_high_probability_tail():
     start = time.perf_counter()
     horizon, trials, delta = 1024, 500, 0.1
-    regrets = run_trials(lambda: PerturbedLeaderGeometric(2, horizon), IidUniform(2),
-                         [SquaredLoss(0.5)], horizon, trials, base_seed=1010)[:, 0]
+    regrets = run_trials(PerturbedLeaderGeometric(2, horizon), IidUniform(2),
+                         [SquaredLoss(0.5)], trials, base_seed=1010)[:, 0]
     fraction = check_high_prob_bound(regrets, 2, horizon, delta)
     slack = delta + 3.0 * math.sqrt(delta * (1 - delta) / trials)
     elapsed = time.perf_counter() - start

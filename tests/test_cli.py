@@ -435,6 +435,12 @@ class TestSweepCmd:
         assert not path.exists()
         assert time.perf_counter() - start < 1.0
 
+    def test_fractional_factor_rounds_each_step(self, capsys):
+        code, _, err = run_cli(["sweep", *GAME, "--K", "2", "--T-start", "4", "--T-stop", "9",
+                                "--T-factor", "1.5"], capsys)
+        assert code == 0
+        assert "swept T=[4, 6, 9]" in err
+
     def test_huge_factor_ends_the_grid(self, capsys):
         code, _, err = run_cli([
             "sweep", "--forecaster", "ftl", "--adversary", "alternating", "--loss", "vshaped",
@@ -471,6 +477,8 @@ def test_spec_with_wrong_arity_is_usage_error(capsys, tmp_path, monkeypatch, fla
      "--T-factor"),
     (["sweep", *GAME, "--K", "2", "--T-start", "4", "--T-stop", "8", "--T-factor", "inf"],
      "--T-factor"),
+    *[(["sweep", *GAME, "--K", "2", "--T-start", "4", "--T-stop", "8", "--T-factor", factor],
+       "--T-factor must be finite and above 1") for factor in ("-3", "0", "0.5", "1")],
     (["validate", "--loss", "vshaped", "--K", "1"], "--K"),
     (["validate", "--loss", "spherical", "--K", "1"], "--K"),
     (["validate", "--loss", "squared", "--samples", "0"], "--samples"),
@@ -553,8 +561,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
@@ -695,8 +703,8 @@ def test_regrets_pinned_at_full_precision(name):
     losses, adversary, forecasters = cli._resolve(args, horizons)
     digest = hashlib.sha256()
     for horizon, forecaster in zip(horizons, forecasters):
-        digest.update(engine.run_trials(lambda: forecaster, adversary, losses, horizon,
-                                        args.trials, args.seed).tobytes())
+        digest.update(engine.run_trials(forecaster, adversary, losses, args.trials,
+                                        args.seed).tobytes())
     assert digest.hexdigest() == REGRET_DIGESTS[name]
 
 

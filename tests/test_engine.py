@@ -27,7 +27,7 @@ def _gen(seed, stream=0):
 
 class TestRunGame:
     def test_ftl_vs_alternating_unrolled(self):
-        tr = run_game(FollowTheLeader(2, 4), Alternating(2), 4, _gen(0))
+        tr = run_game(FollowTheLeader(2, 4), Alternating(2), _gen(0))
         expected = np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [2 / 3, 1 / 3]])
         np.testing.assert_allclose(tr.forecasts, expected)
         np.testing.assert_array_equal(tr.outcomes, [0, 1, 0, 1])
@@ -35,19 +35,19 @@ class TestRunGame:
 
     def test_static_forecasts_constant(self):
         tr = run_game(StaticForecaster([0.3, 0.7], 5), FixedSequence(2, [0, 1, 0, 0, 1]),
-                      5, _gen(0))
+                      _gen(0))
         np.testing.assert_array_equal(tr.forecasts, np.tile([0.3, 0.7], (5, 1)))
 
     def test_same_seed_identical_transcripts(self):
         for _ in range(2):
-            runs = [run_game(PerturbedLeaderGeometric(3, 50), IidUniform(3), 50, _gen(42, 7))
+            runs = [run_game(PerturbedLeaderGeometric(3, 50), IidUniform(3), _gen(42, 7))
                     for _ in range(2)]
         np.testing.assert_array_equal(runs[0].forecasts, runs[1].forecasts)
         np.testing.assert_array_equal(runs[0].outcomes, runs[1].outcomes)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            run_game(FollowTheLeader(2, 5), IidUniform(3), 5, _gen(0))
+            run_game(FollowTheLeader(2, 5), IidUniform(3), _gen(0))
 
     def test_adaptive_adversary_sees_only_past(self):
         class Recorder(Adversary):
@@ -60,7 +60,7 @@ class TestRunGame:
                 return np.full(len(rngs), (t - 1) % 2)
 
         adv = Recorder(2)
-        run_game(FollowTheLeader(2, 6), adv, 6, _gen(0))
+        run_game(FollowTheLeader(2, 6), adv, _gen(0))
         assert adv.lengths == [0, 1, 2, 3, 4, 5]
 
     def test_oblivious_subclass_is_played_as_one_block(self):
@@ -68,12 +68,12 @@ class TestRunGame:
             def next_outcomes(self, t, past_forecasts, rngs):
                 raise AssertionError("an oblivious adversary is not asked round by round")
 
-        tr = run_game(FollowTheLeader(2, 6), Watching(2), 6, _gen(0))
+        tr = run_game(FollowTheLeader(2, 6), Watching(2), _gen(0))
         assert tr.outcomes.tolist() == [0, 1] * 3
 
     def test_adversary_without_a_protocol_is_refused(self):
         with pytest.raises(NotImplementedError, match="`outcomes` .* or `next_outcomes`"):
-            run_game(FollowTheLeader(2, 6), Adversary(2), 6, _gen(0))
+            run_game(FollowTheLeader(2, 6), Adversary(2), _gen(0))
 
 
 class RoundByRound(Adversary):
@@ -116,6 +116,24 @@ SHIPPED_LOSSES = [VShapedLoss(), SquaredLoss(1.0), SquaredLoss(0.5), SphericalLo
                   MixtureLoss(SquaredLoss(0.5), VShapedLoss(), 0.3)]
 
 
+@pytest.mark.parametrize("path", ["block", "lockstep"])
+@pytest.mark.parametrize("adversary", ["alternating", "iid-uniform"])
+def test_final_counts_are_the_outcome_bincount(path, adversary):
+    # at K = 5 alternating plays only outcomes 0 and 1, so minlength pads the top three
+    k, horizon = 5, 33
+    oblivious, reference = _oblivious_and_reference(adversary, k, horizon)
+    games = play_games(PerturbedLeaderGeometric(k, horizon),
+                       oblivious if path == "block" else reference,
+                       [_gen(3, i) for i in range(4)])
+    for game in games:
+        counts = game.final_counts
+        assert counts.dtype == np.int64 and counts.shape == (k,)
+        assert np.array_equal(counts, np.bincount(game.outcomes, minlength=k))
+        assert counts is game.final_counts  # derived once per transcript
+    if adversary == "alternating":
+        assert [game.final_counts.tolist() for game in games] == [[17, 16, 0, 0, 0]] * 4
+
+
 class TestKernelMatchesRoundLoop:
     """The one-block kernel and the round loop give bit-identical transcripts."""
 
@@ -127,8 +145,8 @@ class TestKernelMatchesRoundLoop:
         kernel_adv, loop_adv = _oblivious_and_reference(adversary, k, horizon)
         f_kernel = FORECASTERS[forecaster](k, horizon)
         f_loop = FORECASTERS[forecaster](k, horizon)
-        kernel = run_game(f_kernel, kernel_adv, horizon, _gen(31, horizon))
-        loop = run_game(f_loop, loop_adv, horizon, _gen(31, horizon))
+        kernel = run_game(f_kernel, kernel_adv, _gen(31, horizon))
+        loop = run_game(f_loop, loop_adv, _gen(31, horizon))
         assert loop_adv.calls == horizon
         assert np.array_equal(kernel.forecasts, loop.forecasts)
         assert np.array_equal(kernel.outcomes, loop.outcomes)
@@ -141,7 +159,7 @@ class TestKernelMatchesRoundLoop:
 
     def test_greedy_plays_round_by_round(self):
         loss = VShapedLoss()
-        tr = run_game(FollowTheLeader(2, 6), GreedyAdaptive(2, loss), 6, _gen(0))
+        tr = run_game(FollowTheLeader(2, 6), GreedyAdaptive(2, loss), _gen(0))
         forecasts, outcomes = _reference_greedy_game(FollowTheLeader(2, 6), loss, 6, _gen(0))
         assert np.array_equal(tr.forecasts, forecasts)
         assert np.array_equal(tr.outcomes, outcomes)
@@ -150,7 +168,7 @@ class TestKernelMatchesRoundLoop:
 
     def test_short_fixed_sequence_exhausted(self):
         with pytest.raises(ValueError, match="length 3 exhausted at round 4"):
-            run_game(FollowTheLeader(2, 5), FixedSequence(2, [0, 1, 0]), 5, _gen(0))
+            run_game(FollowTheLeader(2, 5), FixedSequence(2, [0, 1, 0]), _gen(0))
 
 
 GREEDY_LOSSES = {
@@ -176,10 +194,10 @@ def _reference_greedy_game(forecaster, loss, horizon, rng):
 
 def _assert_block_equals_solo(make_forecaster, make_adversary, k, horizon, n=3):
     """Every game of a lockstep block of n equals the same game played alone."""
-    block = play_games(make_forecaster(k, horizon), make_adversary(k), horizon,
+    block = play_games(make_forecaster(k, horizon), make_adversary(k),
                        [_gen(31, i) for i in range(n)])
     for i, game in enumerate(block):
-        solo = run_game(make_forecaster(k, horizon), make_adversary(k), horizon, _gen(31, i))
+        solo = run_game(make_forecaster(k, horizon), make_adversary(k), _gen(31, i))
         assert np.array_equal(game.forecasts, solo.forecasts)
         assert np.array_equal(game.outcomes, solo.outcomes)
         assert np.array_equal(game.final_counts, solo.final_counts)
@@ -236,7 +254,7 @@ class TestLockstepMatchesSolo:
             return Contrarian(k, SquaredLoss())
 
         block = _assert_block_equals_solo(FollowTheLeader, contrarian, 3, 20)
-        greedy = run_game(FollowTheLeader(3, 20), GreedyAdaptive(3, SquaredLoss()), 20, _gen(0))
+        greedy = run_game(FollowTheLeader(3, 20), GreedyAdaptive(3, SquaredLoss()), _gen(0))
         assert block[0].outcomes[0] == 1 and greedy.outcomes[0] == 0
 
     def test_batched_greedy_replies_match_single_replies(self):
@@ -255,7 +273,7 @@ class TestLockstepMatchesSolo:
                 return np.full(len(rngs), bad if t == 4 else 0)
 
         with pytest.raises(ValueError, match="indices in"):
-            play_games(FollowTheLeader(3, 8), Bad(3), 8, [_gen(0, i) for i in range(2)])
+            play_games(FollowTheLeader(3, 8), Bad(3), [_gen(0, i) for i in range(2)])
 
 
 def _state(forecaster):
@@ -273,15 +291,15 @@ class TestStatelessForecaster:
         adv = IidUniform(k) if adversary == "iid-uniform" else GreedyAdaptive(k, SquaredLoss())
         f = FORECASTERS[forecaster](k, horizon)
         before = _state(f)
-        games = [run_game(f, adv, horizon, _gen(7)) for _ in range(2)]
+        games = [run_game(f, adv, _gen(7)) for _ in range(2)]
         assert np.array_equal(games[0].forecasts, games[1].forecasts)
         assert np.array_equal(games[0].outcomes, games[1].outcomes)
-        blocks = [play_games(f, adv, horizon, [_gen(7, i) for i in range(3)]) for _ in range(2)]
+        blocks = [play_games(f, adv, [_gen(7, i) for i in range(3)]) for _ in range(2)]
         for first, second in zip(*blocks):
             assert np.array_equal(first.forecasts, second.forecasts)
             assert np.array_equal(first.outcomes, second.outcomes)
         losses = [VShapedLoss(), SquaredLoss(0.5)]
-        runs = [run_trials(lambda: f, adv, losses, horizon, 3, 7) for _ in range(2)]
+        runs = [run_trials(f, adv, losses, 3, 7) for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
         assert runs[0].tolist() == [[regret(game, loss).regret for loss in losses]
                                     for game in blocks[0]]
@@ -289,12 +307,10 @@ class TestStatelessForecaster:
 
     def test_play_games_checks_horizon_and_k(self):
         f = FollowTheLeader(3, 8)
-        with pytest.raises(ValueError, match="horizon shorter than the game"):
-            play_games(f, IidUniform(3), 9, [_gen(0)])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            play_games(f, IidUniform(2), 8, [_gen(0)])
-        assert [len(game.outcomes) for game in play_games(f, IidUniform(3), 8,
-                                                          [_gen(0), _gen(1)])] == [8, 8]
+            play_games(f, IidUniform(2), [_gen(0)])
+        assert [len(game.outcomes) for game in play_games(f, IidUniform(3), [_gen(0), _gen(1)])
+                ] == [f.horizon] * 2
 
 
 class TestGameSizeCap:
@@ -305,10 +321,9 @@ class TestGameSizeCap:
 
         horizon = engine.MAX_GAME_CELLS // 4 + 1
         with pytest.raises(ValueError, match="above the cap"):
-            run_game(NoDraw(4, horizon), GreedyAdaptive(4, VShapedLoss()), horizon, _gen(0))
+            run_game(NoDraw(4, horizon), GreedyAdaptive(4, VShapedLoss()), _gen(0))
         with pytest.raises(ValueError, match="above the cap"):
-            run_trials(lambda: NoDraw(4, horizon), IidUniform(4), [VShapedLoss()],
-                       horizon, 2, 0)
+            run_trials(NoDraw(4, horizon), IidUniform(4), [VShapedLoss()], 2, 0)
 
     def test_cap_is_inclusive(self):
         engine.check_game_size(2, engine.MAX_GAME_CELLS // 2)
@@ -319,19 +334,19 @@ class TestGameSizeCap:
 class TestRegret:
     @pytest.mark.parametrize("horizon", [8, 100])
     def test_ftl_alternating_vshaped_exact_quarter(self, horizon):
-        tr = run_game(FollowTheLeader(2, horizon), Alternating(2), horizon, _gen(0))
+        tr = run_game(FollowTheLeader(2, horizon), Alternating(2), _gen(0))
         rec = regret(tr, VShapedLoss())
         assert rec.regret == pytest.approx(horizon / 4, abs=1e-9)
         assert rec.benchmark_cost == pytest.approx(0.0, abs=1e-12)
 
     def test_static_mean_zero_regret(self):
         seq = [0, 1, 1, 0, 1, 0]  # mean (1/2, 1/2)
-        tr = run_game(StaticForecaster([0.5, 0.5], 6), FixedSequence(2, seq), 6, _gen(0))
+        tr = run_game(StaticForecaster([0.5, 0.5], 6), FixedSequence(2, seq), _gen(0))
         for loss in (SquaredLoss(1.0), SphericalLoss(), TsallisLoss(1.5)):
             assert regret(tr, loss).regret == pytest.approx(0.0, abs=1e-9)
 
     def test_arithmetic_identity(self):
-        tr = run_game(PerturbedLeaderGeometric(2, 64), IidUniform(2), 64, _gen(1))
+        tr = run_game(PerturbedLeaderGeometric(2, 64), IidUniform(2), _gen(1))
         for loss in (VShapedLoss(), SquaredLoss(0.5)):
             rec = regret(tr, loss)
             assert rec.regret == rec.algorithm_cost - rec.benchmark_cost
@@ -339,13 +354,13 @@ class TestRegret:
     def test_vshaped_benchmark_cost_identity(self):
         # realized counts n give benchmark cost -1/2 sum_i |n_i - T/K|
         horizon = 500
-        tr = run_game(FollowTheLeader(3, horizon), IidUniform(3), horizon, _gen(2))
+        tr = run_game(FollowTheLeader(3, horizon), IidUniform(3), _gen(2))
         expected = -0.5 * np.sum(np.abs(tr.final_counts - horizon / 3))
         assert benchmark_cost(tr, VShapedLoss()) == pytest.approx(expected, abs=1e-9)
 
     def test_benchmark_beats_any_fixed_point(self):
         horizon = 200
-        tr = run_game(FollowTheLeader(3, horizon), IidUniform(3), horizon, _gen(3))
+        tr = run_game(FollowTheLeader(3, horizon), IidUniform(3), _gen(3))
         rng = _gen(4)
         candidates = random_simplex_points(3, 1000, rng)
         for loss in (SquaredLoss(0.5), SphericalLoss(), VShapedLoss(), TsallisLoss(1.5)):
@@ -357,24 +372,24 @@ class TestRegret:
 class TestEstimateCalibration:
     def test_static_mean_on_matching_sequence(self):
         seq = [0, 1] * 10
-        est = estimate_calibration(lambda: StaticForecaster([0.5, 0.5], 20),
+        est = estimate_calibration(StaticForecaster([0.5, 0.5], 20),
                                    FixedSequence(2, seq),
                                    [VShapedLoss(), SquaredLoss(0.5)],
-                                   horizon=20, trials=3, base_seed=0)
+                                   trials=3, base_seed=0)
         assert est.pucal == pytest.approx(0.0, abs=1e-9)
         assert est.ucal == pytest.approx(0.0, abs=1e-9)
 
     def test_singleton_family_pucal_equals_ucal(self):
-        est = estimate_calibration(lambda: PerturbedLeaderGeometric(2, 128),
+        est = estimate_calibration(PerturbedLeaderGeometric(2, 128),
                                    IidUniform(2), [VShapedLoss()],
-                                   horizon=128, trials=20, base_seed=5)
+                                   trials=20, base_seed=5)
         assert est.pucal == pytest.approx(est.ucal, abs=1e-12)
 
     def test_pucal_at_most_ucal(self):
         losses = [VShapedLoss(), SquaredLoss(0.5), SphericalLoss()]
-        est = estimate_calibration(lambda: PerturbedLeaderGeometric(2, 256),
+        est = estimate_calibration(PerturbedLeaderGeometric(2, 256),
                                    IidUniform(2), losses,
-                                   horizon=256, trials=50, base_seed=6)
+                                   trials=50, base_seed=6)
         assert est.pucal <= est.ucal + 3 * est.std_error + 1e-12
         assert set(est.per_loss_mean) == {loss.name for loss in losses}
 
@@ -382,9 +397,9 @@ class TestEstimateCalibration:
         # mean vshaped regret sits between the binomial-deviation floor and
         # the 4*sqrt(KT) ceiling at modest scale
         horizon, trials = 1024, 100
-        est = estimate_calibration(lambda: PerturbedLeaderGeometric(2, horizon),
+        est = estimate_calibration(PerturbedLeaderGeometric(2, horizon),
                                    IidUniform(2), [VShapedLoss()],
-                                   horizon=horizon, trials=trials, base_seed=7)
+                                   trials=trials, base_seed=7)
         floor = math.sqrt(horizon / 8) - 3 * est.std_error
         ceiling = 4 * math.sqrt(2 * horizon) + 3 * est.std_error
         assert floor <= est.pucal <= ceiling
@@ -416,16 +431,16 @@ class TestEstimateCalibration:
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            estimate_calibration(lambda: FollowTheLeader(2, 4), Alternating(2),
-                                 [VShapedLoss()], horizon=4, trials=0, base_seed=0)
+            estimate_calibration(FollowTheLeader(2, 4), Alternating(2),
+                                 [VShapedLoss()], trials=0, base_seed=0)
         with pytest.raises(ValueError):
-            estimate_calibration(lambda: FollowTheLeader(2, 4), Alternating(2),
-                                 [], horizon=4, trials=1, base_seed=0)
+            estimate_calibration(FollowTheLeader(2, 4), Alternating(2),
+                                 [], trials=1, base_seed=0)
 
 
 class TestMixtureSup:
     def _transcript(self, horizon=100):
-        return run_game(FollowTheLeader(2, horizon), Alternating(2), horizon, _gen(0))
+        return run_game(FollowTheLeader(2, horizon), Alternating(2), _gen(0))
 
     def test_grid_contains_endpoints(self):
         grid = mixture_weight_grid(1 / 7)
@@ -516,8 +531,8 @@ class TestRunTrials:
     @pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SphericalLoss())])
     def test_trial_range_and_blocks(self, adversary, monkeypatch):
         def run(trials):
-            return run_trials(lambda: PerturbedLeaderUniform(3, 40), adversary,
-                              SHIPPED_LOSSES, horizon=40, trials=trials, base_seed=4)
+            return run_trials(PerturbedLeaderUniform(3, 40), adversary,
+                              SHIPPED_LOSSES, trials=trials, base_seed=4)
 
         whole = run(7)
         assert np.array_equal(run(range(2, 6)), whole[2:6])
@@ -525,10 +540,10 @@ class TestRunTrials:
         assert np.array_equal(run(7), whole)
 
     def test_deterministic_per_trial_streams(self):
-        a = run_trials(lambda: PerturbedLeaderGeometric(2, 32), IidUniform(2),
-                       [VShapedLoss()], horizon=32, trials=5, base_seed=9)
-        b = run_trials(lambda: PerturbedLeaderGeometric(2, 32), IidUniform(2),
-                       [VShapedLoss()], horizon=32, trials=5, base_seed=9)
+        a = run_trials(PerturbedLeaderGeometric(2, 32), IidUniform(2),
+                       [VShapedLoss()], trials=5, base_seed=9)
+        b = run_trials(PerturbedLeaderGeometric(2, 32), IidUniform(2),
+                       [VShapedLoss()], trials=5, base_seed=9)
         np.testing.assert_array_equal(a, b)
         assert len(np.unique(a)) > 1  # trials genuinely differ
 
@@ -597,7 +612,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("adversary", [GreedyAdaptive(3, SquaredLoss()), IidUniform(3)],
                              ids=["greedy:squared", "iid-uniform"])
     def test_stitched_matrices_equal_per_horizon_run_trials(self, adversary, monkeypatch):
-        expected = [run_trials(lambda: f, adversary, self.LOSSES, f.horizon, 7, 5)
+        expected = [run_trials(f, adversary, self.LOSSES, 7, 5)
                     for f in self.FORECASTERS]
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         # one greedy block per horizon, then 2-trial blocks at T=16 and 1-trial ones above
@@ -620,14 +635,21 @@ def test_format_float_twelve_significant_digits():
     assert format_float(2500.0) == "2500"
 
 
+def _horizon_set_to(horizon):
+    """A forecaster whose ``horizon`` was set after it was made, past its own check."""
+    forecaster = FollowTheLeader(2, 16)
+    forecaster.horizon = horizon
+    return forecaster
+
+
 NON_INTEGER_HORIZON_CALLS = [
     (value_lower_bound, (10.5,)),
     (exact_binomial_mad, (20000.5, 0.5)),
     (dp_value, (8.0,)),
     (closed_form, (10.5,)),
     (check_a_bounds, (10.5,)),
-    (run_trials, (lambda: FollowTheLeader(2, 16), IidUniform(2), [SquaredLoss()], 8.0, 2, 0)),
-    (run_game, (FollowTheLeader(2, 16), Alternating(2), 8.5, _gen(0))),
+    (run_trials, (_horizon_set_to(8.0), IidUniform(2), [SquaredLoss()], 2, 0)),
+    (run_game, (_horizon_set_to(8.5), Alternating(2), _gen(0))),
 ]
 
 
@@ -641,7 +663,7 @@ def test_non_integer_horizon_is_value_error(function, args):
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=60))
 def test_regret_identity_property(bits):
     horizon = len(bits)
-    tr = run_game(FollowTheLeader(2, horizon), FixedSequence(2, bits), horizon, _gen(0))
+    tr = run_game(FollowTheLeader(2, horizon), FixedSequence(2, bits), _gen(0))
     rec = regret(tr, SquaredLoss(0.5))
     assert rec.regret == rec.algorithm_cost - rec.benchmark_cost
     # benchmark optimality against the uniform point

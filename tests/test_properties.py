@@ -32,11 +32,6 @@ def games(draw):
     return k, forecasts, np.array(outcomes, dtype=np.int64)
 
 
-def _transcript(k, forecasts, outcomes):
-    return Transcript(k=k, horizon=len(outcomes), forecasts=forecasts, outcomes=outcomes,
-                      final_counts=np.bincount(outcomes, minlength=k).astype(np.int64))
-
-
 def _ulps(values):
     """A few units in the last place per term of a sum of ``values``, each taken as at least 1."""
     return 8 * EPS * float(np.maximum(1.0, np.abs(values)).sum())
@@ -48,8 +43,8 @@ def test_symmetric_losses_are_equivariant(game, data):
     k, forecasts, outcomes = game
     perm = np.array(data.draw(st.permutations(range(k))))
     inverse = np.argsort(perm)
-    relabelled = _transcript(k, forecasts[:, perm], inverse[outcomes])
-    original = _transcript(k, forecasts, outcomes)
+    relabelled = Transcript(forecasts[:, perm], inverse[outcomes])
+    original = Transcript(forecasts, outcomes)
     for loss in SYMMETRIC_LOSSES:
         before = loss.bivariate(forecasts, outcomes)
         after = loss.bivariate(forecasts[:, perm], inverse[outcomes])
@@ -65,7 +60,7 @@ def test_static_forecaster_at_the_mean_has_no_regret(case):
     horizon = len(outcomes)
     mean = mean_of_counts(np.bincount(outcomes, minlength=k))
     transcript = run_game(StaticForecaster(mean, horizon), FixedSequence(k, outcomes),
-                          horizon, np.random.default_rng(0))
+                          np.random.default_rng(0))
     for loss in SYMMETRIC_LOSSES:
         rec = regret(transcript, loss)
         assert abs(rec.regret) <= 2 * _ulps(loss.bivariate(transcript.forecasts, outcomes))
