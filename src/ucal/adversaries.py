@@ -107,5 +107,7 @@ class GreedyAdaptive(Adversary):
 
     def next_outcomes(self, t, past_forecasts, rngs):
         """The outcome of largest loss at each game's proxy forecast, lowest index on ties."""
-        proxies = past_forecasts[-1] if t > 1 else np.full((len(rngs), self.k), 1.0 / self.k)
+        # a contiguous copy: numpy steps a strided (n, K) view row by row in every op below
+        proxies = (np.ascontiguousarray(past_forecasts[-1]) if t > 1
+                   else np.full((len(rngs), self.k), 1.0 / self.k))
         return self.loss.outcome_losses(proxies).argmax(axis=-1)

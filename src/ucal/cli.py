@@ -27,8 +27,10 @@ DP above ``minimax.DP_MAX_HORIZON``, a closed form above
 or not finite, and an ``--output`` in a missing directory or naming a
 directory).
 ``run`` and ``sweep`` resolve every spec once, one forecaster per horizon,
-and hand them to ``engine.run_experiment``, which plans the trials and runs
-the pool.  They stream one CSV row per (T, trial, loss) through
+and hand them to ``engine.run_experiment``, which plays each block of
+trials at every horizon in one lockstep staircase, splits a block across
+workers only when it holds at least as many games as rounds, and starts a
+pool only for more than one job.  They stream one CSV row per (T, trial, loss) through
 ``csv.writer``: horizons in grid order, trials in order, and each trial's
 losses sorted by name (a stable sort, so duplicate names keep their
 ``--loss`` order); a field that holds a comma, such as ``static:0.2,0.8``,

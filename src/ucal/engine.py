@@ -5,20 +5,21 @@ made, and it keeps no per-game state, so every call below takes the
 forecaster itself and reads T from ``forecaster.horizon``.
 ``run_game`` plays T rounds of forecast-then-outcome and returns a
 transcript.  ``play_games`` plays n games of one forecaster, each from zero
-counts, and holds the engine's one block path and one round loop.  An
-adversary that has ``outcomes`` is oblivious, and its game is played as one
-vectorized block; any other is adaptive, and the trials of its game run in
-lockstep, one (trials, K) step per round with one ``next_outcomes`` call.
-``run_trials`` is the one trial runner: it plays trial i on stream
-(base_seed, i), oblivious trials one at a time, adaptive trials in blocks
-of at most ``BLOCK_CELLS`` cells, and scores each with ``regret``.
-``trial_jobs`` plans how those trials split across workers: it cuts each
-horizon's trials between blocks (or, when there are fewer blocks than
-workers, into about trials/workers pieces) and orders the pieces longest
-first.  ``run_experiment`` runs a whole experiment, one forecaster per
-horizon: it maps that plan's jobs through ``run_trials``, in one process
-pool when there is more than one worker, and puts each job's regrets back
-at its trial rows, so the result does not depend on the worker count.
+counts.  An adversary that has ``outcomes`` is oblivious, and its game is
+played as one vectorized block (the block path); any other is adaptive,
+and its games run in lockstep through the engine's one round loop, with
+one ``next_outcomes`` call per round.  That loop plays a staircase: games
+at several horizons, longest first, each running horizon stepped by its
+own rule, and a game drops out when its horizon ends, so a block of
+horizons H runs max(H) rounds.  ``run_trials`` plays one horizon's trials,
+trial i on stream (base_seed, i), and scores each with ``regret``.
+``trial_jobs`` plans an experiment as blocks: one trial range at a group
+of horizons, within ``BLOCK_CELLS`` played cells, handed to a worker
+whole unless it holds at least as many games as it runs rounds.
+``run_experiment`` runs a whole experiment, one forecaster per horizon: it
+maps that plan's blocks through one trial runner, in one process pool
+when there is more than one worker and job, and puts each block's regrets
+back at its trial rows, so the result does not depend on the worker count.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
 loss against the mean-of-outcomes benchmark, which is the empirical risk
@@ -45,10 +46,11 @@ quantity behind the matching regret lower bound for the step-shaped loss.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -95,8 +97,9 @@ class CalibrationEstimate:
 #: before anything is drawn.
 MAX_GAME_CELLS = 1 << 24
 
-#: Cell budget n * T * K of one lockstep block of adaptive trials; a block
-#: holds ``max(1, BLOCK_CELLS // (T * K))`` trials (8 MiB of forecasts).
+#: Cell budget of one lockstep block: n trials at horizons H over K outcomes
+#: play n * sum(H) * K cells, and a block plays at most 2^20 of them (8 MiB
+#: of forecasts), unless one trial at its one horizon is already more.
 BLOCK_CELLS = 1 << 20
 
 
@@ -109,51 +112,126 @@ def check_game_size(k: int, horizon: int) -> None:
                          f"cells, above the cap of {MAX_GAME_CELLS} (2^24) cells per game")
 
 
+def _check_game(forecaster: Forecaster, adversary: Adversary) -> None:
+    """Refuse a forecaster and adversary of different K, or a game above the size cap."""
+    if forecaster.k != adversary.k:
+        raise ValueError(f"dimension mismatch: forecaster k={forecaster.k}, "
+                         f"adversary k={adversary.k}")
+    check_game_size(forecaster.k, forecaster.horizon)
+
+
 def _oblivious(adversary: Adversary) -> bool:
     """Whether the adversary is oblivious: it draws a game's outcomes in one ``outcomes`` call."""
     return hasattr(adversary, "outcomes")
 
 
-def lockstep_block(adversary: Adversary, horizon: int) -> int:
-    """Trials per lockstep block at ``horizon``: 1 for an oblivious adversary."""
-    if _oblivious(adversary):
-        return 1
-    return max(1, BLOCK_CELLS // (horizon * adversary.k))
+def _cut(trials: range, pieces: int) -> list:
+    """``trials`` cut into ``pieces`` contiguous ranges of near-equal size."""
+    n = len(trials)
+    return [trials[n * i // pieces:n * (i + 1) // pieces] for i in range(pieces)]
 
 
 def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> list:
-    """(horizon, trial range) jobs covering every horizon's trials once, longest first.
+    """(horizons, trial range) jobs that play every trial at every horizon once.
 
-    Each horizon's ``trials`` form ceil(trials / ``lockstep_block``) blocks
-    of near-equal size, and the horizon is cut into at most ``workers``
-    contiguous pieces only between those blocks: at small widths a lockstep
-    round costs about the same at any width, so splitting a block would
-    double its rounds.  When all horizons together have fewer blocks than
-    workers, each horizon is instead cut into min(workers, trials) pieces of
-    about trials/workers trials, so every worker gets a share: at large
-    widths a round's cost grows with the width.  For an oblivious adversary
-    (blocks of one trial) both rules give the same pieces.  Jobs come in
-    non-increasing order of cost, T times the number of blocks the job
-    plays, so a pool that takes them in order starts the longest first.
+    A job is a block: one trial range played at a group of horizons, longest
+    first.  An oblivious adversary's games are played one at a time, with
+    no round loop, so its one block is every trial at every horizon, cut
+    into min(workers, trials) near-equal pieces.  An adaptive block is one
+    lockstep staircase: n trials at horizons H are n * len(H) games that
+    run max(H) rounds and play n * sum(H) * K cells, at most
+    ``BLOCK_CELLS``.  The horizons form one group unless one trial at all
+    of them is over that budget; then they are grouped longest first, each
+    group as large as the budget allows, and each group's trials are cut
+    into the fewest near-equal blocks within budget.  A block goes to a
+    worker whole unless it holds at least as many games as it runs rounds:
+    each piece repeats the whole round loop, so only then is the block cut
+    into min(workers, n) near-equal pieces.  Jobs come longest round loop
+    first, then largest first, so a pool that takes them in order starts
+    the longest first.
     """
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be >= 1")
-    block = {horizon: lockstep_block(adversary, horizon) for horizon in horizons}
-    blocks = {horizon: -(-trials // block[horizon]) for horizon in horizons}
-    split = sum(blocks.values()) < workers
-    costed = []
-    for horizon in horizons:
-        units = trials if split else blocks[horizon]  # the pieces are cut between units
-        pieces = min(workers, units)
-        cuts = [trials * (units * i // pieces) // units for i in range(pieces + 1)]
-        costed += [(horizon * -(-(b - a) // block[horizon]), horizon, range(a, b))
-                   for a, b in zip(cuts, cuts[1:])]
-    costed.sort(key=lambda job: -job[0])  # stable: ties keep horizon and trial order
-    return [(horizon, piece) for _, horizon, piece in costed]
+    horizons = sorted(horizons, reverse=True)
+    if _oblivious(adversary):  # no round loop
+        blocks = [(tuple(horizons), range(trials), 0)]
+    else:
+        groups = []
+        for horizon in horizons:
+            if groups and (sum(groups[-1]) + horizon) * adversary.k <= BLOCK_CELLS:
+                groups[-1].append(horizon)
+            else:
+                groups.append([horizon])
+        blocks = []
+        for group in groups:
+            per_block = max(1, BLOCK_CELLS // (sum(group) * adversary.k))
+            blocks += [(tuple(group), block, group[0])
+                       for block in _cut(range(trials), -(-trials // per_block))]
+    jobs = []
+    for group, block, rounds in blocks:
+        pieces = min(workers, len(block)) if len(block) * len(group) >= rounds else 1
+        jobs += [(group, piece, rounds) for piece in _cut(block, pieces)]
+    jobs.sort(key=lambda job: (-job[2], -len(job[1])))  # stable: ties keep trial order
+    return [(group, piece) for group, piece, _ in jobs]
 
 
 def _bad_outcomes(horizon, k):
     return ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
+
+
+def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
+    """The round loop: play the games of ``rngs[g]`` at ``forecasters[g].horizon`` as one staircase.
+
+    The forecasters come longest horizon first.  Each game draws its whole
+    noise block before round 1, as integer counts in the rows its forecasts
+    later overwrite.  Round t applies each running horizon's own ``rule``
+    to its rows, then asks ``next_outcomes`` once for all running games,
+    which see their forecasts of rounds 1..t-1 as a (t-1, n_running, K)
+    view; a horizon's games drop out when it ends.  The forecasts
+    (n, max T, K) and outcomes (n, max T) are game-major and live in
+    anonymous memory, so the staircase's unplayed corner is never touched
+    and never resident.  Returns one list of transcripts per forecaster,
+    whose arrays are views of that memory.
+    """
+    k, horizons = adversary.k, [forecaster.horizon for forecaster in forecasters]
+    stops = list(accumulate(map(len, rngs)))
+    n, rounds = stops[-1], horizons[0]
+    memory = mmap.mmap(-1, n * rounds * (k + 1) * 8)
+    forecasts = np.frombuffer(memory, np.float64, n * rounds * k).reshape(n, rounds, k)
+    outcomes = np.frombuffer(memory, np.int64, n * rounds, n * rounds * k * 8).reshape(n, rounds)
+    noise = forecasts.view(np.int64)  # noise row t is read just before forecast row t lands
+    games = [(forecaster, rng) for forecaster, group in zip(forecasters, rngs) for rng in group]
+    for row, (forecaster, rng) in enumerate(games):
+        np.copyto(noise[row, :forecaster.horizon], forecaster.noise(forecaster.horizon, rng),
+                  casting="safe")
+    every_rng = [rng for _, rng in games]
+    past = forecasts.transpose(1, 0, 2)  # the adversary's (T, n, K) view
+    counts = np.zeros((n, k), dtype=np.int64)
+    eye = np.eye(k, dtype=np.int64)  # row y adds one outcome y to a count vector
+    running = len(forecasters)
+    for t in range(rounds):
+        while horizons[running - 1] <= t:  # the shortest running horizon has ended
+            running -= 1
+        start, width = 0, stops[running - 1]
+        for forecaster, stop in zip(forecasters[:running], stops):
+            forecasts[start:stop, t] = forecaster.rule(counts[start:stop], noise[start:stop, t])
+            start = stop
+        reply = np.asarray(adversary.next_outcomes(t + 1, past[:t, :width], every_rng[:width]))
+        if reply.dtype.kind not in "iu":  # 1.7 would be truncated to outcome 1
+            raise _bad_outcomes(rounds, k)
+        outcomes[:width, t] = reply
+        try:
+            counts[:width] += eye[outcomes[:width, t]]
+        except IndexError as exc:
+            raise _bad_outcomes(rounds, k) from exc
+    transcripts, start = [], 0
+    for horizon, stop in zip(horizons, stops):
+        if outcomes[start:stop, :horizon].min() < 0:  # a negative index wraps instead of raising
+            raise _bad_outcomes(horizon, k)
+        transcripts.append([Transcript(forecasts[i, :horizon], outcomes[i, :horizon])
+                            for i in range(start, stop)])
+        start = stop
+    return transcripts
 
 
 def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Transcript]:
@@ -165,41 +243,30 @@ def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Trans
     has ``outcomes``) each game's outcomes are drawn at once, and every
     forecast comes from one ``rule`` call on the integer prefix counts (the
     block path).  Against any other adversary the n games run in lockstep
-    (the round loop): round t applies the rule once to the stacked counts
-    (n, K) and noise rows (n, K), then asks ``next_outcomes`` for all n
-    replies, which see forecasts 1..t-1 only.  Each game's transcript is the one it would get
-    played alone.
+    (the round loop, a staircase of one step): round t applies the rule
+    once to the stacked counts (n, K) and noise rows (n, K), then asks
+    ``next_outcomes`` for all n replies, which see forecasts 1..t-1 only.
+    Each game's transcript is the one it would get played alone, and owns
+    its arrays.
     """
+    _check_game(forecaster, adversary)
     k, horizon, n = forecaster.k, forecaster.horizon, len(rngs)
-    if k != adversary.k:
-        raise ValueError(f"dimension mismatch: forecaster k={k}, adversary k={adversary.k}")
-    check_game_size(k, horizon)
+    if n < 1:
+        raise ValueError("need at least one game")
+    if not _oblivious(adversary):
+        return [Transcript(game.forecasts.copy(), game.outcomes.copy())
+                for game in _lockstep([forecaster], adversary, [rngs])[0]]
     noise = np.stack([forecaster.noise(horizon, rng) for rng in rngs], axis=1)  # (T, n, K)
-    if _oblivious(adversary):
-        outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng), dtype=np.int64)
-                             for rng in rngs], axis=1)
-        if outcomes.shape != (horizon, n) or outcomes.min() < 0 or outcomes.max() >= k:
-            raise _bad_outcomes(horizon, k)
-        # counts before round t: the outcome of round t first shows in row t + 1
-        prefix = np.zeros((horizon, n, k), dtype=np.int64)
-        prefix[np.arange(1, horizon)[:, None], np.arange(n), outcomes[:-1]] = 1
-        np.cumsum(prefix, axis=0, out=prefix)
-        forecasts = forecaster.rule(prefix.reshape(-1, k),
-                                    noise.reshape(-1, k)).reshape(horizon, n, k)
-    else:
-        forecasts = np.empty((horizon, n, k))
-        outcomes = np.empty((horizon, n), dtype=np.int64)
-        counts = np.zeros((n, k), dtype=np.int64)
-        eye = np.eye(k, dtype=np.int64)  # row y adds one outcome y to a count vector
-        for t in range(horizon):
-            forecasts[t] = forecaster.rule(counts, noise[t])
-            outcomes[t] = adversary.next_outcomes(t + 1, forecasts[:t], rngs)
-            try:
-                counts += eye[outcomes[t]]
-            except IndexError as exc:
-                raise _bad_outcomes(horizon, k) from exc
-        if outcomes.min() < 0:  # a negative index wraps instead of raising
-            raise _bad_outcomes(horizon, k)
+    outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng)) for rng in rngs], axis=1)
+    if (outcomes.shape != (horizon, n) or outcomes.dtype.kind not in "iu"
+            or outcomes.min() < 0 or outcomes.max() >= k):
+        raise _bad_outcomes(horizon, k)
+    outcomes = outcomes.astype(np.int64, copy=False)
+    # counts before round t: the outcome of round t first shows in row t + 1
+    prefix = np.zeros((horizon, n, k), dtype=np.int64)
+    prefix[np.arange(1, horizon)[:, None], np.arange(n), outcomes[:-1]] = 1
+    np.cumsum(prefix, axis=0, out=prefix)
+    forecasts = forecaster.rule(prefix.reshape(-1, k), noise.reshape(-1, k)).reshape(horizon, n, k)
     return [Transcript(np.ascontiguousarray(forecasts[:, i]), outcomes[:, i].copy())
             for i in range(n)]
 
@@ -228,16 +295,36 @@ def regret(transcript: Transcript, loss: ProperLoss) -> RegretRecord:
     return RegretRecord(algorithm_cost=alg, benchmark_cost=bench, regret=alg - bench)
 
 
+def _run_block(forecasters, adversary: Adversary, losses, trials: range,
+               base_seed: int) -> list[np.ndarray]:
+    """One regret matrix (len(trials), len(losses)) per forecaster, longest horizon first.
+
+    Trial i plays on stream (base_seed, i) at every horizon.  Oblivious
+    games are played, scored and released one at a time; adaptive ones run
+    as one ``_lockstep`` staircase and are scored from its memory.
+    """
+    for forecaster in forecasters:
+        _check_game(forecaster, adversary)
+    if _oblivious(adversary):
+        games = ((play_games(forecaster, adversary, [RngStream(base_seed, trial).generator()])[0]
+                  for trial in trials) for forecaster in forecasters)
+    else:
+        games = _lockstep(forecasters, adversary,
+                          [[RngStream(base_seed, trial).generator() for trial in trials]
+                           for _ in forecasters])
+    return [np.array([[regret(game, loss).regret for loss in losses] for game in group])
+            for group in games]
+
+
 def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials,
                base_seed: int) -> np.ndarray:
     """Regret matrix of shape (len(trials), len(losses)); trial i uses stream (base_seed, i).
 
-    ``trials`` is a count or a ``range`` of trial indices, so a worker can
-    run one contiguous block of a larger experiment.  ``forecaster`` plays
-    every trial at its horizon.  Oblivious trials are played, scored and
-    released one at a time; adaptive trials run in lockstep blocks of at most
-    ``BLOCK_CELLS`` cells.  Either way row j is the regret the trial would
-    get played alone.
+    ``trials`` is a count or a ``range`` of trial indices.  ``forecaster``
+    plays every trial at its horizon, in the one-worker ``trial_jobs`` plan:
+    oblivious trials are played, scored and released one at a time, and
+    adaptive trials run in lockstep blocks of at most ``BLOCK_CELLS``
+    cells.  Either way row j is the regret the trial would get played alone.
     """
     trials = trials if isinstance(trials, range) else range(trials)
     losses = list(losses)
@@ -245,15 +332,11 @@ def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials,
         raise ValueError("trials must be >= 1")
     if not losses:
         raise ValueError("need at least one loss")
-    horizon = forecaster.horizon
-    check_game_size(forecaster.k, horizon)
-    block = lockstep_block(adversary, horizon)
+    _check_game(forecaster, adversary)
     out = np.empty((len(trials), len(losses)))
-    for start in range(0, len(trials), block):
-        rngs = [RngStream(base_seed, trial).generator() for trial in trials[start:start + block]]
-        games = play_games(forecaster, adversary, rngs)
-        for row, transcript in enumerate(games, start):
-            out[row] = [regret(transcript, loss).regret for loss in losses]
+    for _, piece in trial_jobs(adversary, [forecaster.horizon], len(trials), 1):
+        out[piece.start:piece.stop] = _run_block([forecaster], adversary, losses,
+                                                 trials[piece.start:piece.stop], base_seed)[0]
     return out
 
 
@@ -264,9 +347,11 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
     The forecasters' horizons must differ.  ``workers`` is capped at the CPU
     count, and the ``trial_jobs`` plan for that many workers goes through one
     pool of min(workers, CPU count, jobs) processes, longest job first; there
-    is no pool when that is 1.  Trial i of every horizon plays on stream
-    (base_seed, i), and each job's regrets land at its trial rows, so the
-    matrices are the per-horizon ``run_trials`` matrices at any worker count.
+    is no pool when that is 1.  So an adaptive sweep that fits one block
+    plays every horizon in one staircase of max T rounds, in this process.
+    Trial i of every horizon plays on stream (base_seed, i), and each job's
+    regrets land at its trial rows, so the matrices are the per-horizon
+    ``run_trials`` matrices at any worker count.
     """
     forecasters, losses = list(forecasters), list(losses)
     horizons = [forecaster.horizon for forecaster in forecasters]
@@ -275,19 +360,20 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
     workers = min(workers, os.cpu_count() or 1)
     plan = trial_jobs(adversary, horizons, trials, workers)
     by_horizon = dict(zip(horizons, forecasters))
-    jobs = ([by_horizon[horizon] for horizon, _ in plan], repeat(adversary), repeat(losses),
-            [piece for _, piece in plan], repeat(base_seed))
+    jobs = ([[by_horizon[horizon] for horizon in group] for group, _ in plan], repeat(adversary),
+            repeat(losses), [piece for _, piece in plan], repeat(base_seed))
     workers = min(workers, len(plan))
     if workers == 1:
-        parts = map(run_trials, *jobs)
+        parts = map(_run_block, *jobs)
     else:
         from concurrent.futures import ProcessPoolExecutor  # a one-worker run never imports it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_trials, *jobs))
+            parts = list(pool.map(_run_block, *jobs))
     matrices = {horizon: np.empty((trials, len(losses))) for horizon in horizons}
-    for (horizon, piece), part in zip(plan, parts):
-        matrices[horizon][piece.start:piece.stop] = part
+    for (group, piece), part in zip(plan, parts):
+        for horizon, matrix in zip(group, part):
+            matrices[horizon][piece.start:piece.stop] = matrix
     return list(matrices.values())
 
 

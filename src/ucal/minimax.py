@@ -127,9 +127,9 @@ def _backward_step(layer: np.ndarray) -> tuple[np.ndarray, float, int]:
     gap = float(np.abs(d).max())
     # middle branch d^2/8 + (V1+V2)/2 + 1/2, in that order, built in place
     half_sum = v1 + v2
-    half_sum /= 2.0
+    half_sum *= 0.5
     nxt = d * d
-    nxt /= 8.0
+    nxt *= 0.125
     nxt += half_sum
     nxt += 0.5
     if gap <= 2.0:

@@ -611,13 +611,14 @@ def test_block_cuts_do_not_change_bytes(capsys, monkeypatch, adversary):
     code, serial, _ = run_cli(base, capsys)
     assert code == 0
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    # unpatched, greedy plays one block per horizon: 3 blocks, so 4 workers split them
-    for cells in (engine.BLOCK_CELLS, 2 * 16 * 3):  # then 2-trial blocks at T=16
+    # unpatched, greedy plays one staircase of all three horizons, whole; then each
+    # horizon is its own group, in 1-trial blocks at T=64 and T=32 and 2-trial ones at T=16
+    for cells in (engine.BLOCK_CELLS, 2 * 16 * 3):
         monkeypatch.setattr(engine, "BLOCK_CELLS", cells)
         for workers in ("1", "2", "4"):
             code, out, _ = run_cli(base + ["--workers", workers], capsys)
             assert code == 0 and out == serial
-    assert engine.lockstep_block(cli.make_adversary(adversary, 3), 16) <= 2  # >= 4 blocks
+    assert len(engine.trial_jobs(cli.make_adversary(adversary, 3), [16, 32, 64], 7, 4)) >= 4
 
 
 CSV_DIGESTS = {

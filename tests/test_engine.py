@@ -71,6 +71,14 @@ class TestRunGame:
         tr = run_game(FollowTheLeader(2, 6), Watching(2), _gen(0))
         assert tr.outcomes.tolist() == [0, 1] * 3
 
+    def test_non_integer_oblivious_outcomes_refused(self):
+        class Fractional(Adversary):
+            def outcomes(self, horizon, rng):
+                return np.full(horizon, 1.7)
+
+        with pytest.raises(ValueError, match="indices in"):
+            run_game(FollowTheLeader(3, 5), Fractional(3), _gen(0))
+
     def test_adversary_without_a_protocol_is_refused(self):
         with pytest.raises(NotImplementedError, match="`outcomes` .* or `next_outcomes`"):
             run_game(FollowTheLeader(2, 6), Adversary(2), _gen(0))
@@ -266,6 +274,14 @@ class TestLockstepMatchesSolo:
             assert batched.tolist() == single
             assert adv.next_outcomes(1, past[:0], [None] * 6).tolist() == [0] * 6
 
+    def test_non_integer_reply_refused(self):
+        class Fractional(Adversary):
+            def next_outcomes(self, t, past_forecasts, rngs):
+                return np.full(len(rngs), 1.7)
+
+        with pytest.raises(ValueError, match="indices in"):
+            run_game(FollowTheLeader(3, 5), Fractional(3), _gen(0))
+
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_reply_rejected(self, bad):
         class Bad(Adversary):
@@ -311,6 +327,9 @@ class TestStatelessForecaster:
             play_games(f, IidUniform(2), [_gen(0)])
         assert [len(game.outcomes) for game in play_games(f, IidUniform(3), [_gen(0), _gen(1)])
                 ] == [f.horizon] * 2
+        for adversary in (IidUniform(3), GreedyAdaptive(3, SquaredLoss())):
+            with pytest.raises(ValueError, match="at least one game"):
+                play_games(f, adversary, [])
 
 
 class TestGameSizeCap:
@@ -549,55 +568,70 @@ class TestRunTrials:
 
 
 class TestTrialJobs:
-    """``trial_jobs`` is pure: a plan of (horizon, trial range) jobs, no games played."""
+    """``trial_jobs`` is pure: a plan of (horizons, trial range) jobs, no games played."""
 
     @given(st.lists(st.integers(1, 300), min_size=1, max_size=5, unique=True),
            st.integers(1, 40), st.integers(1, 9), st.integers(1, 3000), st.booleans())
-    def test_cover_block_cuts_and_cost_order(self, horizons, trials, workers, cells, adaptive):
+    def test_cover_budget_cuts_and_cost_order(self, horizons, trials, workers, cells, adaptive):
         adversary = GreedyAdaptive(3, SquaredLoss()) if adaptive else IidUniform(3)
         with unittest.mock.patch.object(engine, "BLOCK_CELLS", cells):
             jobs = engine.trial_jobs(adversary, horizons, trials, workers)
-            block = {h: engine.lockstep_block(adversary, h) for h in horizons}
-        assert block == {h: max(1, cells // (3 * h)) if adaptive else 1 for h in horizons}
-        blocks = {h: -(-trials // block[h]) for h in horizons}
-        split = sum(blocks.values()) < workers
-        for horizon in horizons:
-            pieces = sorted((r for h, r in jobs if h == horizon), key=lambda r: r.start)
-            assert [t for r in pieces for t in r] == list(range(trials))
-            sizes = [len(r) for r in pieces]
-            loops = [-(-size // block[horizon]) for size in sizes]
-            if split:  # too few blocks for the workers: about trials/workers a piece
-                assert len(pieces) == min(workers, trials)
-                assert max(sizes) - min(sizes) <= 1
-            else:  # cut between blocks: the pieces play the horizon's blocks once
-                assert len(pieces) == min(workers, blocks[horizon])
-                assert sum(loops) == blocks[horizon]
-                assert max(loops) - min(loops) <= 1
-        costs = [h * -(-len(r) // block[h]) for h, r in jobs]
-        assert costs == sorted(costs, reverse=True)
+        for horizon in horizons:  # every trial at every horizon exactly once
+            assert sorted(t for group, r in jobs if horizon in group for t in r) == list(
+                range(trials))
+        groups = list(dict.fromkeys(group for group, _ in jobs))
+        assert [h for group in groups for h in group] == sorted(horizons, reverse=True)
+        if not adaptive:  # no round loop: one group in min(workers, trials) near-equal ranges
+            sizes = [len(r) for _, r in jobs]
+            assert len(groups) == 1 and len(sizes) == min(workers, trials)
+            assert max(sizes) - min(sizes) <= 1
+            return
+        for group, following in zip(groups, groups[1:]):  # each group as large as the budget allows
+            assert 3 * (sum(group) + following[0]) > cells
+        for group in groups:
+            assert len(group) == 1 or 3 * sum(group) <= cells
+            per_block = max(1, cells // (3 * sum(group)))
+            blocks = -(-trials // per_block)
+            sizes = [len(r) for g, r in jobs if g == group]
+            assert max(sizes) <= per_block  # within budget, or one trial at one horizon
+            if workers == 1 or -(-trials // blocks) * len(group) < group[0]:
+                # fewer games than rounds: every block goes to a worker whole
+                assert len(sizes) == blocks and max(sizes) - min(sizes) <= 1
+            else:  # a block of at least as many games as rounds is cut for the workers
+                assert blocks <= len(sizes) <= blocks * workers
+        order = [(group[0], len(r)) for group, r in jobs]
+        assert order == sorted(order, reverse=True)
 
-    def test_one_block_per_horizon_runs_longest_first(self):
-        # the benchmark sweep: each horizon is one lockstep block, so one job per horizon
+    def test_benchmark_sweep_is_one_block(self):
+        # 8 trials at 64, ..., 4096 are 56 games of 4096 rounds: one staircase, no pool
         horizons = [64 * 2 ** i for i in range(7)]
         jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), horizons, 8, workers=2)
-        assert jobs == [(h, range(8)) for h in reversed(horizons)]
+        assert jobs == [(tuple(reversed(horizons)), range(8))]
 
-    def test_oblivious_trials_split_evenly(self):
-        jobs = engine.trial_jobs(IidUniform(3), [16, 32], 7, workers=3)
-        assert jobs == [(32, range(4, 7)), (32, range(0, 2)), (32, range(2, 4)),
-                        (16, range(4, 7)), (16, range(0, 2)), (16, range(2, 4))]
+    def test_wide_block_is_cut_for_the_workers(self):
+        # 4000 games of 64 rounds: each worker plays half the trials
+        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), [64], 4000, workers=2)
+        assert jobs == [((64,), range(0, 2000)), ((64,), range(2000, 4000))]
 
-    def test_fewer_blocks_than_workers_split_every_block(self):
-        # one 5461-trial block at T=64: both workers still get half the trials
+    @pytest.mark.parametrize("trials, workers", [(7, 3), (2, 3), (5, 1)])
+    def test_oblivious_trials_split_evenly(self, trials, workers):
+        jobs = engine.trial_jobs(IidUniform(3), [16, 32], trials, workers)
+        assert {group for group, _ in jobs} == {(32, 16)}
+        assert sorted((r.start, r.stop) for _, r in jobs) == [
+            (trials * i // len(jobs), trials * (i + 1) // len(jobs)) for i in range(len(jobs))]
+        assert len(jobs) == min(workers, trials)
+
+    def test_horizons_grouped_longest_first_over_budget(self):
         greedy = GreedyAdaptive(3, SquaredLoss())
-        assert engine.lockstep_block(greedy, 64) == 5461
-        assert engine.trial_jobs(greedy, [64], 4000, workers=2) == [
-            (64, range(0, 2000)), (64, range(2000, 4000))]
+        with unittest.mock.patch.object(engine, "BLOCK_CELLS", 3 * 49):
+            jobs = engine.trial_jobs(greedy, [1, 2, 7, 16, 33], 2, workers=1)
+        assert jobs == [((33, 16), range(0, 1)), ((33, 16), range(1, 2)),
+                        ((7, 2, 1), range(0, 2))]
 
     def test_blocks_are_cut_into_near_equal_sizes(self):
         # two blocks at T=64 play 4000 trials each, not 5461 and 2539
-        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), [64], 8000, workers=2)
-        assert jobs == [(64, range(0, 4000)), (64, range(4000, 8000))]
+        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), [64], 8000, workers=1)
+        assert jobs == [((64,), range(0, 4000)), ((64,), range(4000, 8000))]
 
     def test_bad_counts_rejected(self):
         for trials, workers in ((0, 2), (3, 0)):
@@ -605,24 +639,65 @@ class TestTrialJobs:
                 engine.trial_jobs(IidUniform(3), [8], trials, workers)
 
 
-class TestRunExperiment:
-    LOSSES = [VShapedLoss(), SquaredLoss(0.5)]
-    FORECASTERS = [PerturbedLeaderUniform(3, horizon) for horizon in (16, 32, 64)]
+class ReadsEveryForecast(Adversary):
+    """Plays the outcome of largest total forecast so far, and records what it was shown."""
 
-    @pytest.mark.parametrize("adversary", [GreedyAdaptive(3, SquaredLoss()), IidUniform(3)],
-                             ids=["greedy:squared", "iid-uniform"])
-    def test_stitched_matrices_equal_per_horizon_run_trials(self, adversary, monkeypatch):
-        expected = [run_trials(f, adversary, self.LOSSES, 7, 5)
-                    for f in self.FORECASTERS]
+    def __init__(self, k):
+        super().__init__(k)
+        self.calls = []
+
+    def next_outcomes(self, t, past_forecasts, rngs):
+        self.calls.append((t, past_forecasts.shape, len(rngs)))
+        return past_forecasts.sum(axis=0).argmax(axis=-1) if t > 1 else np.zeros(len(rngs), int)
+
+
+class DrawsEveryRound(Adversary):
+    """Draws each game's outcome from its own stream every round, nudged by its last forecast."""
+
+    def next_outcomes(self, t, past_forecasts, rngs):
+        draws = np.array([rng.integers(0, self.k) for rng in rngs])
+        if t > 1:
+            draws[past_forecasts[-1, :, 0] > 0.6] = 1
+        return draws
+
+
+class TestRunExperiment:
+    LOSSES = [VShapedLoss(), SquaredLoss(0.5), SphericalLoss(), TsallisLoss(1.5)]
+    HORIZONS = [1, 2, 7, 16, 33]
+
+    @pytest.mark.parametrize("adversary", ["greedy:squared", "reads-every-forecast",
+                                           "draws-every-round", "iid-uniform"])
+    def test_staircase_equals_per_horizon_run_trials(self, adversary, monkeypatch):
+        make = {"greedy:squared": lambda: GreedyAdaptive(3, SquaredLoss()),
+                "reads-every-forecast": lambda: ReadsEveryForecast(3),
+                "draws-every-round": lambda: DrawsEveryRound(3),
+                "iid-uniform": lambda: IidUniform(3)}[adversary]
+        # a different rule at each horizon, so each running horizon must step with its own
+        forecasters = [PerturbedLeaderUniform(3, 1), FollowTheLeader(3, 2),
+                       PerturbedLeaderGeometric(3, 7), StaticForecaster([0.2, 0.3, 0.5], 16),
+                       PerturbedLeaderUniform(3, 33)]
+        expected = [run_trials(f, make(), self.LOSSES, 7, 5) for f in forecasters]
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        # one greedy block per horizon, then 2-trial blocks at T=16 and 1-trial ones above
-        for cells in (engine.BLOCK_CELLS, 2 * 16 * 3):
+        # one staircase of all five horizons, then groups (33, 16) and (7, 2, 1), the
+        # first in 1-trial blocks and the second in blocks of 3 and 4 trials
+        for cells in (engine.BLOCK_CELLS, 3 * 52):
             monkeypatch.setattr(engine, "BLOCK_CELLS", cells)
             for workers in (1, 2, 3):
-                got = engine.run_experiment(self.FORECASTERS, adversary, self.LOSSES, 7, 5,
-                                            workers)
+                got = engine.run_experiment(forecasters, make(), self.LOSSES, 7, 5, workers)
                 assert len(got) == len(expected)
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        if adversary != "iid-uniform":
+            plan = engine.trial_jobs(make(), self.HORIZONS, 7, 1)
+            assert [group for group, _ in plan] == [(33, 16)] * 7 + [(7, 2, 1)] * 2
+
+    def test_adversary_sees_the_running_games(self):
+        adversary = ReadsEveryForecast(3)
+        forecasters = [FollowTheLeader(3, horizon) for horizon in self.HORIZONS]
+        engine.run_experiment(forecasters, adversary, self.LOSSES, 4, 0)
+        # one staircase: round t shows forecasts 1..t-1 of the 4 trials at every horizon >= t
+        running = [4 * sum(h >= t for h in self.HORIZONS) for t in range(1, 34)]
+        assert adversary.calls == [(t, (t - 1, n, 3), n) for t, n in zip(range(1, 34), running)]
+        assert running == sorted(running, reverse=True)
 
     def test_repeated_horizon_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
