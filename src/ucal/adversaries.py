@@ -6,9 +6,11 @@ outcomes in one ``outcomes(horizon, rng)`` call.  An adaptive one answers
 ``next_outcomes(t, past_forecasts, rngs)`` once a round for n games played
 in lockstep, from their forecasts of rounds 1..t-1 stacked as (t-1, n, K)
 and one generator per game; ``GreedyAdaptive`` answers all n from one
-``ProperLoss.outcome_losses`` table.  The engine plays any adversary that
-has ``outcomes`` as one block, so one that reacts to the forecasts
-subclasses ``Adversary`` or ``GreedyAdaptive``.
+``ProperLoss.outcome_losses`` table.  n may fall between rounds when a
+block holds games of several horizons: the games that have ended drop
+out, always the last rows, so row i stays one game.  The engine plays any
+adversary that has ``outcomes`` as one block, so one that reacts to the
+forecasts subclasses ``Adversary`` or ``GreedyAdaptive``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,11 @@ class Adversary:
             raise ValueError("need at least 2 outcomes")
 
     def next_outcomes(self, t: int, past_forecasts: np.ndarray, rngs) -> np.ndarray:
-        """Round-t outcomes (n,) of n games from their past forecasts (t-1, n, K)."""
+        """Round-t outcomes (n,) of n games from their past forecasts (t-1, n, K).
+
+        n may fall from one round to the next; the games that drop out are
+        always the last rows, so per-game state is kept by row.
+        """
         raise NotImplementedError(f"{type(self).__name__} must define `outcomes` (oblivious) "
                                   "or `next_outcomes` (adaptive)")
 

@@ -28,7 +28,7 @@ or not finite, and an ``--output`` in a missing directory or naming a
 directory).
 ``run`` and ``sweep`` resolve every spec once, one forecaster per horizon,
 and hand them to ``engine.run_experiment``, which plays each block of
-trials at every horizon in one lockstep staircase, splits a block across
+trials at a group of horizons in one lockstep staircase, splits a block across
 workers only when it holds at least as many games as rounds, and starts a
 pool only for more than one job.  They stream one CSV row per (T, trial, loss) through
 ``csv.writer``: horizons in grid order, trials in order, and each trial's

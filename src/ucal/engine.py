@@ -15,7 +15,9 @@ horizons H runs max(H) rounds.  ``run_trials`` plays one horizon's trials,
 trial i on stream (base_seed, i), and scores each with ``regret``.
 ``trial_jobs`` plans an experiment as blocks: one trial range at a group
 of horizons, within ``BLOCK_CELLS`` played cells, handed to a worker
-whole unless it holds at least as many games as it runs rounds.
+whole unless it holds at least as many games as it runs rounds.  Horizons
+share a block only when all trials at all of them fit one, so a sweep too
+large for one block plays each horizon's blocks on their own.
 ``run_experiment`` runs a whole experiment, one forecaster per horizon: it
 maps that plan's blocks through one trial runner, in one process pool
 when there is more than one worker and job, and puts each block's regrets
@@ -48,9 +50,10 @@ from __future__ import annotations
 import math
 import mmap
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -140,15 +143,19 @@ def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> lis
     into min(workers, trials) near-equal pieces.  An adaptive block is one
     lockstep staircase: n trials at horizons H are n * len(H) games that
     run max(H) rounds and play n * sum(H) * K cells, at most
-    ``BLOCK_CELLS``.  The horizons form one group unless one trial at all
-    of them is over that budget; then they are grouped longest first, each
-    group as large as the budget allows, and each group's trials are cut
-    into the fewest near-equal blocks within budget.  A block goes to a
-    worker whole unless it holds at least as many games as it runs rounds:
-    each piece repeats the whole round loop, so only then is the block cut
-    into min(workers, n) near-equal pieces.  Jobs come longest round loop
-    first, then largest first, so a pool that takes them in order starts
-    the longest first.
+    ``BLOCK_CELLS``.  Horizons are grouped longest first, and a horizon
+    joins the group before it only if all trials at the grown group still
+    fit one block.  So a group of several horizons is one block, which
+    plays each of them once in max(H) rounds, and a horizon whose trials
+    need more than one block is a group of its own, cut into the fewest
+    near-equal blocks within budget: merging it would cut the shorter
+    horizons into as many blocks, each repeating their rule calls.  So no
+    plan makes more rule calls or runs more rounds than one horizon per
+    block.  A block goes to a worker whole unless it holds at least as many
+    games as it runs rounds: each piece repeats the whole round loop, so
+    only then is the block cut into min(workers, n) near-equal pieces.
+    Jobs come longest round loop first, then largest first, so a pool that
+    takes them in order starts the longest first.
     """
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be >= 1")
@@ -158,7 +165,7 @@ def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> lis
     else:
         groups = []
         for horizon in horizons:
-            if groups and (sum(groups[-1]) + horizon) * adversary.k <= BLOCK_CELLS:
+            if groups and trials * (sum(groups[-1]) + horizon) * adversary.k <= BLOCK_CELLS:
                 groups[-1].append(horizon)
             else:
                 groups.append([horizon])
@@ -179,56 +186,83 @@ def _bad_outcomes(horizon, k):
     return ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
 
 
+def _noise_rows(forecaster: Forecaster, rngs, shared: np.ndarray) -> np.ndarray:
+    """The (horizon, n, K) noise of ``forecaster``'s games on ``rngs``, one draw per game.
+
+    int64 noise, the kind every shipped forecaster draws, lands in
+    ``shared``; noise of any other dtype keeps its dtype in an array of its
+    own, so the rule reads what the forecaster drew.
+    """
+    draws = (np.asarray(forecaster.noise(forecaster.horizon, rng)) for rng in rngs)
+    first = next(draws)
+    rows = (shared if first.dtype == np.int64
+            else np.empty((forecaster.horizon, len(rngs), forecaster.k), first.dtype))
+    for game, draw in enumerate(chain([first], draws)):
+        np.copyto(rows[:, game], draw, casting="safe")
+    return rows
+
+
 def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
     """The round loop: play the games of ``rngs[g]`` at ``forecasters[g].horizon`` as one staircase.
 
     The forecasters come longest horizon first.  Each game draws its whole
-    noise block before round 1, as integer counts in the rows its forecasts
-    later overwrite.  Round t applies each running horizon's own ``rule``
-    to its rows, then asks ``next_outcomes`` once for all running games,
-    which see their forecasts of rounds 1..t-1 as a (t-1, n_running, K)
-    view; a horizon's games drop out when it ends.  The forecasts
-    (n, max T, K) and outcomes (n, max T) are game-major and live in
-    anonymous memory, so the staircase's unplayed corner is never touched
-    and never resident.  Returns one list of transcripts per forecaster,
-    whose arrays are views of that memory.
+    noise block before round 1, into the rows its forecasts later
+    overwrite when it is int64 (``_noise_rows``).  Round t applies each
+    running horizon's own ``rule`` to its rows, then asks ``next_outcomes``
+    once for all running games, which see their forecasts of rounds
+    1..t-1 as a (t-1, n_running, K) view; a horizon's games drop out when
+    it ends, and they are always the last rows.  The loop sees the
+    forecasts as (max T, n, K) and the outcomes as (max T, n).  One
+    horizon's block stores them so, in numpy arrays: each round's rows are
+    contiguous, and a later block reuses the memory this one frees.  A
+    staircase stores them game-major in anonymous memory, so its unplayed
+    corner is never touched and never resident.  Returns one list of
+    transcripts per forecaster with contiguous arrays: copies of a
+    round-major block (or, for one game, a view of its own), and views of
+    a staircase's memory.
     """
     k, horizons = adversary.k, [forecaster.horizon for forecaster in forecasters]
     stops = list(accumulate(map(len, rngs)))
     n, rounds = stops[-1], horizons[0]
-    memory = mmap.mmap(-1, n * rounds * (k + 1) * 8)
-    forecasts = np.frombuffer(memory, np.float64, n * rounds * k).reshape(n, rounds, k)
-    outcomes = np.frombuffer(memory, np.int64, n * rounds, n * rounds * k * 8).reshape(n, rounds)
-    noise = forecasts.view(np.int64)  # noise row t is read just before forecast row t lands
-    games = [(forecaster, rng) for forecaster, group in zip(forecasters, rngs) for rng in group]
-    for row, (forecaster, rng) in enumerate(games):
-        np.copyto(noise[row, :forecaster.horizon], forecaster.noise(forecaster.horizon, rng),
-                  casting="safe")
-    every_rng = [rng for _, rng in games]
-    past = forecasts.transpose(1, 0, 2)  # the adversary's (T, n, K) view
+    if len(forecasters) > 1:  # game-major, seen through (max T, n, ...) views
+        memory = mmap.mmap(-1, n * rounds * (k + 1) * 8)
+        forecasts = np.frombuffer(memory, np.float64, n * rounds * k).reshape(n, rounds, k)
+        outcomes = np.frombuffer(memory, np.int64, n * rounds, n * rounds * k * 8)
+        forecasts, outcomes = forecasts.transpose(1, 0, 2), outcomes.reshape(n, rounds).T
+    else:
+        forecasts, outcomes = np.empty((rounds, n, k)), np.empty((rounds, n), dtype=np.int64)
+    shared = forecasts.view(np.int64)  # noise row t is read just before forecast row t lands
+    noise = [_noise_rows(forecaster, group, shared[:forecaster.horizon, stop - len(group):stop])
+             for forecaster, group, stop in zip(forecasters, rngs, stops)]
+    every_rng = [rng for group in rngs for rng in group]
     counts = np.zeros((n, k), dtype=np.int64)
     eye = np.eye(k, dtype=np.int64)  # row y adds one outcome y to a count vector
-    running = len(forecasters)
-    for t in range(rounds):
-        while horizons[running - 1] <= t:  # the shortest running horizon has ended
-            running -= 1
-        start, width = 0, stops[running - 1]
-        for forecaster, stop in zip(forecasters[:running], stops):
-            forecasts[start:stop, t] = forecaster.rule(counts[start:stop], noise[start:stop, t])
-            start = stop
-        reply = np.asarray(adversary.next_outcomes(t + 1, past[:t, :width], every_rng[:width]))
-        if reply.dtype.kind not in "iu":  # 1.7 would be truncated to outcome 1
-            raise _bad_outcomes(rounds, k)
-        outcomes[:width, t] = reply
-        try:
-            counts[:width] += eye[outcomes[:width, t]]
-        except IndexError as exc:
-            raise _bad_outcomes(rounds, k) from exc
+    begin = 0
+    for running in range(len(forecasters), 0, -1):  # the rounds the first `running` horizons play
+        width, end = stops[running - 1], horizons[running - 1]
+        steps = [(forecaster.rule, counts[a:b], rows, forecasts[:, a:b]) for forecaster, rows, a, b
+                 in zip(forecasters, noise, [0] + stops, stops[:running])]
+        past, played, live, shown = (forecasts[:, :width], outcomes[:, :width], counts[:width],
+                                     every_rng[:width])
+        for t in range(begin, end):
+            for rule, own_counts, own_noise, own_forecasts in steps:
+                own_forecasts[t] = rule(own_counts, own_noise[t])
+            reply = np.asarray(adversary.next_outcomes(t + 1, past[:t], shown))
+            if reply.dtype.kind not in "iu":  # 1.7 would be truncated to outcome 1
+                raise _bad_outcomes(horizons[0], k)  # the first game's reply is bad too
+            played[t] = reply
+            try:
+                live += eye[played[t]]
+            except IndexError as exc:
+                bad = int(np.argmax((reply < 0) | (reply >= k)))  # the first game out of range
+                raise _bad_outcomes(horizons[bisect_right(stops, bad)], k) from exc
+        begin = end
     transcripts, start = [], 0
     for horizon, stop in zip(horizons, stops):
-        if outcomes[start:stop, :horizon].min() < 0:  # a negative index wraps instead of raising
+        if outcomes[:horizon, start:stop].min() < 0:  # a negative index wraps instead of raising
             raise _bad_outcomes(horizon, k)
-        transcripts.append([Transcript(forecasts[i, :horizon], outcomes[i, :horizon])
+        transcripts.append([Transcript(np.ascontiguousarray(forecasts[:horizon, i]),
+                                       np.ascontiguousarray(outcomes[:horizon, i]))
                             for i in range(start, stop)])
         start = stop
     return transcripts
@@ -254,8 +288,7 @@ def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Trans
     if n < 1:
         raise ValueError("need at least one game")
     if not _oblivious(adversary):
-        return [Transcript(game.forecasts.copy(), game.outcomes.copy())
-                for game in _lockstep([forecaster], adversary, [rngs])[0]]
+        return _lockstep([forecaster], adversary, [rngs])[0]  # one horizon: no shared memory
     noise = np.stack([forecaster.noise(horizon, rng) for rng in rngs], axis=1)  # (T, n, K)
     outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng)) for rng in rngs], axis=1)
     if (outcomes.shape != (horizon, n) or outcomes.dtype.kind not in "iu"
@@ -332,7 +365,6 @@ def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials,
         raise ValueError("trials must be >= 1")
     if not losses:
         raise ValueError("need at least one loss")
-    _check_game(forecaster, adversary)
     out = np.empty((len(trials), len(losses)))
     for _, piece in trial_jobs(adversary, [forecaster.horizon], len(trials), 1):
         out[piece.start:piece.stop] = _run_block([forecaster], adversary, losses,

@@ -54,7 +54,7 @@ class Forecaster:
             raise ValueError("horizon must be >= 1")
 
     def noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        """Hallucinated integer counts for ``horizon`` rounds, (horizon, K); none by default."""
+        """Hallucinated counts for ``horizon`` rounds, shape (horizon, K); none by default."""
         return np.zeros((horizon, self.k), dtype=np.int64)
 
     def rule(self, counts: np.ndarray, noise: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ucal import (Adversary, Alternating, FixedSequence, FollowTheLeader, GreedyAdaptive,
-                  IidUniform, MixtureLoss, PerturbedLeaderGeometric, PerturbedLeaderUniform,
-                  RngStream, SphericalLoss, SquaredLoss, StaticForecaster, TsallisLoss,
-                  VShapedLoss, benchmark_cost,
+from ucal import (Adversary, Alternating, FixedSequence, FollowTheLeader, Forecaster,
+                  GreedyAdaptive, IidUniform, MixtureLoss, PerturbedLeaderGeometric,
+                  PerturbedLeaderUniform, RngStream, SphericalLoss, SquaredLoss,
+                  StaticForecaster, TsallisLoss, VShapedLoss, benchmark_cost,
                   check_high_prob_bound, estimate_calibration, exact_binomial_mad,
                   mean_of_counts, play_games, random_simplex_points, regret, run_game,
                   run_trials, summarize, sup_regret_mixture)
@@ -586,10 +586,10 @@ class TestTrialJobs:
             assert len(groups) == 1 and len(sizes) == min(workers, trials)
             assert max(sizes) - min(sizes) <= 1
             return
-        for group, following in zip(groups, groups[1:]):  # each group as large as the budget allows
-            assert 3 * (sum(group) + following[0]) > cells
-        for group in groups:
-            assert len(group) == 1 or 3 * sum(group) <= cells
+        for group, following in zip(groups, groups[1:]):  # as large as one block of all trials
+            assert 3 * trials * (sum(group) + following[0]) > cells
+        for group in groups:  # several horizons share a block only when all trials fit one
+            assert len(group) == 1 or 3 * trials * sum(group) <= cells
             per_block = max(1, cells // (3 * sum(group)))
             blocks = -(-trials // per_block)
             sizes = [len(r) for g, r in jobs if g == group]
@@ -601,6 +601,12 @@ class TestTrialJobs:
                 assert blocks <= len(sizes) <= blocks * workers
         order = [(group[0], len(r)) for group, r in jobs]
         assert order == sorted(order, reverse=True)
+        # against each horizon in its own blocks: as many rule calls, no more rounds
+        with unittest.mock.patch.object(engine, "BLOCK_CELLS", cells):
+            serial = engine.trial_jobs(adversary, horizons, trials, 1)
+        solo = sum(h * -(-trials // max(1, cells // (3 * h))) for h in horizons)
+        assert sum(sum(group) for group, _ in serial) == solo
+        assert sum(group[0] for group, _ in serial) <= solo
 
     def test_benchmark_sweep_is_one_block(self):
         # 8 trials at 64, ..., 4096 are 56 games of 4096 rounds: one staircase, no pool
@@ -620,13 +626,6 @@ class TestTrialJobs:
         assert sorted((r.start, r.stop) for _, r in jobs) == [
             (trials * i // len(jobs), trials * (i + 1) // len(jobs)) for i in range(len(jobs))]
         assert len(jobs) == min(workers, trials)
-
-    def test_horizons_grouped_longest_first_over_budget(self):
-        greedy = GreedyAdaptive(3, SquaredLoss())
-        with unittest.mock.patch.object(engine, "BLOCK_CELLS", 3 * 49):
-            jobs = engine.trial_jobs(greedy, [1, 2, 7, 16, 33], 2, workers=1)
-        assert jobs == [((33, 16), range(0, 1)), ((33, 16), range(1, 2)),
-                        ((7, 2, 1), range(0, 2))]
 
     def test_blocks_are_cut_into_near_equal_sizes(self):
         # two blocks at T=64 play 4000 trials each, not 5461 and 2539
@@ -661,6 +660,18 @@ class DrawsEveryRound(Adversary):
         return draws
 
 
+class GaussianLeader(Forecaster):
+    """Softmax of counts plus Gaussian noise: a forecaster whose noise is not integer."""
+
+    def noise(self, horizon, rng):
+        return rng.normal(0.0, 2.0, size=(horizon, self.k))
+
+    def rule(self, counts, noise):
+        totals = counts + noise
+        weights = np.exp(totals - totals.max(axis=1, keepdims=True))
+        return weights / weights.sum(axis=1, keepdims=True)
+
+
 class TestRunExperiment:
     LOSSES = [VShapedLoss(), SquaredLoss(0.5), SphericalLoss(), TsallisLoss(1.5)]
     HORIZONS = [1, 2, 7, 16, 33]
@@ -678,9 +689,9 @@ class TestRunExperiment:
                        PerturbedLeaderUniform(3, 33)]
         expected = [run_trials(f, make(), self.LOSSES, 7, 5) for f in forecasters]
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        # one staircase of all five horizons, then groups (33, 16) and (7, 2, 1), the
-        # first in 1-trial blocks and the second in blocks of 3 and 4 trials
-        for cells in (engine.BLOCK_CELLS, 3 * 52):
+        # one staircase of all five horizons; then 33 alone in 1-trial blocks, 16 alone in
+        # blocks of 3, 2 and 2 trials, the group (7, 2) in one block, and 1 alone
+        for cells in (engine.BLOCK_CELLS, 3 * 63):
             monkeypatch.setattr(engine, "BLOCK_CELLS", cells)
             for workers in (1, 2, 3):
                 got = engine.run_experiment(forecasters, make(), self.LOSSES, 7, 5, workers)
@@ -688,7 +699,7 @@ class TestRunExperiment:
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         if adversary != "iid-uniform":
             plan = engine.trial_jobs(make(), self.HORIZONS, 7, 1)
-            assert [group for group, _ in plan] == [(33, 16)] * 7 + [(7, 2, 1)] * 2
+            assert [group for group, _ in plan] == [(33,)] * 7 + [(16,)] * 3 + [(7, 2), (1,)]
 
     def test_adversary_sees_the_running_games(self):
         adversary = ReadsEveryForecast(3)
@@ -698,6 +709,27 @@ class TestRunExperiment:
         running = [4 * sum(h >= t for h in self.HORIZONS) for t in range(1, 34)]
         assert adversary.calls == [(t, (t - 1, n, 3), n) for t, n in zip(range(1, 34), running)]
         assert running == sorted(running, reverse=True)
+
+    def test_float_noise_played_alike_on_both_paths(self):
+        forecasters = [GaussianLeader(3, 9), PerturbedLeaderUniform(3, 5)]
+        oblivious, reference = _oblivious_and_reference("iid-uniform", 3, 9)
+        expected = [run_trials(f, oblivious, self.LOSSES, 4, 2) for f in forecasters]
+        for forecaster, matrix in zip(forecasters, expected):  # one horizon, round by round
+            assert np.array_equal(run_trials(forecaster, reference, self.LOSSES, 4, 2), matrix)
+        # the staircase draws the float noise apart from the int64 noise, in its own dtype
+        got = engine.run_experiment(forecasters, reference, self.LOSSES, 4, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_bad_reply_names_the_horizon_of_its_game(self):
+        class LastGameOutOfRange(Adversary):
+            def next_outcomes(self, t, past_forecasts, rngs):
+                reply = np.zeros(len(rngs), dtype=np.int64)
+                reply[-1] = self.k
+                return reply
+
+        forecasters = [FollowTheLeader(3, 7), FollowTheLeader(3, 3)]
+        with pytest.raises(ValueError, match="must be 3 indices"):
+            engine.run_experiment(forecasters, LastGameOutOfRange(3), [VShapedLoss()], 2, 0)
 
     def test_repeated_horizon_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
