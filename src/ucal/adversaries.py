@@ -38,6 +38,11 @@ class Adversary:
 
         n may fall from one round to the next; the games that drop out are
         always the last rows, so per-game state is kept by row.
+        ``past_forecasts`` is a strided view of the engine's game-major block:
+        the rows of ``past_forecasts[-1]`` lie a game's length apart, and numpy
+        steps such an (n, K) slice row by row in every op.  An adversary that
+        runs several ops on it copies it with ``np.ascontiguousarray`` first,
+        as ``GreedyAdaptive`` does.
         """
         raise NotImplementedError(f"{type(self).__name__} must define `outcomes` (oblivious) "
                                   "or `next_outcomes` (adaptive)")

@@ -5,23 +5,26 @@ made, and it keeps no per-game state, so every call below takes the
 forecaster itself and reads T from ``forecaster.horizon``.
 ``run_game`` plays T rounds of forecast-then-outcome and returns a
 transcript.  ``play_games`` plays n games of one forecaster, each from zero
-counts.  An adversary that has ``outcomes`` is oblivious, and its game is
-played as one vectorized block (the block path); any other is adaptive,
-and its games run in lockstep through the engine's one round loop, with
-one ``next_outcomes`` call per round.  That loop plays a staircase: games
-at several horizons, longest first, each running horizon stepped by its
-own rule, and a game drops out when its horizon ends, so a block of
-horizons H runs max(H) rounds.  ``run_trials`` plays one horizon's trials,
-trial i on stream (base_seed, i), and scores each with ``regret``.
-``trial_jobs`` plans an experiment as blocks: one trial range at a group
-of horizons, within ``BLOCK_CELLS`` played cells, handed to a worker
-whole unless it holds at least as many games as it runs rounds.  Horizons
-share a block only when all trials at all of them fit one, so a sweep too
-large for one block plays each horizon's blocks on their own.
-``run_experiment`` runs a whole experiment, one forecaster per horizon: it
-maps that plan's blocks through one trial runner, in one process pool
-when there is more than one worker and job, and puts each block's regrets
-back at its trial rows, so the result does not depend on the worker count.
+counts, as one game-major block: forecasts (n, T, K) and outcomes (n, T),
+each game's rows contiguous, and each transcript a view of the block.  An
+adversary that has ``outcomes`` is oblivious, and its games are played as
+one vectorized kernel (the block path); any other is adaptive, and its
+games run in lockstep through the engine's one round loop, with one
+``next_outcomes`` call per round.  That loop plays a staircase: games at
+several horizons, longest first, each running horizon stepped by its own
+rule, and a game drops out when its horizon ends, so a block of horizons H
+runs max(H) rounds.  ``trial_jobs`` plans an experiment as blocks: one
+trial range at a group of horizons, within ``BLOCK_CELLS`` played cells,
+handed to a worker whole unless it holds at least as many games as it runs
+rounds.  Horizons share a block only when all trials at all of them fit
+one, so a sweep too large for one block plays each horizon's blocks on
+their own.  ``run_experiment`` runs a whole experiment, one forecaster per
+horizon, and ``run_trials`` is its one-forecaster case.  It maps the plan's
+blocks through one trial runner, in one process pool when there is more
+than one worker and job, scores each block's games straight from its
+arrays, a few whole games at a time, and puts the regrets back at their
+trial rows, so the result does not depend on the worker count.  Trial i
+plays on stream (base_seed, i) at every horizon.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
 loss against the mean-of-outcomes benchmark, which is the empirical risk
@@ -104,6 +107,13 @@ MAX_GAME_CELLS = 1 << 24
 #: play n * sum(H) * K cells, and a block plays at most 2^20 of them (8 MiB
 #: of forecasts), unless one trial at its one horizon is already more.
 BLOCK_CELLS = 1 << 20
+
+#: Cell budget of one scoring chunk: whole games, at least one, of at most
+#: 2^14 forecast cells (128 KiB).  Each loss builds a few float temporaries
+#: of the chunk's size, so a larger chunk shows in peak RSS: on the 8-trial
+#: K = 3 sweep over T = 64..4096 it read about 0.5 MB more at 2^15 and 2 MB
+#: more at 2^16, with no CPU to show for it.
+SCORE_CELLS = 1 << 14
 
 
 def check_game_size(k: int, horizon: int) -> None:
@@ -205,32 +215,25 @@ def _noise_rows(forecaster: Forecaster, rngs, shared: np.ndarray) -> np.ndarray:
 def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
     """The round loop: play the games of ``rngs[g]`` at ``forecasters[g].horizon`` as one staircase.
 
-    The forecasters come longest horizon first.  Each game draws its whole
-    noise block before round 1, into the rows its forecasts later
-    overwrite when it is int64 (``_noise_rows``).  Round t applies each
-    running horizon's own ``rule`` to its rows, then asks ``next_outcomes``
-    once for all running games, which see their forecasts of rounds
-    1..t-1 as a (t-1, n_running, K) view; a horizon's games drop out when
-    it ends, and they are always the last rows.  The loop sees the
-    forecasts as (max T, n, K) and the outcomes as (max T, n).  One
-    horizon's block stores them so, in numpy arrays: each round's rows are
-    contiguous, and a later block reuses the memory this one frees.  A
-    staircase stores them game-major in anonymous memory, so its unplayed
-    corner is never touched and never resident.  Returns one list of
-    transcripts per forecaster with contiguous arrays: copies of a
-    round-major block (or, for one game, a view of its own), and views of
-    a staircase's memory.
+    The forecasters come longest horizon first.  The block is stored
+    game-major in one anonymous ``mmap``, n games of max T rounds, so a
+    staircase's unplayed corner is never touched and never resident.  Each
+    game draws its whole noise block before round 1, into the rows its
+    forecasts later overwrite when it is int64 (``_noise_rows``).  Round t
+    applies each running horizon's own ``rule`` to its rows, then asks
+    ``next_outcomes`` once for all running games, which see their forecasts
+    of rounds 1..t-1 as a strided (t-1, n_running, K) view; a horizon's
+    games drop out when it ends, and they are always the last rows.
+    Returns one (forecasts (n, T, K), outcomes (n, T)) pair of views per
+    forecaster, with each game's rows contiguous and games strided by max T.
     """
     k, horizons = adversary.k, [forecaster.horizon for forecaster in forecasters]
     stops = list(accumulate(map(len, rngs)))
     n, rounds = stops[-1], horizons[0]
-    if len(forecasters) > 1:  # game-major, seen through (max T, n, ...) views
-        memory = mmap.mmap(-1, n * rounds * (k + 1) * 8)
-        forecasts = np.frombuffer(memory, np.float64, n * rounds * k).reshape(n, rounds, k)
-        outcomes = np.frombuffer(memory, np.int64, n * rounds, n * rounds * k * 8)
-        forecasts, outcomes = forecasts.transpose(1, 0, 2), outcomes.reshape(n, rounds).T
-    else:
-        forecasts, outcomes = np.empty((rounds, n, k)), np.empty((rounds, n), dtype=np.int64)
+    memory = mmap.mmap(-1, n * rounds * (k + 1) * 8)
+    games = np.frombuffer(memory, np.float64, n * rounds * k).reshape(n, rounds, k)
+    moves = np.frombuffer(memory, np.int64, n * rounds, n * rounds * k * 8).reshape(n, rounds)
+    forecasts, outcomes = games.transpose(1, 0, 2), moves.T  # the loop's (max T, n, ...) views
     shared = forecasts.view(np.int64)  # noise row t is read just before forecast row t lands
     noise = [_noise_rows(forecaster, group, shared[:forecaster.horizon, stop - len(group):stop])
              for forecaster, group, stop in zip(forecasters, rngs, stops)]
@@ -257,15 +260,36 @@ def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
                 bad = int(np.argmax((reply < 0) | (reply >= k)))  # the first game out of range
                 raise _bad_outcomes(horizons[bisect_right(stops, bad)], k) from exc
         begin = end
-    transcripts, start = [], 0
-    for horizon, stop in zip(horizons, stops):
-        if outcomes[:horizon, start:stop].min() < 0:  # a negative index wraps instead of raising
+    blocks = []
+    for horizon, start, stop in zip(horizons, [0] + stops, stops):
+        if moves[start:stop, :horizon].min() < 0:  # a negative index wraps instead of raising
             raise _bad_outcomes(horizon, k)
-        transcripts.append([Transcript(np.ascontiguousarray(forecasts[:horizon, i]),
-                                       np.ascontiguousarray(outcomes[:horizon, i]))
-                            for i in range(start, stop)])
-        start = stop
-    return transcripts
+        blocks.append((games[start:stop, :horizon], moves[start:stop, :horizon]))
+    return blocks
+
+
+def _play(forecaster: Forecaster, adversary: Adversary, rngs) -> tuple:
+    """(forecasts (n, T, K), outcomes (n, T)) of one block of ``len(rngs)`` games, game-major.
+
+    An adaptive adversary's games run through ``_lockstep``.  An oblivious
+    one's are one kernel: each game's noise and outcomes stacked on axis 0,
+    their integer prefix counts summed along axis 1, and one ``rule`` call.
+    """
+    if not _oblivious(adversary):
+        return _lockstep([forecaster], adversary, [rngs])[0]
+    k, horizon, n = forecaster.k, forecaster.horizon, len(rngs)
+    noise = np.stack([forecaster.noise(horizon, rng) for rng in rngs])  # (n, T, K)
+    outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng)) for rng in rngs])
+    if (outcomes.shape != (n, horizon) or outcomes.dtype.kind not in "iu"
+            or outcomes.min() < 0 or outcomes.max() >= k):
+        raise _bad_outcomes(horizon, k)
+    outcomes = outcomes.astype(np.int64, copy=False)
+    # counts before round t: the outcome of round t first shows in row t + 1
+    prefix = np.zeros((n, horizon, k), dtype=np.int64)
+    prefix[np.arange(n)[:, None], np.arange(1, horizon), outcomes[:, :-1]] = 1
+    np.cumsum(prefix, axis=1, out=prefix)
+    forecasts = forecaster.rule(prefix.reshape(-1, k), noise.reshape(-1, k))
+    return forecasts.reshape(n, horizon, k), outcomes
 
 
 def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Transcript]:
@@ -280,28 +304,13 @@ def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Trans
     (the round loop, a staircase of one step): round t applies the rule
     once to the stacked counts (n, K) and noise rows (n, K), then asks
     ``next_outcomes`` for all n replies, which see forecasts 1..t-1 only.
-    Each game's transcript is the one it would get played alone, and owns
-    its arrays.
+    Each game's transcript is the one it would get played alone; its arrays
+    are views of one block's memory, which lives as long as any of them.
     """
     _check_game(forecaster, adversary)
-    k, horizon, n = forecaster.k, forecaster.horizon, len(rngs)
-    if n < 1:
+    if len(rngs) < 1:
         raise ValueError("need at least one game")
-    if not _oblivious(adversary):
-        return _lockstep([forecaster], adversary, [rngs])[0]  # one horizon: no shared memory
-    noise = np.stack([forecaster.noise(horizon, rng) for rng in rngs], axis=1)  # (T, n, K)
-    outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng)) for rng in rngs], axis=1)
-    if (outcomes.shape != (horizon, n) or outcomes.dtype.kind not in "iu"
-            or outcomes.min() < 0 or outcomes.max() >= k):
-        raise _bad_outcomes(horizon, k)
-    outcomes = outcomes.astype(np.int64, copy=False)
-    # counts before round t: the outcome of round t first shows in row t + 1
-    prefix = np.zeros((horizon, n, k), dtype=np.int64)
-    prefix[np.arange(1, horizon)[:, None], np.arange(n), outcomes[:-1]] = 1
-    np.cumsum(prefix, axis=0, out=prefix)
-    forecasts = forecaster.rule(prefix.reshape(-1, k), noise.reshape(-1, k)).reshape(horizon, n, k)
-    return [Transcript(np.ascontiguousarray(forecasts[:, i]), outcomes[:, i].copy())
-            for i in range(n)]
+    return [Transcript(*game) for game in zip(*_play(forecaster, adversary, rngs))]
 
 
 def run_game(forecaster: Forecaster, adversary: Adversary,
@@ -328,64 +337,76 @@ def regret(transcript: Transcript, loss: ProperLoss) -> RegretRecord:
     return RegretRecord(algorithm_cost=alg, benchmark_cost=bench, regret=alg - bench)
 
 
+def _score(forecasts: np.ndarray, outcomes: np.ndarray, losses) -> np.ndarray:
+    """Regret matrix (n, len(losses)) of n games' forecasts (n, T, K) and outcomes (n, T).
+
+    Row i is ``regret`` of game i at each loss, bit for bit.  Games are
+    scored whole, at least one and within ``SCORE_CELLS`` cells at a time.
+    A game's cost sums its own contiguous row of ``bivariate``, as ``np.sum``
+    does its transcript's; its benchmark is a ``matmul`` of its counts with
+    the loss table at its mean, which equals the per-game ``np.dot``.
+    """
+    n, horizon, k = forecasts.shape
+    step = max(1, SCORE_CELLS // (horizon * k))
+    regrets = np.empty((n, len(losses)))
+    for start in range(0, n, step):
+        played, seen = forecasts[start:start + step], outcomes[start:start + step]
+        counts = np.bincount((seen + k * np.arange(len(seen))[:, None]).ravel(),
+                             minlength=len(seen) * k).reshape(-1, k)
+        means = counts / counts.sum(axis=1, keepdims=True)
+        for j, loss in enumerate(losses):
+            bench = np.matmul(counts[:, None], loss.outcome_losses(means)[..., None])[:, 0, 0]
+            regrets[start:start + step, j] = loss.bivariate(played, seen).sum(axis=-1) - bench
+    return regrets
+
+
 def _run_block(forecasters, adversary: Adversary, losses, trials: range,
                base_seed: int) -> list[np.ndarray]:
     """One regret matrix (len(trials), len(losses)) per forecaster, longest horizon first.
 
     Trial i plays on stream (base_seed, i) at every horizon.  Oblivious
     games are played, scored and released one at a time; adaptive ones run
-    as one ``_lockstep`` staircase and are scored from its memory.
+    as one ``_lockstep`` staircase, and each horizon's games are scored
+    from its memory.
     """
-    for forecaster in forecasters:
-        _check_game(forecaster, adversary)
     if _oblivious(adversary):
-        games = ((play_games(forecaster, adversary, [RngStream(base_seed, trial).generator()])[0]
-                  for trial in trials) for forecaster in forecasters)
-    else:
-        games = _lockstep(forecasters, adversary,
-                          [[RngStream(base_seed, trial).generator() for trial in trials]
-                           for _ in forecasters])
-    return [np.array([[regret(game, loss).regret for loss in losses] for game in group])
-            for group in games]
+        return [np.concatenate([_score(*_play(forecaster, adversary,
+                                              [RngStream(base_seed, trial).generator()]), losses)
+                                for trial in trials]) for forecaster in forecasters]
+    rngs = [[RngStream(base_seed, trial).generator() for trial in trials] for _ in forecasters]
+    return [_score(*block, losses) for block in _lockstep(forecasters, adversary, rngs)]
 
 
-def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials,
+def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials: int,
                base_seed: int) -> np.ndarray:
-    """Regret matrix of shape (len(trials), len(losses)); trial i uses stream (base_seed, i).
+    """Regret matrix of shape (trials, len(losses)); trial i uses stream (base_seed, i).
 
-    ``trials`` is a count or a ``range`` of trial indices.  ``forecaster``
-    plays every trial at its horizon, in the one-worker ``trial_jobs`` plan:
-    oblivious trials are played, scored and released one at a time, and
-    adaptive trials run in lockstep blocks of at most ``BLOCK_CELLS``
-    cells.  Either way row j is the regret the trial would get played alone.
+    ``run_experiment`` with one forecaster and one worker: row i is the
+    regret trial i would get played alone.
     """
-    trials = trials if isinstance(trials, range) else range(trials)
-    losses = list(losses)
-    if len(trials) < 1:
-        raise ValueError("trials must be >= 1")
-    if not losses:
-        raise ValueError("need at least one loss")
-    out = np.empty((len(trials), len(losses)))
-    for _, piece in trial_jobs(adversary, [forecaster.horizon], len(trials), 1):
-        out[piece.start:piece.stop] = _run_block([forecaster], adversary, losses,
-                                                 trials[piece.start:piece.stop], base_seed)[0]
-    return out
+    return run_experiment([forecaster], adversary, losses, trials, base_seed)[0]
 
 
 def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_seed: int,
                    workers: int = 1) -> list[np.ndarray]:
     """One regret matrix of shape (trials, len(losses)) per forecaster, each at its horizon.
 
-    The forecasters' horizons must differ.  ``workers`` is capped at the CPU
-    count, and the ``trial_jobs`` plan for that many workers goes through one
-    pool of min(workers, CPU count, jobs) processes, longest job first; there
-    is no pool when that is 1.  So an adaptive sweep that fits one block
-    plays every horizon in one staircase of max T rounds, in this process.
-    Trial i of every horizon plays on stream (base_seed, i), and each job's
-    regrets land at its trial rows, so the matrices are the per-horizon
-    ``run_trials`` matrices at any worker count.
+    The forecasters' horizons must differ, and every input is checked
+    before any game is played.  ``workers`` is capped at the CPU count, and
+    the ``trial_jobs`` plan for that many workers goes through one pool of
+    min(workers, CPU count, jobs) processes, longest job first; there is no
+    pool when that is 1.  So an adaptive sweep that fits one block plays
+    every horizon in one staircase of max T rounds, in this process.  Trial
+    i of every horizon plays on stream (base_seed, i), and each job's
+    regrets land at its trial rows, so a horizon's matrix does not depend
+    on the worker count or on the other horizons.
     """
     forecasters, losses = list(forecasters), list(losses)
+    trials, workers = validate_integer(trials, "trials"), validate_integer(workers, "workers")
+    if not forecasters or not losses:
+        raise ValueError("need at least one forecaster and one loss")
+    for forecaster in forecasters:
+        _check_game(forecaster, adversary)
     horizons = [forecaster.horizon for forecaster in forecasters]
     if len(set(horizons)) < len(horizons):
         raise ValueError(f"forecaster horizons {horizons} repeat")

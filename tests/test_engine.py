@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ucal import (Adversary, Alternating, FixedSequence, FollowTheLeader, Forecaster,
-                  GreedyAdaptive, IidUniform, MixtureLoss, PerturbedLeaderGeometric,
+from ucal import (Adversary, Alternating, CustomLoss, FixedSequence, FollowTheLeader,
+                  Forecaster, GreedyAdaptive, IidUniform, MixtureLoss, PerturbedLeaderGeometric,
                   PerturbedLeaderUniform, RngStream, SphericalLoss, SquaredLoss,
-                  StaticForecaster, TsallisLoss, VShapedLoss, benchmark_cost,
+                  StaticForecaster, Transcript, TsallisLoss, VShapedLoss, benchmark_cost,
                   check_high_prob_bound, estimate_calibration, exact_binomial_mad,
                   mean_of_counts, play_games, random_simplex_points, regret, run_game,
                   run_trials, summarize, sup_regret_mixture)
@@ -554,7 +554,6 @@ class TestRunTrials:
                               SHIPPED_LOSSES, trials=trials, base_seed=4)
 
         whole = run(7)
-        assert np.array_equal(run(range(2, 6)), whole[2:6])
         monkeypatch.setattr(engine, "BLOCK_CELLS", 2 * 40 * 3)  # lockstep blocks of 2
         assert np.array_equal(run(7), whole)
 
@@ -565,6 +564,50 @@ class TestRunTrials:
                        [VShapedLoss()], trials=5, base_seed=9)
         np.testing.assert_array_equal(a, b)
         assert len(np.unique(a)) > 1  # trials genuinely differ
+
+
+def _log_sum_exp_loss():
+    """A ``CustomLoss`` through exp and log: minus log-sum-exp and its gradient."""
+    def subgradient(p):
+        weights = np.exp(p)
+        return -weights / weights.sum(axis=-1, keepdims=True)
+
+    return CustomLoss(lambda p: -np.log(np.exp(p).sum(axis=-1)), subgradient, "log-sum-exp")
+
+
+class TestBlockScorer:
+    """The trial path's scorer gives each game of a block its ``regret``, bit for bit."""
+
+    LOSSES = SHIPPED_LOSSES + [_log_sum_exp_loss()]
+
+    @staticmethod
+    def _blocks(kind, k, horizon, n=5):
+        """(forecasts, outcomes) blocks of n games as the trial path plays them."""
+        def rngs():
+            return [_gen(17, i) for i in range(n)]
+
+        if kind == "oblivious":
+            return [engine._play(PerturbedLeaderGeometric(k, horizon), IidUniform(k), rngs())]
+        greedy = GreedyAdaptive(k, SquaredLoss())
+        if kind == "adaptive":
+            return engine._lockstep([PerturbedLeaderUniform(k, horizon)], greedy, [rngs()])
+        # a staircase: the games at `horizon` lie max T = horizon + 5 rows apart
+        staircase = [FollowTheLeader(k, horizon + 5), PerturbedLeaderUniform(k, horizon)]
+        return engine._lockstep(staircase, greedy, [rngs(), rngs()])
+
+    @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])  # at K = 10 numpy sums the K axis pairwise
+    def test_equals_per_game_regret(self, k, horizon, monkeypatch):
+        # the default budget, one game per chunk, and chunks of two games with a remainder
+        budgets = (engine.SCORE_CELLS, 1, horizon * k, 2 * horizon * k + 1)
+        for kind in ("oblivious", "adaptive", "staircase"):
+            for forecasts, outcomes in self._blocks(kind, k, horizon):
+                alone = [Transcript(np.array(f), np.array(y)) for f, y in zip(forecasts, outcomes)]
+                expected = [[regret(game, loss).regret for loss in self.LOSSES] for game in alone]
+                for cells in budgets:
+                    monkeypatch.setattr(engine, "SCORE_CELLS", cells)
+                    assert np.array_equal(engine._score(forecasts, outcomes, self.LOSSES),
+                                          expected), (kind, cells)
 
 
 class TestTrialJobs:
@@ -730,6 +773,26 @@ class TestRunExperiment:
         forecasters = [FollowTheLeader(3, 7), FollowTheLeader(3, 3)]
         with pytest.raises(ValueError, match="must be 3 indices"):
             engine.run_experiment(forecasters, LastGameOutOfRange(3), [VShapedLoss()], 2, 0)
+
+    @pytest.mark.parametrize("forecasters, losses, trials, workers, message", [
+        ([], [VShapedLoss()], 2, 1, "at least one forecaster"),
+        (None, [], 2, 1, "one loss"),
+        (None, [VShapedLoss()], 2.5, 1, "trials must be an integer"),
+        (None, [VShapedLoss()], 2, 1.5, "workers must be an integer"),
+        (None, [VShapedLoss()], 0, 1, "trials and workers must be >= 1"),
+        (None, [VShapedLoss()], 2, 0, "trials and workers must be >= 1"),
+    ], ids=["no-forecaster", "no-loss", "fractional-trials", "fractional-workers",
+            "no-trial", "no-worker"])
+    def test_bad_input_refused_before_any_game(self, forecasters, losses, trials, workers,
+                                                message):
+        class NoDraw(PerturbedLeaderUniform):
+            def noise(self, horizon, rng):
+                raise AssertionError("played a game although the input was refused")
+
+        forecasters = [NoDraw(3, 8), NoDraw(3, 4)] if forecasters is None else forecasters
+        for adversary in (IidUniform(3), GreedyAdaptive(3, SquaredLoss())):
+            with pytest.raises(ValueError, match=message):
+                engine.run_experiment(forecasters, adversary, losses, trials, 0, workers)
 
     def test_repeated_horizon_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
