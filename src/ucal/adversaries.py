@@ -36,6 +36,8 @@ class Adversary:
     def next_outcomes(self, t: int, past_forecasts: np.ndarray, rngs) -> np.ndarray:
         """Round-t outcomes (n,) of n games from their past forecasts (t-1, n, K).
 
+        The reply is an integer array of exactly n indices in [0, K); the
+        engine refuses any other dtype or shape rather than broadcast it.
         n may fall from one round to the next; the games that drop out are
         always the last rows, so per-game state is kept by row.
         ``past_forecasts`` is a strided view of the engine's game-major block:

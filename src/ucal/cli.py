@@ -16,7 +16,9 @@ arguments its component does not take, or with too many, is a usage error.  Each
 the explicit flags, so the parser checks it like a flag and an explicit flag
 wins; a config ``loss`` is dropped when the command line has a ``--loss``.
 A config may set any option that takes a value, not a switch such as
-``--check-bounds``; an unknown key is a usage error.
+``--check-bounds``; an unknown key is a usage error.  Flags and keys are
+spelled in full: ``--tri`` or a config ``trial=3`` is a usage error, not
+``--trials``.
 Exit codes: 0 success, 1 validation or assertion failure (or an ``--output``
 that fails while it is written), 2 usage error, refused before any trial or
 output (among them ``--K`` below 2, ``--T``, ``--T-start`` or ``--workers``
@@ -362,7 +364,8 @@ def _config_argv(argv: list) -> list:
 
     Each line becomes ``--key=value``, so the parser checks it and an explicit flag wins.
     """
-    pre = argparse.ArgumentParser(prog="ucal", usage=argparse.SUPPRESS, add_help=False)
+    pre = argparse.ArgumentParser(prog="ucal", usage=argparse.SUPPRESS, add_help=False,
+                                  allow_abbrev=False)
     pre.add_argument("--config")
     given, explicit = pre.parse_known_args(argv[1:])
     if given.config is None:
@@ -390,7 +393,7 @@ def _config_argv(argv: list) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ucal",
+    parser = argparse.ArgumentParser(prog="ucal", allow_abbrev=False,
                                      description="Online forecasting experiments under proper losses")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -407,13 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="trial workers; capped by the CPU count")
 
-    p_run = sub.add_parser("run", help="play games and report regrets")
+    p_run = sub.add_parser("run", help="play games and report regrets", allow_abbrev=False)
     add_common(p_run)
     p_run.add_argument("--T", type=int, required=True)
     p_run.add_argument("--experiment", default="run")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="regret-vs-horizon scaling data")
+    p_sweep = sub.add_parser("sweep", help="regret-vs-horizon scaling data", allow_abbrev=False)
     add_common(p_sweep)
     p_sweep.add_argument("--T-start", dest="T_start", type=int, required=True)
     p_sweep.add_argument("--T-stop", dest="T_stop", type=int, required=True)
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--experiment", default="sweep")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_mm = sub.add_parser("minimax", help="exact binary squared-loss game value")
+    p_mm = sub.add_parser("minimax", help="exact binary squared-loss game value", allow_abbrev=False)
     p_mm.add_argument("--config", help="key=value defaults file; flags override")
     p_mm.add_argument("--T", type=int, required=True)
     p_mm.add_argument("--mode", choices=["dp", "closed", "both"], default="both")
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mm.add_argument("--output", help="CSV of r,u_r,v_r,a_r,upper_bound,lower_bound")
     p_mm.set_defaults(func=cmd_minimax)
 
-    p_val = sub.add_parser("validate", help="numerical loss validation suite")
+    p_val = sub.add_parser("validate", help="numerical loss validation suite", allow_abbrev=False)
     p_val.add_argument("--config", help="key=value defaults file; flags override")
     p_val.add_argument("--loss", required=True, help="loss spec, e.g. tsallis:1.5")
     p_val.add_argument("--K", type=int, default=3)

@@ -251,7 +251,8 @@ def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
             for rule, own_counts, own_noise, own_forecasts in steps:
                 own_forecasts[t] = rule(own_counts, own_noise[t])
             reply = np.asarray(adversary.next_outcomes(t + 1, past[:t], shown))
-            if reply.dtype.kind not in "iu":  # 1.7 would be truncated to outcome 1
+            # 1.7 would be truncated to outcome 1, and a scalar broadcast to every game
+            if reply.dtype.kind not in "iu" or reply.shape != (width,):
                 raise _bad_outcomes(horizons[0], k)  # the first game's reply is bad too
             played[t] = reply
             try:
@@ -494,6 +495,10 @@ def sup_regret_mixture(transcript: Transcript, loss1: ProperLoss, loss2: ProperL
 
 def check_high_prob_bound(regrets, k: int, horizon: int, delta: float) -> float:
     """Fraction of trial regrets exceeding 4*sqrt(KT) + sqrt(2T log(1/delta))."""
+    if validate_integer(k, "K") < 2:
+        raise ValueError("need at least 2 outcomes")
+    if validate_integer(horizon, "horizon") < 1:
+        raise ValueError("horizon must be >= 1")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     regrets = np.asarray(regrets, dtype=float)

@@ -8,17 +8,23 @@ forecast every round of an oblivious game in one call.  A forecaster holds
 only K, the horizon T it was built for, and the constants derived from them;
 it keeps no per-game state, so one instance serves any number of games.
 
-``FollowTheLeader``        forecasts the running mean of past outcomes, the
+The base ``Forecaster.rule`` is the leader of Follow-the-Perturbed-Leader:
+each row of ``counts + noise`` divided by its sum, an all-zero row
+forecasting uniform.  It reads only its two arguments, so FTL and both
+FTPLs are that one rule and differ only in the law of their noise:
+
+``FollowTheLeader``        no noise: the running mean of past outcomes, the
                            simultaneous empirical risk minimizer for every
                            proper loss.  Deterministic.
-``PerturbedLeaderGeometric``  adds fresh geometric hallucinated counts with
-                           success probability q = min(1, sqrt(K/T)) before
-                           normalizing.  The geometric support {1, 2, ...}
-                           guarantees a positive denominator every round.
-``PerturbedLeaderUniform`` adds uniform integer noise on {0, ..., floor(sqrt(T))},
-                           falling back to the uniform forecast if all counts
-                           and noise are zero.
+``PerturbedLeaderGeometric``  fresh geometric hallucinated counts with
+                           success probability q = min(1, sqrt(K/T)).  The
+                           geometric support {1, 2, ...} guarantees a
+                           positive denominator every round.
+``PerturbedLeaderUniform`` uniform integer noise on {0, ..., floor(sqrt(T))}.
 ``StaticForecaster``       always forecasts a fixed point (testing aid).
+
+A subclass overrides ``noise`` for a new perturbation of the leader, or
+``rule`` for a forecast that is not the leader, as ``StaticForecaster`` does.
 """
 
 from __future__ import annotations
@@ -30,20 +36,8 @@ import numpy as np
 from .core import row_sum, validate_integer, validate_simplex
 
 
-def _normalize(totals: np.ndarray) -> np.ndarray:
-    """Rows of integer ``totals`` divided by their sums; all-zero rows become uniform."""
-    denom = row_sum(totals)[:, None]
-    if denom.all():
-        return totals / denom
-    out = totals / np.maximum(denom, 1)
-    out[denom[:, 0] == 0] = 1.0 / totals.shape[1]
-    return out
-
-
 class Forecaster:
-    """K, the horizon, and the default (noiseless) ``noise`` shared by every rule."""
-
-    name = "forecaster"
+    """K, the horizon, no noise and the leader rule: Follow-the-Leader, unless overridden."""
 
     def __init__(self, k: int, horizon: int):
         self.k = validate_integer(k, "K")
@@ -57,29 +51,29 @@ class Forecaster:
         """Hallucinated counts for ``horizon`` rounds, shape (horizon, K); none by default."""
         return np.zeros((horizon, self.k), dtype=np.int64)
 
-    def rule(self, counts: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Forecasts (n, K) from integer counts (n, K) and hallucinated counts (n, K)."""
-        raise NotImplementedError
+    @staticmethod
+    def rule(counts: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Forecasts (n, K): each row of ``counts + noise`` over its sum; all-zero rows uniform."""
+        totals = counts + noise
+        denom = row_sum(totals)[:, None]
+        if denom.all():
+            return totals / denom
+        out = totals / np.maximum(denom, 1)
+        out[denom[:, 0] == 0] = 1.0 / totals.shape[1]
+        return out
 
 
 class FollowTheLeader(Forecaster):
-    """Forecast the empirical mean of past outcomes (uniform on round 1)."""
-
-    name = "ftl"
-
-    def rule(self, counts, noise):
-        return _normalize(counts)
+    """The leader with no noise: the empirical mean of past outcomes (uniform on round 1)."""
 
 
 class PerturbedLeaderGeometric(Forecaster):
-    """Leader over true counts plus fresh geometric hallucinated counts.
+    """The leader over true counts plus fresh geometric hallucinated counts.
 
     q is clipped to 1 when T < K, which makes the noise deterministically 1
     per outcome and the first forecast uniform.  The geometric support
     starts at 1, so the normalizer is at least K every round.
     """
-
-    name = "ftpl-geometric"
 
     def __init__(self, k: int, horizon: int):
         super().__init__(k, horizon)
@@ -88,15 +82,9 @@ class PerturbedLeaderGeometric(Forecaster):
     def noise(self, horizon, rng):
         return rng.geometric(self.q, size=(horizon, self.k))
 
-    def rule(self, counts, noise):
-        totals = counts + noise
-        return totals / row_sum(totals)[:, None]
-
 
 class PerturbedLeaderUniform(Forecaster):
-    """Leader over true counts plus uniform noise on {0, ..., floor(sqrt(T))}."""
-
-    name = "ftpl-uniform"
+    """The leader over true counts plus uniform noise on {0, ..., floor(sqrt(T))}."""
 
     def __init__(self, k: int, horizon: int):
         super().__init__(k, horizon)
@@ -104,9 +92,6 @@ class PerturbedLeaderUniform(Forecaster):
 
     def noise(self, horizon, rng):
         return rng.integers(0, self.noise_max + 1, size=(horizon, self.k))
-
-    def rule(self, counts, noise):
-        return _normalize(counts + noise)
 
 
 class StaticForecaster(Forecaster):
@@ -116,7 +101,6 @@ class StaticForecaster(Forecaster):
         point = validate_simplex(point)
         super().__init__(len(point), horizon)
         self.point = point
-        self.name = "static:" + ",".join(f"{x:g}" for x in point)
 
     def rule(self, counts, noise):
         return np.tile(self.point, (len(counts), 1))

@@ -215,6 +215,26 @@ class TestRun:
         assert code == 2 and out == "" and err
         assert not path.exists()
 
+    @pytest.mark.parametrize("line, flags", [
+        ("trial=3", []), ("work=1", []), ("", ["--tri", "2"]), ("", ["--work=2"]),
+    ], ids=["config-trial", "config-work", "flag-tri", "flag-work"])
+    def test_abbreviated_key_or_flag_is_usage_error(self, capsys, tmp_path, line, flags):
+        # argparse would otherwise read a unique prefix as the whole flag
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("forecaster=ftl\nadversary=alternating\nloss=vshaped\nK=2\nT=8\n"
+                       + line + "\n")
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(["run", "--config", str(cfg), "--output", str(path), *flags],
+                                 capsys)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+        assert not path.exists()
+
+    def test_abbreviated_config_flag_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("forecaster=ftl\nadversary=alternating\nloss=vshaped\nK=2\nT=8\n")
+        code, out, err = run_cli(["run", f"--conf={cfg}"], capsys)
+        assert code == 2 and out == "" and err
+
     def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(["run", "--config", str(tmp_path / "none.cfg")], capsys)
         assert code == 2 and out == "" and "config" in err

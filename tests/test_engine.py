@@ -291,6 +291,18 @@ class TestLockstepMatchesSolo:
         with pytest.raises(ValueError, match="indices in"):
             play_games(FollowTheLeader(3, 8), Bad(3), [_gen(0, i) for i in range(2)])
 
+    @pytest.mark.parametrize("reply", [lambda n: 1, lambda n: np.ones(1, dtype=np.int64),
+                                       lambda n: np.ones(n + 1, dtype=np.int64)],
+                             ids=["scalar", "one-entry", "one-too-long"])
+    def test_wrong_shape_reply_refused(self, reply):
+        # a scalar or one-entry reply would broadcast to every running game
+        class WrongShape(Adversary):
+            def next_outcomes(self, t, past_forecasts, rngs):
+                return reply(len(rngs))
+
+        with pytest.raises(ValueError, match=r"must be 5 indices in \[0, 3\)"):
+            play_games(FollowTheLeader(3, 5), WrongShape(3), [_gen(0, i) for i in range(3)])
+
 
 def _state(forecaster):
     """Every instance attribute of ``forecaster``, as plain values."""
@@ -522,6 +534,18 @@ class TestHighProbBound:
         with pytest.raises(ValueError, match="need at least one trial"):
             check_high_prob_bound([], k=2, horizon=10, delta=0.1)
 
+    @pytest.mark.parametrize("k, horizon, message", [
+        (-2, 10, "at least 2 outcomes"), (1, 10, "at least 2 outcomes"),
+        (2.5, 10, "K must be an integer"), (2, -10, "horizon must be >= 1"),
+        (2, 0, "horizon must be >= 1"), (2, 10.0, "horizon must be an integer"),
+    ])
+    def test_bad_k_or_horizon_refused(self, k, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            check_high_prob_bound([0.0], k=k, horizon=horizon, delta=0.1)
+
+    def test_numpy_integers_accepted(self):
+        assert check_high_prob_bound([0.0], k=np.int64(2), horizon=np.int32(10), delta=0.1) == 0.0
+
 
 class TestExactBinomialMad:
     def test_small_cases(self):
@@ -726,8 +750,9 @@ class TestRunExperiment:
                 "reads-every-forecast": lambda: ReadsEveryForecast(3),
                 "draws-every-round": lambda: DrawsEveryRound(3),
                 "iid-uniform": lambda: IidUniform(3)}[adversary]
-        # a different rule at each horizon, so each running horizon must step with its own
-        forecasters = [PerturbedLeaderUniform(3, 1), FollowTheLeader(3, 2),
+        # three rules (softmax, the leader, static) and both noise storages (int64 in the shared
+        # rows, float in its own array), so each running horizon must step with its own
+        forecasters = [GaussianLeader(3, 1), FollowTheLeader(3, 2),
                        PerturbedLeaderGeometric(3, 7), StaticForecaster([0.2, 0.3, 0.5], 16),
                        PerturbedLeaderUniform(3, 33)]
         expected = [run_trials(f, make(), self.LOSSES, 7, 5) for f in forecasters]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ucal import (FollowTheLeader, PerturbedLeaderGeometric, PerturbedLeaderUniform,
-                  RngStream, SphericalLoss, SquaredLoss, StaticForecaster, TsallisLoss,
-                  mean_of_counts, validate_simplex)
+from ucal import (FollowTheLeader, Forecaster, GreedyAdaptive, IidUniform,
+                  PerturbedLeaderGeometric, PerturbedLeaderUniform, RngStream, SphericalLoss,
+                  SquaredLoss, StaticForecaster, TsallisLoss, mean_of_counts, run_game,
+                  validate_simplex)
+from ucal.core import row_sum
 
 
 def _forecast(f, counts, rng=None):
@@ -210,3 +212,65 @@ def test_numpy_integer_sizes_accepted():
     assert type(f.k) is int and type(f.horizon) is int
     with pytest.raises(ValueError, match="horizon must be an integer"):
         StaticForecaster([0.5, 0.5], 3.5)
+
+
+LEADERS = [FollowTheLeader, PerturbedLeaderGeometric, PerturbedLeaderUniform]
+
+
+def _normalize(totals):
+    """The rule FTL and FTPL-uniform each applied before they shared one, as it was written."""
+    denom = row_sum(totals)[:, None]
+    if denom.all():
+        return totals / denom
+    out = totals / np.maximum(denom, 1)
+    out[denom[:, 0] == 0] = 1.0 / totals.shape[1]
+    return out
+
+
+class TestOneLeader:
+    """FTL and both FTPLs are one leader rule over counts plus noise, differing in the noise."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 4096])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    def test_shared_rule_equals_the_forms_it_replaced(self, k, n):
+        rng = RngStream(21, 1000 * k + n).generator()
+        for zero_rows in (False, True):
+            counts = rng.integers(1, 50, size=(n, k))
+            if zero_rows:  # every third row, the first among them: round 1 of a game
+                counts[::3] = 0
+            ftl = FollowTheLeader(k, 64)
+            noise = ftl.noise(n, rng)
+            assert np.array_equal(ftl.rule(counts, noise), _normalize(counts))
+            # geometric noise is at least 1, so no row can be all zero
+            geometric = PerturbedLeaderGeometric(k, 64)
+            noise = geometric.noise(n, rng)
+            totals = counts + noise
+            expected = totals / row_sum(totals)[:, None]
+            assert np.array_equal(geometric.rule(counts, noise), expected)
+            uniform = PerturbedLeaderUniform(k, 64)
+            noise = uniform.noise(n, rng)
+            if zero_rows:
+                noise[::3] = 0
+            assert np.array_equal(uniform.rule(counts, noise), _normalize(counts + noise))
+
+    def test_leaders_hold_only_their_noise_law(self):
+        assert isinstance(vars(Forecaster)["rule"], staticmethod)  # it reads nothing from self
+        for cls in LEADERS:
+            assert "rule" not in vars(cls)
+            assert cls.rule is Forecaster.rule
+        assert StaticForecaster.rule is not Forecaster.rule
+        assert [set(vars(cls(3, 8))) for cls in LEADERS] == [
+            {"k", "horizon"}, {"k", "horizon", "q"}, {"k", "horizon", "noise_max"}]
+
+    def test_no_forecaster_has_a_name(self):
+        for forecaster in [Forecaster(3, 8), StaticForecaster([0.2, 0.3, 0.5], 8)] + [
+                cls(3, 8) for cls in LEADERS]:
+            assert not hasattr(forecaster, "name")
+
+    @pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
+                             ids=["iid-uniform", "greedy"])
+    def test_base_forecaster_is_follow_the_leader(self, adversary):
+        base = run_game(Forecaster(3, 8), adversary, RngStream(4, 2).generator())
+        ftl = run_game(FollowTheLeader(3, 8), adversary, RngStream(4, 2).generator())
+        assert np.array_equal(base.forecasts, ftl.forecasts)
+        assert np.array_equal(base.outcomes, ftl.outcomes)
