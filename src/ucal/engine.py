@@ -11,9 +11,12 @@ adversary that has ``outcomes`` is oblivious, and its games are played as
 one vectorized kernel (the block path); any other is adaptive, and its
 games run in lockstep through the engine's one round loop, with one
 ``next_outcomes`` call per round.  That loop plays a staircase: games at
-several horizons, longest first, each running horizon stepped by its own
-rule, and a game drops out when its horizon ends, so a block of horizons H
-runs max(H) rounds.  ``trial_jobs`` plans an experiment as blocks: one
+several horizons, longest first, and a game drops out when its horizon
+ends, so a block of horizons H runs max(H) rounds.  Adjacent running
+horizons that keep the leader rule, ``Forecaster.rule``, with int64 noise
+step in one call a round, since that rule reads only its two arguments; a
+horizon whose class overrides ``rule``, or whose noise has another dtype,
+keeps a call of its own.  ``trial_jobs`` plans an experiment as blocks: one
 trial range at a group of horizons, within ``BLOCK_CELLS`` played cells,
 handed to a worker whole unless it holds at least as many games as it runs
 rounds.  Horizons share a block only when all trials at all of them fit
@@ -196,14 +199,23 @@ def _bad_outcomes(horizon, k):
     return ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
 
 
+def _noise(forecaster: Forecaster, rng) -> np.ndarray:
+    """``forecaster``'s noise block of one game on ``rng``, refused unless it is (T, K)."""
+    draw = np.asarray(forecaster.noise(forecaster.horizon, rng))
+    if draw.shape != (forecaster.horizon, forecaster.k):
+        raise ValueError(f"forecaster noise must have shape (T, K) = ({forecaster.horizon}, "
+                         f"{forecaster.k}), got {draw.shape}")
+    return draw
+
+
 def _noise_rows(forecaster: Forecaster, rngs, shared: np.ndarray) -> np.ndarray:
     """The (horizon, n, K) noise of ``forecaster``'s games on ``rngs``, one draw per game.
 
     int64 noise, the kind every shipped forecaster draws, lands in
-    ``shared``; noise of any other dtype keeps its dtype in an array of its
-    own, so the rule reads what the forecaster drew.
+    ``shared``, which is then returned; noise of any other dtype keeps its
+    dtype in an array of its own, so the rule reads what the forecaster drew.
     """
-    draws = (np.asarray(forecaster.noise(forecaster.horizon, rng)) for rng in rngs)
+    draws = (_noise(forecaster, rng) for rng in rngs)
     first = next(draws)
     rows = (shared if first.dtype == np.int64
             else np.empty((forecaster.horizon, len(rngs), forecaster.k), first.dtype))
@@ -220,10 +232,15 @@ def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
     staircase's unplayed corner is never touched and never resident.  Each
     game draws its whole noise block before round 1, into the rows its
     forecasts later overwrite when it is int64 (``_noise_rows``).  Round t
-    applies each running horizon's own ``rule`` to its rows, then asks
-    ``next_outcomes`` once for all running games, which see their forecasts
-    of rounds 1..t-1 as a strided (t-1, n_running, K) view; a horizon's
-    games drop out when it ends, and they are always the last rows.
+    steps the running games, then asks ``next_outcomes`` once for all of
+    them, which see their forecasts of rounds 1..t-1 as a strided
+    (t-1, n_running, K) view; a horizon's games drop out when it ends, and
+    they are always the last rows.  The running games are thus the first
+    rows, so adjacent horizons that keep the leader rule and whose noise
+    lies in those shared rows step in one ``Forecaster.rule`` call on their
+    joint rows: a sweep of FTL or either FTPL makes one call a round.  Any
+    other horizon, one whose class overrides ``rule`` or whose noise is not
+    int64, steps in a call of its own.
     Returns one (forecasts (n, T, K), outcomes (n, T)) pair of views per
     forecaster, with each game's rows contiguous and games strided by max T.
     """
@@ -235,16 +252,28 @@ def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
     moves = np.frombuffer(memory, np.int64, n * rounds, n * rounds * k * 8).reshape(n, rounds)
     forecasts, outcomes = games.transpose(1, 0, 2), moves.T  # the loop's (max T, n, ...) views
     shared = forecasts.view(np.int64)  # noise row t is read just before forecast row t lands
-    noise = [_noise_rows(forecaster, group, shared[:forecaster.horizon, stop - len(group):stop])
-             for forecaster, group, stop in zip(forecasters, rngs, stops)]
+    spans = []  # (rule, first game, stop, noise rows): adjacent leader horizons pooled
+    for forecaster, group, a, b in zip(forecasters, rngs, [0] + stops, stops):
+        slab = shared[:forecaster.horizon, a:b]
+        rows = _noise_rows(forecaster, group, slab)
+        if forecaster.rule is not Forecaster.rule or rows is not slab:
+            spans.append((forecaster.rule, a, b, rows))
+            continue
+        if spans and spans[-1][3] is None:  # the leader reads only its arguments: one call
+            a = spans.pop()[1]
+        spans.append((Forecaster.rule, a, b, None))
+    spans = [(rule, a, b, shared[:, a:b] if rows is None else rows) for rule, a, b, rows in spans]
     every_rng = [rng for group in rngs for rng in group]
     counts = np.zeros((n, k), dtype=np.int64)
     eye = np.eye(k, dtype=np.int64)  # row y adds one outcome y to a count vector
     begin = 0
     for running in range(len(forecasters), 0, -1):  # the rounds the first `running` horizons play
         width, end = stops[running - 1], horizons[running - 1]
-        steps = [(forecaster.rule, counts[a:b], rows, forecasts[:, a:b]) for forecaster, rows, a, b
-                 in zip(forecasters, noise, [0] + stops, stops[:running])]
+        steps = []  # each span's running games, the first `width` rows
+        for rule, a, b, rows in spans:
+            if a < width:
+                b = min(b, width)
+                steps.append((rule, counts[a:b], rows[:, :b - a], forecasts[:, a:b]))
         past, played, live, shown = (forecasts[:, :width], outcomes[:, :width], counts[:width],
                                      every_rng[:width])
         for t in range(begin, end):
@@ -279,7 +308,7 @@ def _play(forecaster: Forecaster, adversary: Adversary, rngs) -> tuple:
     if not _oblivious(adversary):
         return _lockstep([forecaster], adversary, [rngs])[0]
     k, horizon, n = forecaster.k, forecaster.horizon, len(rngs)
-    noise = np.stack([forecaster.noise(horizon, rng) for rng in rngs])  # (n, T, K)
+    noise = np.stack([_noise(forecaster, rng) for rng in rngs])  # (n, T, K)
     outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng)) for rng in rngs])
     if (outcomes.shape != (n, horizon) or outcomes.dtype.kind not in "iu"
             or outcomes.min() < 0 or outcomes.max() >= k):
@@ -302,7 +331,7 @@ def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Trans
     has ``outcomes``) each game's outcomes are drawn at once, and every
     forecast comes from one ``rule`` call on the integer prefix counts (the
     block path).  Against any other adversary the n games run in lockstep
-    (the round loop, a staircase of one step): round t applies the rule
+    (the round loop, a staircase of one horizon): round t applies the rule
     once to the stacked counts (n, K) and noise rows (n, K), then asks
     ``next_outcomes`` for all n replies, which see forecasts 1..t-1 only.
     Each game's transcript is the one it would get played alone; its arrays

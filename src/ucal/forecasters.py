@@ -10,8 +10,10 @@ it keeps no per-game state, so one instance serves any number of games.
 
 The base ``Forecaster.rule`` is the leader of Follow-the-Perturbed-Leader:
 each row of ``counts + noise`` divided by its sum, an all-zero row
-forecasting uniform.  It reads only its two arguments, so FTL and both
-FTPLs are that one rule and differ only in the law of their noise:
+forecasting uniform.  It reads only its two arguments, never K or T, so
+FTL and both FTPLs are that one rule and differ only in the law of their
+noise, and an engine may step the games of several such forecasters, at
+different horizons, in one call on their stacked rows:
 
 ``FollowTheLeader``        no noise: the running mean of past outcomes, the
                            simultaneous empirical risk minimizer for every
@@ -24,7 +26,8 @@ FTPLs are that one rule and differ only in the law of their noise:
 ``StaticForecaster``       always forecasts a fixed point (testing aid).
 
 A subclass overrides ``noise`` for a new perturbation of the leader, or
-``rule`` for a forecast that is not the leader, as ``StaticForecaster`` does.
+``rule`` for a forecast that is not the leader, as ``StaticForecaster`` does;
+an overriding rule may read ``self``, so it is called on its own games only.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class Forecaster:
         """Forecasts (n, K): each row of ``counts + noise`` over its sum; all-zero rows uniform."""
         totals = counts + noise
         denom = row_sum(totals)[:, None]
-        if denom.all():
+        if np.count_nonzero(denom) == len(denom):  # no all-zero row; cheaper than .all()
             return totals / denom
         out = totals / np.maximum(denom, 1)
         out[denom[:, 0] == 0] = 1.0 / totals.shape[1]

@@ -825,6 +825,117 @@ class TestRunExperiment:
                                   Alternating(2), [VShapedLoss()], 2, 0)
 
 
+class FloatNoiseLeader(PerturbedLeaderUniform):
+    """The leader on uniform noise drawn as float64: its rows lie apart from the int64 ones."""
+
+    def noise(self, horizon, rng):
+        return super().noise(horizon, rng).astype(np.float64)
+
+
+class Int32NoiseLeader(PerturbedLeaderGeometric):
+    """The leader on geometric noise drawn as int32: its rows lie apart from the int64 ones."""
+
+    def noise(self, horizon, rng):
+        return super().noise(horizon, rng).astype(np.int32)
+
+
+class IidByRound(Adversary):
+    """``IidUniform``'s outcomes drawn one round at a time: an adaptive reference that pickles."""
+
+    def next_outcomes(self, t, past_forecasts, rngs):
+        return np.array([rng.integers(0, self.k) for rng in rngs], dtype=np.int64)
+
+
+def _count_leader_calls(monkeypatch) -> list:
+    """Wrap ``Forecaster.rule`` so that each call appends its row count to the returned list."""
+    rows, leader = [], Forecaster.rule
+
+    def counted(counts, noise):
+        rows.append(len(counts))
+        return leader(counts, noise)
+
+    monkeypatch.setattr(Forecaster, "rule", staticmethod(counted))
+    return rows
+
+
+class TestPooledLeader:
+    """A staircase round steps adjacent leader horizons in one ``Forecaster.rule`` call."""
+
+    LOSSES = [VShapedLoss(), SquaredLoss(0.5), SphericalLoss()]
+
+    def test_sweep_makes_one_leader_call_a_round(self, monkeypatch):
+        # the benchmark sweep: FTPL-uniform vs greedy:squared, K = 3, T = 64..4096, 8 trials
+        forecasters = [PerturbedLeaderUniform(3, 4096 >> i) for i in range(7)]
+        rows = _count_leader_calls(monkeypatch)
+        engine.run_experiment(forecasters, GreedyAdaptive(3, SquaredLoss()), self.LOSSES, 8, 7, 2)
+        assert len(rows) == 4096
+        # 8 trials at each horizon still running: 56 rows in rounds 1..64, 48 in 65..128, ...
+        assert rows == [56] * 64 + [48] * 64 + [40] * 128 + [32] * 256 + [24] * 512 \
+            + [16] * 1024 + [8] * 2048
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["greedy", "iid-round-by-round"])
+    def test_rows_apart_from_the_shared_int64_ones_keep_their_own_call(self, reference,
+                                                                       monkeypatch):
+        # every class keeps the leader rule; float and int32 noise lie in arrays of their own
+        forecasters = [PerturbedLeaderUniform(3, 33), FollowTheLeader(3, 16),
+                       FloatNoiseLeader(3, 9), PerturbedLeaderGeometric(3, 7),
+                       FollowTheLeader(3, 3), Int32NoiseLeader(3, 2), PerturbedLeaderUniform(3, 1)]
+        if reference:  # expected from the block path, which has no round loop to pool in
+            oracle, adversary = IidUniform(3), IidByRound(3)
+        else:
+            oracle = adversary = GreedyAdaptive(3, SquaredLoss())
+        expected = [run_trials(f, oracle, self.LOSSES, 7, 5) for f in forecasters]
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        # 33 alone in two blocks, 16 alone, and one staircase of (9, 7, 3, 2, 1), in which only
+        # 7 and 3 are pooled; then one staircase of every horizon, the budget the count sees
+        for cells in (7 * 3 * 22, engine.BLOCK_CELLS):
+            monkeypatch.setattr(engine, "BLOCK_CELLS", cells)
+            for workers in (1, 2, 3):
+                got = engine.run_experiment(forecasters, adversary, self.LOSSES, 7, 5, workers)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        rows = _count_leader_calls(monkeypatch)
+        engine.run_experiment(forecasters, adversary, self.LOSSES, 7, 5)
+        # pooled (33, 16), float 9, pooled (7, 3), int32 2, and 1 apart from the pooled (7, 3)
+        assert rows == ([14, 7, 14, 7, 7] + [14, 7, 14, 7] + [14, 7, 14] + [14, 7, 7] * 4
+                        + [14, 7] * 2 + [14] * 7 + [7] * 17)
+
+    def test_rule_that_reads_its_horizon_keeps_its_own_call(self, monkeypatch):
+        seen = []
+
+        class HorizonLeader(PerturbedLeaderUniform):
+            """The leader plus 1/T on every count: a rule that reads its own horizon."""
+
+            def rule(self, counts, noise):
+                seen.append((self.horizon, len(counts)))
+                totals = counts + noise + 1.0 / self.horizon
+                return totals / totals.sum(axis=1, keepdims=True)
+
+        forecasters = [PerturbedLeaderUniform(3, 64), FollowTheLeader(3, 48),
+                       HorizonLeader(3, 32), PerturbedLeaderGeometric(3, 16)]
+        greedy = GreedyAdaptive(3, SquaredLoss())
+        expected = [run_trials(f, greedy, self.LOSSES, 5, 3) for f in forecasters]
+        seen.clear()
+        rows = _count_leader_calls(monkeypatch)
+        got = engine.run_experiment(forecasters, greedy, self.LOSSES, 5, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert seen == [(32, 5)] * 32  # its own call in every round it runs
+        # (64, 48) pooled; 16 is not adjacent to them, so it gets a call of its own
+        assert rows == [10, 5] * 16 + [10] * 32 + [5] * 16
+
+
+@pytest.mark.parametrize("shape", [(9, 1), (8, 3), (9, 4)], ids=["T-1", "T-minus-1-K",
+                                                                "T-K-plus-1"])
+@pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
+                         ids=["block", "lockstep"])
+def test_misshapen_noise_refused(shape, adversary):
+    class Misshapen(Forecaster):
+        def noise(self, horizon, rng):
+            return rng.integers(0, 3, size=shape)
+
+    with pytest.raises(ValueError, match=r"noise must have shape \(T, K\) = \(9, 3\)"):
+        run_game(Misshapen(3, 9), adversary, _gen(0))
+
+
 def test_format_float_twelve_significant_digits():
     assert format_float(0.123456789012345) == "0.123456789012"
     assert format_float(2500.0) == "2500"
