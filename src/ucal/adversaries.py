@@ -5,12 +5,13 @@ i.i.d. draws, alternation) does not see the forecasts and draws a game's T
 outcomes in one ``outcomes(horizon, rng)`` call.  An adaptive one answers
 ``next_outcomes(t, past_forecasts, rngs)`` once a round for n games played
 in lockstep, from their forecasts of rounds 1..t-1 stacked as (t-1, n, K)
-and one generator per game; ``GreedyAdaptive`` answers all n from one
-``ProperLoss.outcome_losses`` table.  n may fall between rounds when a
-block holds games of several horizons: the games that have ended drop
-out, always the last rows, so row i stays one game.  The engine plays any
-adversary that has ``outcomes`` as one block, so one that reacts to the
-forecasts subclasses ``Adversary`` or ``GreedyAdaptive``.
+and one generator per game; ``GreedyAdaptive`` answers all n with one
+argmax of the loss's subgradient at their previous forecasts, the outcome
+of largest loss without building the loss table.  n may fall between
+rounds when a block holds games of several horizons: the games that have
+ended drop out, always the last rows, so row i stays one game.  The
+engine plays any adversary that has ``outcomes`` as one block, so one that
+reacts to the forecasts subclasses ``Adversary`` or ``GreedyAdaptive``.
 """
 
 from __future__ import annotations
@@ -108,8 +109,16 @@ class GreedyAdaptive(Adversary):
     The protocol reveals the outcome simultaneously with the forecast, so a
     legal adaptive adversary cannot best-respond to the current forecast;
     this one uses the previous forecast as a proxy (the barycenter before
-    any forecast exists).  Ties break toward the lowest index so runs are
-    reproducible.
+    any forecast exists).  Every proper loss has the form
+    loss(p, y) = f(p) + <g_p, e_y - p>, and f(p) - <g_p, p> is the same for
+    every y, so the worst outcome is the argmax of the subgradient g_p: no
+    loss table is built.  Ties break toward the lowest index of g, as at the
+    barycenter and at the ``vshaped`` kinks p_i = 1/K (sign(0) = 0), so runs
+    are reproducible.  The table's argmax picks the same outcome except
+    where rounding merges two of its entries less than an ulp apart; there
+    g picks the outcome of strictly larger exact loss, as outcome 1 of
+    squared:1 at p = (0.20000000000000004, 0.2, 0.6), where the table reads
+    [1.04, 1.04, 0.24].
     """
 
     name = "greedy"
@@ -119,8 +128,8 @@ class GreedyAdaptive(Adversary):
         self.loss = loss
 
     def next_outcomes(self, t, past_forecasts, rngs):
-        """The outcome of largest loss at each game's proxy forecast, lowest index on ties."""
+        """The outcome of largest subgradient entry at each game's proxy, lowest index on ties."""
         # a contiguous copy: numpy steps a strided (n, K) view row by row in every op below
         proxies = (np.ascontiguousarray(past_forecasts[-1]) if t > 1
                    else np.full((len(rngs), self.k), 1.0 / self.k))
-        return self.loss.outcome_losses(proxies).argmax(axis=-1)
+        return self.loss.subgradient(proxies).argmax(axis=-1)

@@ -26,8 +26,9 @@ below 1, a ``sweep --T-factor`` that is not finite or not above 1, a game
 above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds`` below T = 2, a
 DP above ``minimax.DP_MAX_HORIZON``, a closed form above
 ``minimax.CLOSED_FORM_MAX_HORIZON``, a ``validate --tol`` that is negative
-or not finite, and an ``--output`` in a missing directory or naming a
-directory).
+or not finite, a ``--seed`` outside [-2^63, 2^63), which ``core.RngStream``
+would otherwise alias modulo 2^64, and an ``--output`` in a missing
+directory or naming a directory).
 ``run`` and ``sweep`` resolve every spec once, one forecaster per horizon,
 and hand them to ``engine.run_experiment``, which plays each block of
 trials at a group of horizons in one lockstep staircase, splits a block across
@@ -138,6 +139,14 @@ def make_adversary(spec: str, k: int) -> Adversary:
             raise UsageError("greedy adversary needs a loss, e.g. greedy:vshaped")
         return GreedyAdaptive(k, make_loss(args))
     raise UsageError(f"unknown adversary {spec!r} (try alternating, iid-uniform, fixed:PATH, greedy:LOSS)")
+
+
+def _seed(text: str) -> int:
+    """An ``--seed`` value: an integer in ``RngStream``'s range [-2^63, 2^63)."""
+    try:
+        return RngStream(int(text)).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_output(path) -> None:
@@ -405,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="loss spec; repeat or separate with ';' for a family")
         p.add_argument("--K", type=int, required=True)
         p.add_argument("--trials", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--output", help="CSV path (default: stdout)")
         p.add_argument("--workers", type=int, default=1,
                        help="trial workers; capped by the CPU count")
@@ -437,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--loss", required=True, help="loss spec, e.g. tsallis:1.5")
     p_val.add_argument("--K", type=int, default=3)
     p_val.add_argument("--samples", type=int, default=10_000)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=_seed, default=0)
     p_val.add_argument("--tol", type=float, default=1e-9)
     p_val.set_defaults(func=cmd_validate)
 

@@ -131,7 +131,10 @@ class RngStream:
     """A named, reproducible random stream.
 
     Identical ``(seed, stream_id)`` pairs always reproduce identical draw
-    sequences; distinct pairs give statistically independent streams.  Monte
+    sequences; distinct pairs give statistically independent streams.  Both
+    are integers in [-2^63, 2^63), and anything else is refused: each is
+    read as one unsigned 64-bit word, so a wider range would make two pairs
+    alias, as -1 and 2^64 - 1 would.  Monte
     Carlo trials use ``(base_seed, trial_index)`` so each trial is
     independently reproducible regardless of execution order.  A game reads
     its stream in one layout: the forecaster's whole (T, K) noise block
@@ -141,8 +144,16 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = validate_integer(getattr(self, name), name)
+            if not -(1 << 63) <= value < 1 << 63:
+                raise ValueError(f"{name} must lie in [-2^63, 2^63), got {value}")
+            object.__setattr__(self, name, value)
+
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        # SeedSequence wants nonnegative entropy words; wrap to unsigned 64-bit.
+        # SeedSequence wants nonnegative entropy words; wrap to unsigned 64-bit,
+        # which maps [-2^63, 2^63) one to one.
         words = [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF]
         return np.random.default_rng(np.random.SeedSequence(words))

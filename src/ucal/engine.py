@@ -208,6 +208,22 @@ def _noise(forecaster: Forecaster, rng) -> np.ndarray:
     return draw
 
 
+def _noises(forecaster: Forecaster, rngs):
+    """Each game's noise block on ``rngs``, in order, refused unless all share one dtype.
+
+    A block's noise is stored in one array, so a dtype that differs from the
+    first game's would be cast on the way in.
+    """
+    first = None
+    for rng in rngs:
+        draw = _noise(forecaster, rng)
+        first = draw.dtype if first is None else first
+        if draw.dtype != first:
+            raise ValueError(f"forecaster noise dtypes differ across a block's games: "
+                             f"{first} and {draw.dtype}")
+        yield draw
+
+
 def _noise_rows(forecaster: Forecaster, rngs, shared: np.ndarray) -> np.ndarray:
     """The (horizon, n, K) noise of ``forecaster``'s games on ``rngs``, one draw per game.
 
@@ -215,12 +231,12 @@ def _noise_rows(forecaster: Forecaster, rngs, shared: np.ndarray) -> np.ndarray:
     ``shared``, which is then returned; noise of any other dtype keeps its
     dtype in an array of its own, so the rule reads what the forecaster drew.
     """
-    draws = (_noise(forecaster, rng) for rng in rngs)
+    draws = _noises(forecaster, rngs)
     first = next(draws)
     rows = (shared if first.dtype == np.int64
             else np.empty((forecaster.horizon, len(rngs), forecaster.k), first.dtype))
     for game, draw in enumerate(chain([first], draws)):
-        np.copyto(rows[:, game], draw, casting="safe")
+        rows[:, game] = draw
     return rows
 
 
@@ -308,7 +324,7 @@ def _play(forecaster: Forecaster, adversary: Adversary, rngs) -> tuple:
     if not _oblivious(adversary):
         return _lockstep([forecaster], adversary, [rngs])[0]
     k, horizon, n = forecaster.k, forecaster.horizon, len(rngs)
-    noise = np.stack([_noise(forecaster, rng) for rng in rngs])  # (n, T, K)
+    noise = np.stack(list(_noises(forecaster, rngs)))  # (n, T, K)
     outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng)) for rng in rngs])
     if (outcomes.shape != (n, horizon) or outcomes.dtype.kind not in "iu"
             or outcomes.min() < 0 or outcomes.max() >= k):
@@ -422,17 +438,19 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
     """One regret matrix of shape (trials, len(losses)) per forecaster, each at its horizon.
 
     The forecasters' horizons must differ, and every input is checked
-    before any game is played.  ``workers`` is capped at the CPU count, and
-    the ``trial_jobs`` plan for that many workers goes through one pool of
-    min(workers, CPU count, jobs) processes, longest job first; there is no
-    pool when that is 1.  So an adaptive sweep that fits one block plays
-    every horizon in one staircase of max T rounds, in this process.  Trial
-    i of every horizon plays on stream (base_seed, i), and each job's
-    regrets land at its trial rows, so a horizon's matrix does not depend
-    on the worker count or on the other horizons.
+    before any game is played, ``base_seed`` against ``RngStream``'s range.
+    ``workers`` is capped at the CPU count, and the ``trial_jobs`` plan for
+    that many workers goes through one pool of min(workers, CPU count, jobs)
+    processes, longest job first; there is no pool when that is 1.  So an
+    adaptive sweep that fits one block plays every horizon in one staircase
+    of max T rounds, in this process.  Trial i of every horizon plays on
+    stream (base_seed, i), and each job's regrets land at its trial rows, so
+    a horizon's matrix does not depend on the worker count or on the other
+    horizons.
     """
     forecasters, losses = list(forecasters), list(losses)
     trials, workers = validate_integer(trials, "trials"), validate_integer(workers, "workers")
+    RngStream(base_seed)  # refuses a seed outside [-2^63, 2^63)
     if not forecasters or not losses:
         raise ValueError("need at least one forecaster and one loss")
     for forecaster in forecasters:

@@ -11,8 +11,10 @@ outcome truly follows p) and the two-argument "bivariate form" is
 reconstructed from f and its subgradient.  Each loss class below supplies
 ``univariate`` and ``subgradient``.  ``outcome_losses(p)``, the table of
 loss(p, y) over every outcome y at once, is the layer's one arithmetic:
-``bivariate(p, y)`` reads entry y of it, and the validators, the benchmark
-cost and the greedy adversary read the whole table.
+``bivariate(p, y)`` reads entry y of it, and the validators and the
+benchmark cost read the whole table.  The greedy adversary reads none:
+f(p) - <g_p, p> is the same for every y, so the outcome of largest loss is
+the argmax of g_p, the lowest index on exact ties of g_p.
 
 Shipped losses
 --------------

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from ucal import Alternating, FixedSequence, GreedyAdaptive, IidUniform, RngStream, VShapedLoss
+from ucal import (Alternating, FixedSequence, FollowTheLeader, GreedyAdaptive, IidUniform,
+                  MixtureLoss, PerturbedLeaderGeometric, PerturbedLeaderUniform, RngStream,
+                  SphericalLoss, SquaredLoss, TsallisLoss, VShapedLoss, play_games)
+from ucal.cli import make_loss
+
+#: every loss that ``greedy:LOSS`` can name, at each of its scales, and two mixtures
+GREEDY_SPECS = ["squared", "squared:0.5", "brier", "spherical", "vshaped", "tsallis:1.5",
+                "tsallis:3", "tsallis:1.5,0.5"]
+GREEDY_MIXTURES = {"mix-squared-vshaped": MixtureLoss(SquaredLoss(0.5), VShapedLoss(), 0.3),
+                   "mix-spherical-tsallis": MixtureLoss(SphericalLoss(), TsallisLoss(3.0), 0.6)}
 
 
 class TestAlternating:
@@ -60,6 +69,53 @@ class TestGreedyAdaptive:
         adv = GreedyAdaptive(2, VShapedLoss())
         past = np.array([[[0.3, 0.7]]])
         assert adv.next_outcomes(2, past, [None]) == adv.next_outcomes(2, past, [None])
+
+    def test_near_tie_picks_the_larger_exact_loss(self):
+        # the table rounds loss(p, 0) and loss(p, 1) to one double, 1.04, and its argmax
+        # says 0; loss(p, 1) is larger by 2 (p_0 - p_1), about 5.6e-17, and g_1 > g_0
+        loss = SquaredLoss(1.0)
+        p = np.array([0.20000000000000004, 0.2, 0.6])
+        table = loss.outcome_losses(p)
+        assert table[0] == table[1] and table.argmax() == 0
+        assert loss.subgradient(p)[1] > loss.subgradient(p)[0]
+        assert GreedyAdaptive(3, loss).next_outcomes(2, p[None, None], [None]).tolist() == [1]
+
+
+def _forecasts(k):
+    """Forecasts of FTL and both FTPLs against i.i.d. outcomes, as one (n, K) stack."""
+    rngs = [RngStream(5, game).generator() for game in range(4)]
+    return np.concatenate([game.forecasts for make in (FollowTheLeader, PerturbedLeaderGeometric,
+                                                       PerturbedLeaderUniform)
+                           for game in play_games(make(k, 300), IidUniform(k), rngs)])
+
+
+def _ties_and_kinks(k):
+    """Points with exactly equal coordinates, and points with coordinates at the kink 1/K."""
+    rng = np.random.default_rng(k)
+    ties = [np.full(k, 1.0 / k), np.eye(k)[0], np.eye(k)[-1]]
+    for total in (2, 3, 7, 10, 64):  # count ratios: many coordinates repeat exactly
+        ties += list(rng.multinomial(total, np.full(k, 1.0 / k), size=40) / total)
+    ties.append(np.r_[0.5, 0.5, np.zeros(k - 2)])
+    ties.append(np.r_[np.zeros(k - 2), 0.5, 0.5])
+    kinks = rng.dirichlet(np.ones(k), size=200)
+    kinks[:, 0] = 1.0 / k
+    kinks[100:, -1] = 1.0 / k
+    return np.concatenate([np.array(ties), kinks])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+@pytest.mark.parametrize("loss", GREEDY_SPECS + sorted(GREEDY_MIXTURES))
+def test_greedy_reply_is_the_table_argmax(loss, k):
+    """The subgradient's argmax is the loss table's, lowest index on ties, away from 1-ulp ties."""
+    loss = GREEDY_MIXTURES[loss] if loss in GREEDY_MIXTURES else make_loss(loss)
+    adv = GreedyAdaptive(k, loss)
+    points = np.concatenate([_forecasts(k), _ties_and_kinks(k)])
+    reply = adv.next_outcomes(2, points[None], [None] * len(points))
+    assert reply.tolist() == loss.outcome_losses(points).argmax(axis=-1).tolist()
+    # round 1's proxy is the barycenter, where every outcome ties: the lowest index
+    first = adv.next_outcomes(1, np.empty((0, 3, k)), [None] * 3)
+    barycenters = np.full((3, k), 1.0 / k)
+    assert first.tolist() == [0] * 3 == loss.outcome_losses(barycenters).argmax(axis=-1).tolist()
 
 
 @pytest.mark.parametrize("make", [IidUniform, Alternating, lambda k: FixedSequence(k, [0]),

@@ -131,6 +131,28 @@ class TestRun:
             "--loss", "vshaped", "--K", "2", "--T", "10", "--trials", "0"], capsys)
         assert code == 2 and "--trials" in err
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "9223372036854775808",
+                                      "-9223372036854775809"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--forecaster", "ftl", "--adversary", "alternating", "--loss", "vshaped",
+         "--K", "2", "--T", "4"],
+        ["sweep", "--forecaster", "ftl", "--adversary", "greedy:squared", "--loss", "vshaped",
+         "--K", "2", "--T-start", "2", "--T-stop", "8"],
+        ["validate", "--loss", "vshaped", "--samples", "10"]], ids=["run", "sweep", "validate"])
+    def test_seed_outside_the_stream_range_usage_error(self, capsys, tmp_path, command, seed):
+        # 2^64 would replay --seed 0, as -1 would replay 2^64 - 1
+        output = ["--output", str(tmp_path / "out.csv")] if command[0] != "validate" else []
+        code, out, err = run_cli(command + ["--seed", seed] + output, capsys)
+        assert code == 2 and out == "" and "seed must lie in [-2^63, 2^63)" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_seed_range_ends_accepted(self, capsys):
+        for seed in ("-9223372036854775808", "9223372036854775807"):
+            code, out, _ = run_cli(["run", "--forecaster", "ftl", "--adversary", "iid-uniform",
+                                    "--loss", "vshaped", "--K", "2", "--T", "4",
+                                    "--seed", seed], capsys)
+            assert code == 0 and out.splitlines()[1].split(",")[-2] == seed
+
     def test_fixed_adversary_from_file(self, capsys, tmp_path):
         seq = tmp_path / "seq.txt"
         seq.write_text("1 2 1 2\n")

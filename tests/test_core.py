@@ -82,6 +82,28 @@ class TestRngStream:
     def test_negative_seed_ok(self):
         RngStream(-5, 0).generator().random()
 
+    @pytest.mark.parametrize("seed, stream_id", [(-2 ** 63, 0), (2 ** 63 - 1, 5), (-1, -1),
+                                                 (0, 2 ** 63 - 1), (np.int64(-7), np.uint8(3))])
+    def test_streams_in_range_keep_their_draws(self, seed, stream_id):
+        # each of seed and stream_id is one unsigned 64-bit word of the seed sequence
+        words = [int(seed) % 2 ** 64, int(stream_id) % 2 ** 64]
+        expected = np.random.default_rng(np.random.SeedSequence(words)).random(8)
+        stream = RngStream(seed, stream_id)
+        assert type(stream.seed) is int and type(stream.stream_id) is int
+        np.testing.assert_array_equal(stream.generator().random(8), expected)
+
+    @pytest.mark.parametrize("seed, stream_id", [(2 ** 63, 0), (-2 ** 63 - 1, 0), (2 ** 64, 0),
+                                                 (0, 2 ** 64 - 1), (0, -2 ** 63 - 1)])
+    def test_out_of_range_refused(self, seed, stream_id):
+        # -1 and 2^64 - 1 would be one word, so the same stream
+        with pytest.raises(ValueError, match=r"must lie in \[-2\^63, 2\^63\)"):
+            RngStream(seed, stream_id)
+
+    @pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (2.0, 0), (0, "1"), (None, 0)])
+    def test_non_integer_refused(self, seed, stream_id):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(seed, stream_id)
+
 
 def test_uniform_point():
     np.testing.assert_allclose(uniform_point(4), [0.25] * 4)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ucal import (Adversary, Alternating, CustomLoss, FixedSequence, FollowTheLeader,
                   Forecaster, GreedyAdaptive, IidUniform, MixtureLoss, PerturbedLeaderGeometric,
-                  PerturbedLeaderUniform, RngStream, SphericalLoss, SquaredLoss,
+                  PerturbedLeaderUniform, ProperLoss, RngStream, SphericalLoss, SquaredLoss,
                   StaticForecaster, Transcript, TsallisLoss, VShapedLoss, benchmark_cost,
                   check_high_prob_bound, estimate_calibration, exact_binomial_mad,
                   mean_of_counts, play_games, random_simplex_points, regret, run_game,
@@ -799,17 +799,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="must be 3 indices"):
             engine.run_experiment(forecasters, LastGameOutOfRange(3), [VShapedLoss()], 2, 0)
 
-    @pytest.mark.parametrize("forecasters, losses, trials, workers, message", [
-        ([], [VShapedLoss()], 2, 1, "at least one forecaster"),
-        (None, [], 2, 1, "one loss"),
-        (None, [VShapedLoss()], 2.5, 1, "trials must be an integer"),
-        (None, [VShapedLoss()], 2, 1.5, "workers must be an integer"),
-        (None, [VShapedLoss()], 0, 1, "trials and workers must be >= 1"),
-        (None, [VShapedLoss()], 2, 0, "trials and workers must be >= 1"),
+    @pytest.mark.parametrize("forecasters, losses, trials, workers, seed, message", [
+        ([], [VShapedLoss()], 2, 1, 0, "at least one forecaster"),
+        (None, [], 2, 1, 0, "one loss"),
+        (None, [VShapedLoss()], 2.5, 1, 0, "trials must be an integer"),
+        (None, [VShapedLoss()], 2, 1.5, 0, "workers must be an integer"),
+        (None, [VShapedLoss()], 0, 1, 0, "trials and workers must be >= 1"),
+        (None, [VShapedLoss()], 2, 0, 0, "trials and workers must be >= 1"),
+        # the stream reads a seed as one unsigned 64-bit word: 2^64 would replay seed 0
+        (None, [VShapedLoss()], 2, 1, 2 ** 63, "seed must lie in"),
+        (None, [VShapedLoss()], 2, 1, -2 ** 63 - 1, "seed must lie in"),
+        (None, [VShapedLoss()], 2, 1, 2 ** 64, "seed must lie in"),
+        (None, [VShapedLoss()], 2, 1, 1.5, "seed must be an integer"),
     ], ids=["no-forecaster", "no-loss", "fractional-trials", "fractional-workers",
-            "no-trial", "no-worker"])
+            "no-trial", "no-worker", "seed-2^63", "seed-below-minus-2^63", "seed-2^64",
+            "fractional-seed"])
     def test_bad_input_refused_before_any_game(self, forecasters, losses, trials, workers,
-                                                message):
+                                                seed, message):
         class NoDraw(PerturbedLeaderUniform):
             def noise(self, horizon, rng):
                 raise AssertionError("played a game although the input was refused")
@@ -817,7 +823,7 @@ class TestRunExperiment:
         forecasters = [NoDraw(3, 8), NoDraw(3, 4)] if forecasters is None else forecasters
         for adversary in (IidUniform(3), GreedyAdaptive(3, SquaredLoss())):
             with pytest.raises(ValueError, match=message):
-                engine.run_experiment(forecasters, adversary, losses, trials, 0, workers)
+                engine.run_experiment(forecasters, adversary, losses, trials, seed, workers)
 
     def test_repeated_horizon_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
@@ -934,6 +940,47 @@ def test_misshapen_noise_refused(shape, adversary):
 
     with pytest.raises(ValueError, match=r"noise must have shape \(T, K\) = \(9, 3\)"):
         run_game(Misshapen(3, 9), adversary, _gen(0))
+
+
+@pytest.mark.parametrize("dtypes", [(np.int64, np.float64), (np.float64, np.int64)],
+                         ids=["int64-first", "float64-first"])
+@pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
+                         ids=["block", "lockstep"])
+def test_noise_dtypes_that_differ_across_a_block_refused(dtypes, adversary):
+    class Mixed(PerturbedLeaderUniform):
+        """The leader on noise drawn in the first dtype for game 1 and the second after."""
+
+        def __init__(self, k, horizon):
+            super().__init__(k, horizon)
+            self.games = 0
+
+        def noise(self, horizon, rng):
+            self.games += 1
+            return super().noise(horizon, rng).astype(dtypes[self.games > 1])
+
+    first, second = (np.dtype(dtype).name for dtype in dtypes)
+    with pytest.raises(ValueError, match=f"dtypes differ across a block's games: {first} and "
+                                         f"{second}"):
+        play_games(Mixed(3, 9), adversary, [_gen(0, i) for i in range(3)])
+
+
+def test_sweep_replies_build_no_loss_table(monkeypatch):
+    # the benchmark sweep: FTPL-uniform vs greedy:squared, K = 3, T = 64..4096, 8 trials
+    tables, table = [], ProperLoss.outcome_losses
+
+    def counted(self, p):
+        tables.append(np.shape(p))
+        return table(self, p)
+
+    monkeypatch.setattr(ProperLoss, "outcome_losses", counted)
+    SquaredLoss().bivariate([0.5, 0.5], 0)
+    assert tables == [(2,)]  # the wrapper sees the squared loss's table
+    tables.clear()
+    forecasters = [PerturbedLeaderUniform(3, 4096 >> i) for i in range(7)]
+    rngs = [[_gen(7, trial) for trial in range(8)] for _ in forecasters]
+    blocks = engine._lockstep(forecasters, GreedyAdaptive(3, SquaredLoss()), rngs)
+    assert [outcomes.shape for _, outcomes in blocks] == [(8, 4096 >> i) for i in range(7)]
+    assert tables == []
 
 
 def test_format_float_twelve_significant_digits():
