@@ -12,11 +12,13 @@ one vectorized kernel (the block path); any other is adaptive, and its
 games run in lockstep through the engine's one round loop, with one
 ``next_outcomes`` call per round.  That loop plays a staircase: games at
 several horizons, longest first, and a game drops out when its horizon
-ends, so a block of horizons H runs max(H) rounds.  Adjacent running
-horizons that keep the leader rule, ``Forecaster.rule``, with int64 noise
-step in one call a round, since that rule reads only its two arguments; a
-horizon whose class overrides ``rule``, or whose noise has another dtype,
-keeps a call of its own.  ``trial_jobs`` plans an experiment as blocks: one
+ends, so a block of horizons H runs max(H) rounds.  On both paths a game's
+noise reaches the rule as float64, read from the block's own rows, which
+holds integer noise exactly below 2^53.  Adjacent running horizons that
+keep the leader rule, ``Forecaster.rule``, step in one call a round,
+whatever their noise dtype, since that rule reads only its two arguments;
+a horizon whose class overrides ``rule`` keeps a call of its own.
+``trial_jobs`` plans an experiment as blocks: one
 trial range at a group of horizons, within ``BLOCK_CELLS`` played cells,
 handed to a worker whole unless it holds at least as many games as it runs
 rounds.  Horizons share a block only when all trials at all of them fit
@@ -59,12 +61,12 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from .adversaries import Adversary
-from .core import RngStream, mean_of_counts, validate_integer
+from .core import RngStream, mean_of_counts, validate_integer, validate_simplex
 from .forecasters import Forecaster
 from .losses import ProperLoss
 
@@ -200,44 +202,14 @@ def _bad_outcomes(horizon, k):
 
 
 def _noise(forecaster: Forecaster, rng) -> np.ndarray:
-    """``forecaster``'s noise block of one game on ``rng``, refused unless it is (T, K)."""
+    """``forecaster``'s noise block of one game on ``rng``: (T, K) of bool, integers or floats."""
     draw = np.asarray(forecaster.noise(forecaster.horizon, rng))
     if draw.shape != (forecaster.horizon, forecaster.k):
         raise ValueError(f"forecaster noise must have shape (T, K) = ({forecaster.horizon}, "
                          f"{forecaster.k}), got {draw.shape}")
+    if draw.dtype.kind not in "biuf":
+        raise ValueError(f"forecaster noise must be bool, integer or float, got {draw.dtype}")
     return draw
-
-
-def _noises(forecaster: Forecaster, rngs):
-    """Each game's noise block on ``rngs``, in order, refused unless all share one dtype.
-
-    A block's noise is stored in one array, so a dtype that differs from the
-    first game's would be cast on the way in.
-    """
-    first = None
-    for rng in rngs:
-        draw = _noise(forecaster, rng)
-        first = draw.dtype if first is None else first
-        if draw.dtype != first:
-            raise ValueError(f"forecaster noise dtypes differ across a block's games: "
-                             f"{first} and {draw.dtype}")
-        yield draw
-
-
-def _noise_rows(forecaster: Forecaster, rngs, shared: np.ndarray) -> np.ndarray:
-    """The (horizon, n, K) noise of ``forecaster``'s games on ``rngs``, one draw per game.
-
-    int64 noise, the kind every shipped forecaster draws, lands in
-    ``shared``, which is then returned; noise of any other dtype keeps its
-    dtype in an array of its own, so the rule reads what the forecaster drew.
-    """
-    draws = _noises(forecaster, rngs)
-    first = next(draws)
-    rows = (shared if first.dtype == np.int64
-            else np.empty((forecaster.horizon, len(rngs), forecaster.k), first.dtype))
-    for game, draw in enumerate(chain([first], draws)):
-        rows[:, game] = draw
-    return rows
 
 
 def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
@@ -246,17 +218,17 @@ def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
     The forecasters come longest horizon first.  The block is stored
     game-major in one anonymous ``mmap``, n games of max T rounds, so a
     staircase's unplayed corner is never touched and never resident.  Each
-    game draws its whole noise block before round 1, into the rows its
-    forecasts later overwrite when it is int64 (``_noise_rows``).  Round t
-    steps the running games, then asks ``next_outcomes`` once for all of
-    them, which see their forecasts of rounds 1..t-1 as a strided
-    (t-1, n_running, K) view; a horizon's games drop out when it ends, and
-    they are always the last rows.  The running games are thus the first
-    rows, so adjacent horizons that keep the leader rule and whose noise
-    lies in those shared rows step in one ``Forecaster.rule`` call on their
-    joint rows: a sweep of FTL or either FTPL makes one call a round.  Any
-    other horizon, one whose class overrides ``rule`` or whose noise is not
-    int64, steps in a call of its own.
+    game draws its whole noise block before round 1 into the float64 rows
+    its forecasts later overwrite: row t is read as round t's noise just
+    before forecast t lands on it.  Round t steps the running games, then
+    asks ``next_outcomes`` once for all of them, which see their forecasts
+    of rounds 1..t-1 as a strided (t-1, n_running, K) view; a horizon's
+    games drop out when it ends, and they are always the last rows.  The
+    running games are thus the first rows, so every run of adjacent
+    horizons that keep the leader rule, whatever their noise dtype, steps
+    in one ``Forecaster.rule`` call on their joint rows: a sweep of FTL or
+    either FTPL makes one call a round.  A horizon whose class overrides
+    ``rule`` steps in a call of its own.
     Returns one (forecasts (n, T, K), outcomes (n, T)) pair of views per
     forecaster, with each game's rows contiguous and games strided by max T.
     """
@@ -267,34 +239,26 @@ def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
     games = np.frombuffer(memory, np.float64, n * rounds * k).reshape(n, rounds, k)
     moves = np.frombuffer(memory, np.int64, n * rounds, n * rounds * k * 8).reshape(n, rounds)
     forecasts, outcomes = games.transpose(1, 0, 2), moves.T  # the loop's (max T, n, ...) views
-    shared = forecasts.view(np.int64)  # noise row t is read just before forecast row t lands
-    spans = []  # (rule, first game, stop, noise rows): adjacent leader horizons pooled
+    spans = []  # (rule, first game, stop): adjacent leader horizons pooled
     for forecaster, group, a, b in zip(forecasters, rngs, [0] + stops, stops):
-        slab = shared[:forecaster.horizon, a:b]
-        rows = _noise_rows(forecaster, group, slab)
-        if forecaster.rule is not Forecaster.rule or rows is not slab:
-            spans.append((forecaster.rule, a, b, rows))
-            continue
-        if spans and spans[-1][3] is None:  # the leader reads only its arguments: one call
-            a = spans.pop()[1]
-        spans.append((Forecaster.rule, a, b, None))
-    spans = [(rule, a, b, shared[:, a:b] if rows is None else rows) for rule, a, b, rows in spans]
+        for game, rng in enumerate(group, a):
+            forecasts[:forecaster.horizon, game] = _noise(forecaster, rng)
+        if forecaster.rule is Forecaster.rule and spans and spans[-1][0] is Forecaster.rule:
+            a = spans.pop()[1]  # the leader reads only its arguments: one call
+        spans.append((forecaster.rule, a, b))
     every_rng = [rng for group in rngs for rng in group]
     counts = np.zeros((n, k), dtype=np.int64)
     eye = np.eye(k, dtype=np.int64)  # row y adds one outcome y to a count vector
     begin = 0
     for running in range(len(forecasters), 0, -1):  # the rounds the first `running` horizons play
         width, end = stops[running - 1], horizons[running - 1]
-        steps = []  # each span's running games, the first `width` rows
-        for rule, a, b, rows in spans:
-            if a < width:
-                b = min(b, width)
-                steps.append((rule, counts[a:b], rows[:, :b - a], forecasts[:, a:b]))
+        steps = [(rule, counts[a:min(b, width)], forecasts[:, a:min(b, width)])
+                 for rule, a, b in spans if a < width]  # each span's running games
         past, played, live, shown = (forecasts[:, :width], outcomes[:, :width], counts[:width],
                                      every_rng[:width])
         for t in range(begin, end):
-            for rule, own_counts, own_noise, own_forecasts in steps:
-                own_forecasts[t] = rule(own_counts, own_noise[t])
+            for rule, own_counts, own_rows in steps:
+                own_rows[t] = rule(own_counts, own_rows[t])  # row t's noise, then its forecast
             reply = np.asarray(adversary.next_outcomes(t + 1, past[:t], shown))
             # 1.7 would be truncated to outcome 1, and a scalar broadcast to every game
             if reply.dtype.kind not in "iu" or reply.shape != (width,):
@@ -318,13 +282,15 @@ def _play(forecaster: Forecaster, adversary: Adversary, rngs) -> tuple:
     """(forecasts (n, T, K), outcomes (n, T)) of one block of ``len(rngs)`` games, game-major.
 
     An adaptive adversary's games run through ``_lockstep``.  An oblivious
-    one's are one kernel: each game's noise and outcomes stacked on axis 0,
-    their integer prefix counts summed along axis 1, and one ``rule`` call.
+    one's are one kernel: noise drawn into one float64 (n, T, K) block,
+    outcomes stacked, integer prefix counts along axis 1, one ``rule`` call.
     """
     if not _oblivious(adversary):
         return _lockstep([forecaster], adversary, [rngs])[0]
     k, horizon, n = forecaster.k, forecaster.horizon, len(rngs)
-    noise = np.stack(list(_noises(forecaster, rngs)))  # (n, T, K)
+    noise = np.empty((n, horizon, k))
+    for game, rng in enumerate(rngs):
+        noise[game] = _noise(forecaster, rng)
     outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng)) for rng in rngs])
     if (outcomes.shape != (n, horizon) or outcomes.dtype.kind not in "iu"
             or outcomes.min() < 0 or outcomes.max() >= k):
@@ -350,6 +316,8 @@ def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Trans
     (the round loop, a staircase of one horizon): round t applies the rule
     once to the stacked counts (n, K) and noise rows (n, K), then asks
     ``next_outcomes`` for all n replies, which see forecasts 1..t-1 only.
+    On both paths the noise reaches the rule as float64, from the block's
+    own rows; integer noise is exact there below 2^53.
     Each game's transcript is the one it would get played alone; its arrays
     are views of one block's memory, which lives as long as any of them.
     """
@@ -371,8 +339,8 @@ def run_game(forecaster: Forecaster, adversary: Adversary,
 
 
 def benchmark_cost(transcript: Transcript, loss: ProperLoss, point=None) -> float:
-    """Cumulative loss of a fixed forecast (default: the mean of outcomes)."""
-    beta = mean_of_counts(transcript.final_counts) if point is None else np.asarray(point, float)
+    """Cumulative loss of a fixed point on the simplex (default: the mean of outcomes)."""
+    beta = mean_of_counts(transcript.final_counts) if point is None else validate_simplex(point)
     return float(np.dot(transcript.final_counts, loss.outcome_losses(beta)))
 
 
@@ -480,7 +448,9 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
 
 def summarize(regrets: np.ndarray, losses) -> CalibrationEstimate:
     """pucal, ucal and their standard errors from a (trials, losses) regret matrix."""
-    regrets = np.asarray(regrets, dtype=float)
+    regrets, losses = np.asarray(regrets, dtype=float), list(losses)
+    if regrets.ndim != 2 or regrets.shape[1] != len(losses):
+        raise ValueError(f"regrets must have shape (trials, {len(losses)}), got {regrets.shape}")
     trials = regrets.shape[0]
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -3,10 +3,13 @@
 Every forecaster is one batched rule: ``rule(counts, noise)`` maps a stack
 of count vectors (n, K) and the hallucinated counts drawn for the same rows
 (n, K) to forecasts (n, K).  ``noise(horizon, rng)`` draws the hallucinated
-counts of a whole game as one (horizon, K) block, so a game engine can
-forecast every round of an oblivious game in one call.  A forecaster holds
-only K, the horizon T it was built for, and the constants derived from them;
-it keeps no per-game state, so one instance serves any number of games.
+counts of a whole game as one (horizon, K) block of bools, integers or
+floats, so a game engine can forecast every round of an oblivious game in
+one call.  The engine hands the rule that noise as float64, read from the
+rows of the game's own block; integer noise is exact there below 2^53.  A
+forecaster holds only K, the horizon T it was built for, and the constants
+derived from them; it keeps no per-game state, so one instance serves any
+number of games.
 
 The base ``Forecaster.rule`` is the leader of Follow-the-Perturbed-Leader:
 each row of ``counts + noise`` divided by its sum, an all-zero row
@@ -56,7 +59,12 @@ class Forecaster:
 
     @staticmethod
     def rule(counts: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Forecasts (n, K): each row of ``counts + noise`` over its sum; all-zero rows uniform."""
+        """Forecasts (n, K): each row of ``counts + noise`` over its sum; all-zero rows uniform.
+
+        The engine passes int64 ``counts`` and float64 ``noise``; on integer
+        noise below 2^53 that gives the bytes int64 noise would, since its
+        sums are exact in any order.
+        """
         totals = counts + noise
         denom = row_sum(totals)[:, None]
         if np.count_nonzero(denom) == len(denom):  # no all-zero row; cheaper than .all()

@@ -399,6 +399,14 @@ class TestRegret:
             costs = [benchmark_cost(tr, loss, point=p) for p in candidates]
             assert best <= min(costs) + 1e-9, loss.name
 
+    @pytest.mark.parametrize("point, message", [([2.0, -1.0], "negative probability"),
+                                                ([0.3, 0.3], "sum to"),
+                                                ([[0.5, 0.5]], "1-d probability vector")])
+    def test_point_off_the_simplex_refused(self, point, message):
+        tr = run_game(FollowTheLeader(2, 8), Alternating(2), _gen(0))
+        with pytest.raises(ValueError, match=message):
+            benchmark_cost(tr, SquaredLoss(), point=point)
+
 
 class TestEstimateCalibration:
     def test_static_mean_on_matching_sequence(self):
@@ -455,6 +463,13 @@ class TestEstimateCalibration:
     def test_summarize_needs_a_trial(self):
         with pytest.raises(ValueError, match="need at least one trial"):
             summarize(np.empty((0, 2)), [VShapedLoss(), SquaredLoss()])
+
+    @pytest.mark.parametrize("regrets", [np.array([1.0, 2.0, 3.0]), np.ones((2, 3)),
+                                         np.ones((2, 1)), np.ones((1, 2, 2))],
+                             ids=["1-d", "three-columns", "one-column", "3-d"])
+    def test_summarize_needs_one_column_per_loss(self, regrets):
+        with pytest.raises(ValueError, match=r"regrets must have shape \(trials, 2\)"):
+            summarize(regrets, [VShapedLoss(), SquaredLoss()])
 
     def test_summarize_needs_a_loss(self):
         with pytest.raises(ValueError, match="need at least one loss"):
@@ -750,8 +765,8 @@ class TestRunExperiment:
                 "reads-every-forecast": lambda: ReadsEveryForecast(3),
                 "draws-every-round": lambda: DrawsEveryRound(3),
                 "iid-uniform": lambda: IidUniform(3)}[adversary]
-        # three rules (softmax, the leader, static) and both noise storages (int64 in the shared
-        # rows, float in its own array), so each running horizon must step with its own
+        # three rules (softmax, the leader, static) and int64 and float noise, so each running
+        # horizon must step with its own
         forecasters = [GaussianLeader(3, 1), FollowTheLeader(3, 2),
                        PerturbedLeaderGeometric(3, 7), StaticForecaster([0.2, 0.3, 0.5], 16),
                        PerturbedLeaderUniform(3, 33)]
@@ -784,7 +799,7 @@ class TestRunExperiment:
         expected = [run_trials(f, oblivious, self.LOSSES, 4, 2) for f in forecasters]
         for forecaster, matrix in zip(forecasters, expected):  # one horizon, round by round
             assert np.array_equal(run_trials(forecaster, reference, self.LOSSES, 4, 2), matrix)
-        # the staircase draws the float noise apart from the int64 noise, in its own dtype
+        # the staircase draws the float noise into its block's rows, as it does the int64 noise
         got = engine.run_experiment(forecasters, reference, self.LOSSES, 4, 2)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
@@ -832,14 +847,14 @@ class TestRunExperiment:
 
 
 class FloatNoiseLeader(PerturbedLeaderUniform):
-    """The leader on uniform noise drawn as float64: its rows lie apart from the int64 ones."""
+    """The leader on uniform noise drawn as float64, which pools with int64 leader neighbours."""
 
     def noise(self, horizon, rng):
         return super().noise(horizon, rng).astype(np.float64)
 
 
 class Int32NoiseLeader(PerturbedLeaderGeometric):
-    """The leader on geometric noise drawn as int32: its rows lie apart from the int64 ones."""
+    """The leader on geometric noise drawn as int32, which pools with int64 leader neighbours."""
 
     def noise(self, horizon, rng):
         return super().noise(horizon, rng).astype(np.int32)
@@ -880,9 +895,8 @@ class TestPooledLeader:
             + [16] * 1024 + [8] * 2048
 
     @pytest.mark.parametrize("reference", [False, True], ids=["greedy", "iid-round-by-round"])
-    def test_rows_apart_from_the_shared_int64_ones_keep_their_own_call(self, reference,
-                                                                       monkeypatch):
-        # every class keeps the leader rule; float and int32 noise lie in arrays of their own
+    def test_leader_horizons_pool_whatever_their_noise_dtype(self, reference, monkeypatch):
+        # every class keeps the leader rule; int64, float64 and int32 noise all lie in the rows
         forecasters = [PerturbedLeaderUniform(3, 33), FollowTheLeader(3, 16),
                        FloatNoiseLeader(3, 9), PerturbedLeaderGeometric(3, 7),
                        FollowTheLeader(3, 3), Int32NoiseLeader(3, 2), PerturbedLeaderUniform(3, 1)]
@@ -892,8 +906,8 @@ class TestPooledLeader:
             oracle = adversary = GreedyAdaptive(3, SquaredLoss())
         expected = [run_trials(f, oracle, self.LOSSES, 7, 5) for f in forecasters]
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        # 33 alone in two blocks, 16 alone, and one staircase of (9, 7, 3, 2, 1), in which only
-        # 7 and 3 are pooled; then one staircase of every horizon, the budget the count sees
+        # 33 alone in two blocks, 16 alone, and one staircase of (9, 7, 3, 2, 1), all pooled;
+        # then one staircase of every horizon, the budget the count sees
         for cells in (7 * 3 * 22, engine.BLOCK_CELLS):
             monkeypatch.setattr(engine, "BLOCK_CELLS", cells)
             for workers in (1, 2, 3):
@@ -901,9 +915,8 @@ class TestPooledLeader:
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         rows = _count_leader_calls(monkeypatch)
         engine.run_experiment(forecasters, adversary, self.LOSSES, 7, 5)
-        # pooled (33, 16), float 9, pooled (7, 3), int32 2, and 1 apart from the pooled (7, 3)
-        assert rows == ([14, 7, 14, 7, 7] + [14, 7, 14, 7] + [14, 7, 14] + [14, 7, 7] * 4
-                        + [14, 7] * 2 + [14] * 7 + [7] * 17)
+        # one call a round on the 7 trials of every running horizon: 49 rows, then 42, ...
+        assert rows == [49, 42, 35] + [28] * 4 + [21] * 2 + [14] * 7 + [7] * 17
 
     def test_rule_that_reads_its_horizon_keeps_its_own_call(self, monkeypatch):
         seen = []
@@ -942,26 +955,41 @@ def test_misshapen_noise_refused(shape, adversary):
         run_game(Misshapen(3, 9), adversary, _gen(0))
 
 
-@pytest.mark.parametrize("dtypes", [(np.int64, np.float64), (np.float64, np.int64)],
-                         ids=["int64-first", "float64-first"])
+@pytest.mark.parametrize("dtype", [np.complex128, object], ids=["complex", "object"])
 @pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
                          ids=["block", "lockstep"])
-def test_noise_dtypes_that_differ_across_a_block_refused(dtypes, adversary):
-    class Mixed(PerturbedLeaderUniform):
-        """The leader on noise drawn in the first dtype for game 1 and the second after."""
+def test_non_real_noise_refused(dtype, adversary):
+    class NonReal(PerturbedLeaderUniform):
+        def noise(self, horizon, rng):
+            return super().noise(horizon, rng).astype(dtype)
 
-        def __init__(self, k, horizon):
-            super().__init__(k, horizon)
-            self.games = 0
+    with pytest.raises(ValueError, match=f"noise must be bool, integer or float, got "
+                                         f"{np.dtype(dtype)}"):
+        play_games(NonReal(3, 9), adversary, [_gen(0, i) for i in range(3)])
+
+
+@pytest.mark.parametrize("dtypes", [(np.int64, np.float64), (np.float64, np.int64),
+                                    (np.int32, np.float32), (np.bool_, np.uint8)],
+                         ids=["int64-first", "float64-first", "int32-float32", "bool-uint8"])
+@pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
+                         ids=["block", "lockstep"])
+def test_noise_dtypes_mixed_across_a_block_play_as_int64(dtypes, adversary):
+    class Leader(PerturbedLeaderUniform):
+        """The leader on noise in {0, 1}, drawn in dtypes[0] for game 1 and dtypes[1] after."""
+
+        def __init__(self, dtypes):
+            super().__init__(3, 9)
+            self.noise_max, self.dtypes, self.games = 1, dtypes, 0  # a range every dtype holds
 
         def noise(self, horizon, rng):
             self.games += 1
-            return super().noise(horizon, rng).astype(dtypes[self.games > 1])
+            return super().noise(horizon, rng).astype(self.dtypes[self.games > 1])
 
-    first, second = (np.dtype(dtype).name for dtype in dtypes)
-    with pytest.raises(ValueError, match=f"dtypes differ across a block's games: {first} and "
-                                         f"{second}"):
-        play_games(Mixed(3, 9), adversary, [_gen(0, i) for i in range(3)])
+    mixed = play_games(Leader(dtypes), adversary, [_gen(0, i) for i in range(3)])
+    games = play_games(Leader((np.int64, np.int64)), adversary, [_gen(0, i) for i in range(3)])
+    for got, expected in zip(mixed, games):
+        assert got.forecasts.tobytes() == expected.forecasts.tobytes()
+        assert got.outcomes.tobytes() == expected.outcomes.tobytes()
 
 
 def test_sweep_replies_build_no_loss_table(monkeypatch):

@@ -253,6 +253,23 @@ class TestOneLeader:
                 noise[::3] = 0
             assert np.array_equal(uniform.rule(counts, noise), _normalize(counts + noise))
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 4096])
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 10])
+    def test_float64_noise_gives_the_int64_bytes(self, k, n):
+        # the engine hands the rule its noise as float64, from the rows of its block: integers
+        # below 2^53 are exact there, and exact sums do not depend on their order, so K >= 8,
+        # which numpy sums pairwise, agrees too
+        rng = RngStream(22, 1000 * k + n).generator()
+        for high in (1, 2 ** 20, 2 ** 40):
+            counts = rng.integers(0, 1 << 24, size=(n, k))
+            noise = rng.integers(0, high, size=(n, k), endpoint=True)
+            counts[::3] = noise[::3] = 0  # all-zero rows, the first among them
+            strided = np.empty((n, 2, k))[:, 0]  # rows apart, as the round loop reads them
+            strided[:] = noise
+            expected = Forecaster.rule(counts, noise).tobytes()
+            assert Forecaster.rule(counts, noise.astype(np.float64)).tobytes() == expected
+            assert Forecaster.rule(counts, strided).tobytes() == expected
+
     def test_leaders_hold_only_their_noise_law(self):
         assert isinstance(vars(Forecaster)["rule"], staticmethod)  # it reads nothing from self
         for cls in LEADERS:
