@@ -3,21 +3,18 @@
 A forecaster carries its game: K and the horizon T are fixed when it is
 made, and it keeps no per-game state, so every call below takes the
 forecaster itself and reads T from ``forecaster.horizon``.
-``run_game`` plays T rounds of forecast-then-outcome and returns a
-transcript.  ``play_games`` plays n games of one forecaster, each from zero
-counts, as one game-major block: forecasts (n, T, K) and outcomes (n, T),
-each game's rows contiguous, and each transcript a view of the block.  An
-adversary that has ``outcomes`` is oblivious, and its games are played as
-one vectorized kernel (the block path); any other is adaptive, and its
-games run in lockstep through the engine's one round loop, with one
-``next_outcomes`` call per round.  That loop plays a staircase: games at
-several horizons, longest first, and a game drops out when its horizon
-ends, so a block of horizons H runs max(H) rounds.  On both paths a game's
-noise reaches the rule as float64, read from the block's own rows, which
-holds integer noise exactly below 2^53.  Adjacent running horizons that
-keep the leader rule, ``Forecaster.rule``, step in one call a round,
-whatever their noise dtype, since that rule reads only its two arguments;
-a horizon whose class overrides ``rule`` keeps a call of its own.
+One kernel, ``_play``, plays every game: a block of games at one or more
+horizons, longest first, kept game-major as forecasts (n, T, K) and
+outcomes (n, T), each game's noise drawn as float64 into the rows its
+forecasts later overwrite (exact for integer noise below 2^53).  Against
+an adversary that has ``outcomes`` (oblivious) a horizon's forecasts come
+from one ``rule`` call on its prefix counts.  Against any other (adaptive)
+the games run in lockstep, one ``next_outcomes`` call a round, as a
+staircase: a game drops out when its horizon ends, so a block of horizons
+H runs max(H) rounds, and adjacent running horizons that keep the leader
+rule, ``Forecaster.rule``, step in one call a round.  ``play_games`` and
+``run_game`` play one horizon's games and return transcripts that are
+views of their block.
 ``trial_jobs`` plans an experiment as blocks: one
 trial range at a group of horizons, within ``BLOCK_CELLS`` played cells,
 handed to a worker whole unless it holds at least as many games as it runs
@@ -201,56 +198,81 @@ def _bad_outcomes(horizon, k):
     return ValueError(f"adversary outcomes must be {horizon} indices in [0, {k})")
 
 
+def _indices(reply, shape, horizon, k) -> np.ndarray:
+    """An adversary's ``reply`` as an integer array of ``shape``; anything else is refused."""
+    reply = np.asarray(reply)
+    # 1.7 would be truncated to outcome 1, and a scalar broadcast to every game
+    if reply.dtype.kind not in "iu" or reply.shape != shape:
+        raise _bad_outcomes(horizon, k)
+    return reply
+
+
 def _noise(forecaster: Forecaster, rng) -> np.ndarray:
-    """``forecaster``'s noise block of one game on ``rng``: (T, K) of bool, integers or floats."""
+    """``forecaster``'s noise block of one game on ``rng``: (T, K) of bool, integers or floats.
+
+    The leader, ``Forecaster.rule``, plays simplex points only on finite
+    noise >= 0, so a forecaster that keeps it may draw no other noise.
+    """
     draw = np.asarray(forecaster.noise(forecaster.horizon, rng))
     if draw.shape != (forecaster.horizon, forecaster.k):
         raise ValueError(f"forecaster noise must have shape (T, K) = ({forecaster.horizon}, "
                          f"{forecaster.k}), got {draw.shape}")
     if draw.dtype.kind not in "biuf":
         raise ValueError(f"forecaster noise must be bool, integer or float, got {draw.dtype}")
+    if forecaster.rule is Forecaster.rule and not 0 <= draw.min() <= draw.max() < math.inf:
+        raise ValueError(f"the leader's noise must be finite and >= 0, got "
+                         f"{type(forecaster).__name__} noise in [{draw.min()}, {draw.max()}]")
     return draw
 
 
-def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
-    """The round loop: play the games of ``rngs[g]`` at ``forecasters[g].horizon`` as one staircase.
+def _play(forecasters, adversary: Adversary, rngs) -> list:
+    """The one game kernel: play the games of ``rngs[g]`` at ``forecasters[g].horizon``.
 
-    The forecasters come longest horizon first.  The block is stored
-    game-major in one anonymous ``mmap``, n games of max T rounds, so a
-    staircase's unplayed corner is never touched and never resident.  Each
-    game draws its whole noise block before round 1 into the float64 rows
-    its forecasts later overwrite: row t is read as round t's noise just
-    before forecast t lands on it.  Round t steps the running games, then
-    asks ``next_outcomes`` once for all of them, which see their forecasts
-    of rounds 1..t-1 as a strided (t-1, n_running, K) view; a horizon's
-    games drop out when it ends, and they are always the last rows.  The
-    running games are thus the first rows, so every run of adjacent
-    horizons that keep the leader rule, whatever their noise dtype, steps
-    in one ``Forecaster.rule`` call on their joint rows: a sweep of FTL or
-    either FTPL makes one call a round.  A horizon whose class overrides
-    ``rule`` steps in a call of its own.
+    The forecasters come longest horizon first, and their games make one
+    block, kept game-major: n games of max T rounds, float64 forecasts, then
+    int64 outcomes.  Each game draws its noise into the float64 rows its
+    forecasts later overwrite, then, against an oblivious adversary, its
+    outcomes into its int64 rows.  An oblivious block then fills each
+    horizon's rows with one ``rule`` call on their prefix counts.  An
+    adaptive block runs the round loop, a staircase: round t steps the
+    running games, each reading row t as its noise just before its forecast
+    lands there, then asks ``next_outcomes`` once for all of them, which see
+    their forecasts of rounds 1..t-1 as a strided (t-1, n_running, K) view.
+    A horizon's games drop out when it ends, always the last rows, so each
+    run of adjacent horizons that keep the leader rule, whatever their noise
+    dtype, steps in one ``Forecaster.rule`` call a round; a horizon whose
+    class overrides ``rule`` steps in a call of its own.  An adaptive block
+    lives in an anonymous ``mmap``, so a staircase's unplayed corner never
+    becomes resident; an oblivious one is filled whole, on the heap.
     Returns one (forecasts (n, T, K), outcomes (n, T)) pair of views per
-    forecaster, with each game's rows contiguous and games strided by max T.
+    forecaster, each game's rows contiguous and games strided by max T.
     """
-    k, horizons = adversary.k, [forecaster.horizon for forecaster in forecasters]
+    k, horizons, oblivious = adversary.k, [f.horizon for f in forecasters], _oblivious(adversary)
     stops = list(accumulate(map(len, rngs)))
     n, rounds = stops[-1], horizons[0]
-    memory = mmap.mmap(-1, n * rounds * (k + 1) * 8)
-    games = np.frombuffer(memory, np.float64, n * rounds * k).reshape(n, rounds, k)
-    moves = np.frombuffer(memory, np.int64, n * rounds, n * rounds * k * 8).reshape(n, rounds)
-    forecasts, outcomes = games.transpose(1, 0, 2), moves.T  # the loop's (max T, n, ...) views
+    cells, size = n * rounds * k, n * rounds * (k + 1)
+    # counts before each round (when oblivious, a whole prefix table) lie below the block on the
+    # heap, so the scorer reuses their hole; above it, they would be trimmed and faulted back
+    counts = np.zeros((n, rounds, k) if oblivious else (n, k), dtype=np.int64)
+    memory = np.empty(size) if oblivious else np.frombuffer(mmap.mmap(-1, size * 8))
+    games = memory[:cells].reshape(n, rounds, k)
+    moves = memory[cells:].view(np.int64).reshape(n, rounds)
     spans = []  # (rule, first game, stop): adjacent leader horizons pooled
-    for forecaster, group, a, b in zip(forecasters, rngs, [0] + stops, stops):
+    for forecaster, horizon, group, a, b in zip(forecasters, horizons, rngs, [0] + stops, stops):
         for game, rng in enumerate(group, a):
-            forecasts[:forecaster.horizon, game] = _noise(forecaster, rng)
+            games[game, :horizon] = _noise(forecaster, rng)
+            if oblivious:  # then its outcomes, from the same stream
+                moves[game, :horizon] = _indices(adversary.outcomes(horizon, rng), (horizon,),
+                                                 horizon, k)
         if forecaster.rule is Forecaster.rule and spans and spans[-1][0] is Forecaster.rule:
             a = spans.pop()[1]  # the leader reads only its arguments: one call
         spans.append((forecaster.rule, a, b))
+    forecasts, outcomes = games.transpose(1, 0, 2), moves.T  # the loop's (max T, n, ...) views
     every_rng = [rng for group in rngs for rng in group]
-    counts = np.zeros((n, k), dtype=np.int64)
     eye = np.eye(k, dtype=np.int64)  # row y adds one outcome y to a count vector
     begin = 0
-    for running in range(len(forecasters), 0, -1):  # the rounds the first `running` horizons play
+    # the rounds the first `running` horizons play; an oblivious block plays none
+    for running in range(0 if oblivious else len(forecasters), 0, -1):
         width, end = stops[running - 1], horizons[running - 1]
         steps = [(rule, counts[a:min(b, width)], forecasts[:, a:min(b, width)])
                  for rule, a, b in spans if a < width]  # each span's running games
@@ -259,81 +281,57 @@ def _lockstep(forecasters, adversary: Adversary, rngs) -> list:
         for t in range(begin, end):
             for rule, own_counts, own_rows in steps:
                 own_rows[t] = rule(own_counts, own_rows[t])  # row t's noise, then its forecast
-            reply = np.asarray(adversary.next_outcomes(t + 1, past[:t], shown))
-            # 1.7 would be truncated to outcome 1, and a scalar broadcast to every game
-            if reply.dtype.kind not in "iu" or reply.shape != (width,):
-                raise _bad_outcomes(horizons[0], k)  # the first game's reply is bad too
-            played[t] = reply
+            # a misshapen reply is refused as the first game's, which got it too
+            played[t] = _indices(adversary.next_outcomes(t + 1, past[:t], shown), (width,),
+                                 horizons[0], k)
             try:
                 live += eye[played[t]]
             except IndexError as exc:
-                bad = int(np.argmax((reply < 0) | (reply >= k)))  # the first game out of range
+                bad = int(np.argmax((played[t] < 0) | (played[t] >= k)))  # first game out of range
                 raise _bad_outcomes(horizons[bisect_right(stops, bad)], k) from exc
         begin = end
     blocks = []
-    for horizon, start, stop in zip(horizons, [0] + stops, stops):
-        if moves[start:stop, :horizon].min() < 0:  # a negative index wraps instead of raising
+    for forecaster, horizon, start, stop in zip(forecasters, horizons, [0] + stops, stops):
+        played, seen = games[start:stop, :horizon], moves[start:stop, :horizon]
+        if seen.min() < 0 or seen.max() >= k:  # not yet refused: negatives, oblivious outcomes
             raise _bad_outcomes(horizon, k)
-        blocks.append((games[start:stop, :horizon], moves[start:stop, :horizon]))
+        if oblivious:  # counts before round t: the outcome of round t first shows in row t + 1
+            prefix = counts[start:stop, :horizon]
+            prefix[np.arange(stop - start)[:, None], np.arange(1, horizon), seen[:, :-1]] = 1
+            np.cumsum(prefix, axis=1, out=prefix)
+            played[...] = forecaster.rule(prefix.reshape(-1, k),
+                                          played.reshape(-1, k)).reshape(played.shape)
+        blocks.append((played, seen))
     return blocks
-
-
-def _play(forecaster: Forecaster, adversary: Adversary, rngs) -> tuple:
-    """(forecasts (n, T, K), outcomes (n, T)) of one block of ``len(rngs)`` games, game-major.
-
-    An adaptive adversary's games run through ``_lockstep``.  An oblivious
-    one's are one kernel: noise drawn into one float64 (n, T, K) block,
-    outcomes stacked, integer prefix counts along axis 1, one ``rule`` call.
-    """
-    if not _oblivious(adversary):
-        return _lockstep([forecaster], adversary, [rngs])[0]
-    k, horizon, n = forecaster.k, forecaster.horizon, len(rngs)
-    noise = np.empty((n, horizon, k))
-    for game, rng in enumerate(rngs):
-        noise[game] = _noise(forecaster, rng)
-    outcomes = np.stack([np.asarray(adversary.outcomes(horizon, rng)) for rng in rngs])
-    if (outcomes.shape != (n, horizon) or outcomes.dtype.kind not in "iu"
-            or outcomes.min() < 0 or outcomes.max() >= k):
-        raise _bad_outcomes(horizon, k)
-    outcomes = outcomes.astype(np.int64, copy=False)
-    # counts before round t: the outcome of round t first shows in row t + 1
-    prefix = np.zeros((n, horizon, k), dtype=np.int64)
-    prefix[np.arange(n)[:, None], np.arange(1, horizon), outcomes[:, :-1]] = 1
-    np.cumsum(prefix, axis=1, out=prefix)
-    forecasts = forecaster.rule(prefix.reshape(-1, k), noise.reshape(-1, k))
-    return forecasts.reshape(n, horizon, k), outcomes
 
 
 def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Transcript]:
     """Play ``len(rngs)`` games of ``forecaster.horizon`` rounds against ``adversary``.
 
-    Each game starts from zero counts and reads its own ``rng`` in one
-    fixed layout: first the forecaster's whole (horizon, K) noise block,
-    then the adversary's outcomes.  Against an oblivious adversary (one that
-    has ``outcomes``) each game's outcomes are drawn at once, and every
-    forecast comes from one ``rule`` call on the integer prefix counts (the
-    block path).  Against any other adversary the n games run in lockstep
-    (the round loop, a staircase of one horizon): round t applies the rule
-    once to the stacked counts (n, K) and noise rows (n, K), then asks
-    ``next_outcomes`` for all n replies, which see forecasts 1..t-1 only.
-    On both paths the noise reaches the rule as float64, from the block's
-    own rows; integer noise is exact there below 2^53.
-    Each game's transcript is the one it would get played alone; its arrays
-    are views of one block's memory, which lives as long as any of them.
+    The games are one ``_play`` block.  Each starts from zero counts and
+    reads its own ``rng`` in one fixed layout: first the forecaster's whole
+    (horizon, K) noise block, then, against an oblivious adversary (one that
+    has ``outcomes``), the outcomes, and one ``rule`` call on the integer
+    prefix counts gives every forecast.  Against any other adversary the n
+    games run in lockstep: round t applies the rule once to the stacked
+    counts (n, K) and noise rows (n, K), then asks ``next_outcomes`` for all
+    n replies, which see forecasts 1..t-1 only.  Each transcript is the one
+    its game would get played alone, and its arrays are views of the
+    block's memory, which lives as long as any of them.
     """
     _check_game(forecaster, adversary)
     if len(rngs) < 1:
         raise ValueError("need at least one game")
-    return [Transcript(*game) for game in zip(*_play(forecaster, adversary, rngs))]
+    return [Transcript(*game) for game in zip(*_play([forecaster], adversary, [rngs])[0])]
 
 
 def run_game(forecaster: Forecaster, adversary: Adversary,
              rng: np.random.Generator) -> Transcript:
     """Play ``forecaster.horizon`` rounds; each forecast is committed before its outcome.
 
-    One game through ``play_games``: an oblivious adversary's game is played
-    as one block, any other round by round (the lockstep loop with n = 1),
-    and both give the same transcript from one ``rng``.
+    One game through ``play_games``, a block of one game: an oblivious
+    adversary's with one ``rule`` call and no round loop, any other's round
+    by round, and both give the same transcript from one ``rng``.
     """
     return play_games(forecaster, adversary, [rng])[0]
 
@@ -379,16 +377,17 @@ def _run_block(forecasters, adversary: Adversary, losses, trials: range,
     """One regret matrix (len(trials), len(losses)) per forecaster, longest horizon first.
 
     Trial i plays on stream (base_seed, i) at every horizon.  Oblivious
-    games are played, scored and released one at a time; adaptive ones run
-    as one ``_lockstep`` staircase, and each horizon's games are scored
-    from its memory.
+    games have no round loop to share, so each is a ``_play`` block of its
+    own, played, scored and released one at a time (48 mc-oblivious games
+    in one block would hold about 8 MB an array).  Adaptive ones are one
+    ``_play`` staircase, and each horizon's games are scored from its memory.
     """
     if _oblivious(adversary):
-        return [np.concatenate([_score(*_play(forecaster, adversary,
-                                              [RngStream(base_seed, trial).generator()]), losses)
-                                for trial in trials]) for forecaster in forecasters]
+        return [np.concatenate([_score(*_play([forecaster], adversary,
+                                              [[RngStream(base_seed, i).generator()]])[0], losses)
+                                for i in trials]) for forecaster in forecasters]
     rngs = [[RngStream(base_seed, trial).generator() for trial in trials] for _ in forecasters]
-    return [_score(*block, losses) for block in _lockstep(forecasters, adversary, rngs)]
+    return [_score(*block, losses) for block in _play(forecasters, adversary, rngs)]
 
 
 def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials: int,

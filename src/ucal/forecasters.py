@@ -54,7 +54,7 @@ class Forecaster:
             raise ValueError("horizon must be >= 1")
 
     def noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        """Hallucinated counts for ``horizon`` rounds, shape (horizon, K); none by default."""
+        """Hallucinated counts, (horizon, K), finite and >= 0 for the leader; none by default."""
         return np.zeros((horizon, self.k), dtype=np.int64)
 
     @staticmethod

@@ -43,6 +43,7 @@ bit but adds whole columns where numpy's per-row reduce would dominate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -294,17 +295,10 @@ def simplex_mesh(k: int, resolution: int) -> np.ndarray:
     """
     if k < 1 or resolution < 1:
         raise ValueError("k and resolution must be positive")
-    grids = []
-
-    def fill(prefix, remaining, slots):
-        if slots == 1:
-            grids.append(prefix + [remaining])
-            return
-        for i in range(remaining + 1):
-            fill(prefix + [i], remaining - i, slots - 1)
-
-    fill([], resolution, k)
-    return np.asarray(grids, dtype=float) / resolution
+    # stars and bars: k - 1 bars among resolution + k - 1 places, in lexicographic order
+    places = resolution + k - 1
+    bars = np.array(list(combinations(range(places), k - 1)), dtype=np.int64)
+    return (np.diff(bars, axis=1, prepend=-1, append=places) - 1) / resolution
 
 
 def validation_points(loss_k: int, rng: np.random.Generator,

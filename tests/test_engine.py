@@ -626,13 +626,13 @@ class TestBlockScorer:
             return [_gen(17, i) for i in range(n)]
 
         if kind == "oblivious":
-            return [engine._play(PerturbedLeaderGeometric(k, horizon), IidUniform(k), rngs())]
+            return engine._play([PerturbedLeaderGeometric(k, horizon)], IidUniform(k), [rngs()])
         greedy = GreedyAdaptive(k, SquaredLoss())
         if kind == "adaptive":
-            return engine._lockstep([PerturbedLeaderUniform(k, horizon)], greedy, [rngs()])
+            return engine._play([PerturbedLeaderUniform(k, horizon)], greedy, [rngs()])
         # a staircase: the games at `horizon` lie max T = horizon + 5 rows apart
         staircase = [FollowTheLeader(k, horizon + 5), PerturbedLeaderUniform(k, horizon)]
-        return engine._lockstep(staircase, greedy, [rngs(), rngs()])
+        return engine._play(staircase, greedy, [rngs(), rngs()])
 
     @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 129])
     @pytest.mark.parametrize("k", [2, 3, 5, 10])  # at K = 10 numpy sums the K axis pairwise
@@ -992,6 +992,80 @@ def test_noise_dtypes_mixed_across_a_block_play_as_int64(dtypes, adversary):
         assert got.outcomes.tobytes() == expected.outcomes.tobytes()
 
 
+class NegativeLeader(PerturbedLeaderUniform):
+    """The leader on noise -(uniform) - 1: negative totals over a negative sum pass for forecasts."""
+
+    def noise(self, horizon, rng):
+        return -super().noise(horizon, rng) - 1
+
+
+class NanLeader(PerturbedLeaderUniform):
+    """The leader on all-NaN noise."""
+
+    def noise(self, horizon, rng):
+        return np.full((horizon, self.k), np.nan)
+
+
+@pytest.mark.parametrize("forecaster, values", [(NegativeLeader, r"\[-\d+, -1\]"),
+                                                (NanLeader, r"\[nan, nan\]")],
+                         ids=["negative", "nan"])
+@pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
+                         ids=["block", "lockstep"])
+def test_leader_noise_off_its_domain_refused(forecaster, values, adversary):
+    message = f"the leader's noise must be finite and >= 0, got {forecaster.__name__} noise in "
+    with pytest.raises(ValueError, match=message + values):
+        run_game(forecaster(3, 8), adversary, _gen(0))
+    # in a staircase, refused before any game is scored
+    forecasters = [PerturbedLeaderUniform(3, 16), forecaster(3, 8), FollowTheLeader(3, 4)]
+    with pytest.raises(ValueError, match=message + values):
+        engine.run_experiment(forecasters, adversary, [SquaredLoss()], 3, 0)
+
+
+@pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
+                         ids=["block", "lockstep"])
+def test_rule_of_its_own_may_read_negative_noise(adversary):
+    # GaussianLeader's softmax takes any real noise, and its noise is often negative
+    assert GaussianLeader(3, 8).noise(8, _gen(0)).min() < 0
+    game = run_game(GaussianLeader(3, 8), adversary, _gen(0))
+    assert np.allclose(game.forecasts.sum(axis=1), 1.0) and game.forecasts.min() > 0
+    regrets = engine.run_experiment([GaussianLeader(3, 8), PerturbedLeaderUniform(3, 4)],
+                                    adversary, [SquaredLoss()], 3, 0)
+    assert all(np.isfinite(matrix).all() for matrix in regrets)
+
+
+@pytest.mark.parametrize("adversary", OBLIVIOUS)
+def test_oblivious_staircase_equals_each_horizon_alone(adversary):
+    # each horizon its own rule and noise: the leader on int64 and float noise, softmax, static
+    k, trials = 3, 4
+    forecasters = [PerturbedLeaderUniform(k, 33), GaussianLeader(k, 16), FollowTheLeader(k, 7),
+                   StaticForecaster([0.2, 0.3, 0.5], 2), PerturbedLeaderGeometric(k, 1)]
+    oblivious, reference = _oblivious_and_reference(adversary, k, 33)
+
+    def rngs():
+        return [_gen(6, i) for i in range(trials)]
+
+    blocks = engine._play(forecasters, oblivious, [rngs() for _ in forecasters])
+    assert [forecasts.shape for forecasts, _ in blocks] == [(trials, f.horizon, k)
+                                                          for f in forecasters]
+    for forecaster, (forecasts, outcomes) in zip(forecasters, blocks):
+        for against in (oblivious, reference):  # its block alone, and round by round
+            for game, alone in enumerate(play_games(forecaster, against, rngs())):
+                assert forecasts[game].tobytes() == alone.forecasts.tobytes()
+                assert outcomes[game].tobytes() == alone.outcomes.tobytes()
+
+
+@pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
+                         ids=["block", "lockstep"])
+def test_transcripts_are_views_of_one_block(adversary):
+    games = play_games(PerturbedLeaderGeometric(3, 9), adversary, [_gen(0, i) for i in range(3)])
+    arrays = [array for game in games for array in (game.forecasts, game.outcomes)]
+    block = arrays[0]
+    while isinstance(block.base, np.ndarray):  # the array the block's views were cut from
+        block = block.base
+    assert block.size == 3 * 9 * (3 + 1)  # every game's forecasts and outcomes
+    assert all(np.shares_memory(block, array) for array in arrays)
+
+
 def test_sweep_replies_build_no_loss_table(monkeypatch):
     # the benchmark sweep: FTPL-uniform vs greedy:squared, K = 3, T = 64..4096, 8 trials
     tables, table = [], ProperLoss.outcome_losses
@@ -1006,7 +1080,7 @@ def test_sweep_replies_build_no_loss_table(monkeypatch):
     tables.clear()
     forecasters = [PerturbedLeaderUniform(3, 4096 >> i) for i in range(7)]
     rngs = [[_gen(7, trial) for trial in range(8)] for _ in forecasters]
-    blocks = engine._lockstep(forecasters, GreedyAdaptive(3, SquaredLoss()), rngs)
+    blocks = engine._play(forecasters, GreedyAdaptive(3, SquaredLoss()), rngs)
     assert [outcomes.shape for _, outcomes in blocks] == [(8, 4096 >> i) for i in range(7)]
     assert tables == []
 

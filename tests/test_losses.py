@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -346,6 +349,17 @@ def test_simplex_mesh_covers_simplex():
     assert mesh.shape == (66, 3)  # C(12, 2) grid points
     np.testing.assert_allclose(mesh.sum(axis=1), 1.0)
     assert mesh.min() >= 0.0
+
+
+@pytest.mark.parametrize("k, resolution", [(1, 1), (1, 7), (2, 1), (2, 4), (3, 10), (3, 50),
+                                           (4, 6), (5, 8)])
+def test_simplex_mesh_is_every_grid_point_in_lexicographic_order(k, resolution):
+    brute = [point for point in itertools.product(range(resolution + 1), repeat=k)
+             if sum(point) == resolution]  # product enumerates lexicographically
+    mesh = simplex_mesh(k, resolution)
+    assert mesh.dtype == np.float64
+    assert mesh.tobytes() == (np.array(brute, dtype=float) / resolution).tobytes()
+    assert mesh.shape == (math.comb(resolution + k - 1, k - 1), k)
 
 
 def test_barycenter_loss_values():
