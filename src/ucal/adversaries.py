@@ -52,31 +52,36 @@ class Adversary:
 
 
 class FixedSequence(Adversary):
-    """Replays a predetermined outcome sequence; errors when exhausted."""
+    """Replays a predetermined outcome sequence, one read-only int64 array, to its end."""
 
     name = "fixed"
 
     def __init__(self, k: int, sequence):
         super().__init__(k)
-        self.sequence = [validate_outcome(y, k) for y in sequence]
+        given = np.asarray(sequence)
+        if given.dtype.kind not in "iu" or given.ndim != 1 or np.any((given < 0) | (given >= k)):
+            given = [validate_outcome(y, k) for y in sequence]  # refuses the first bad entry
+        self.sequence = np.array(given, dtype=np.int64)
+        self.sequence.flags.writeable = False
 
     @classmethod
     def from_file(cls, k: int, path) -> "FixedSequence":
         """Load a sequence of whitespace-separated 1-based outcome indices."""
         tokens = Path(path).read_text().split()
-        indices = []
-        for tok in tokens:
-            value = int(tok)
-            if not 1 <= value <= k:
-                raise ValueError(f"outcome {value} in {path} out of range [1, {k}]")
-            indices.append(value - 1)
-        return cls(k, indices)
+        try:
+            values = np.array(tokens, dtype=np.int64)  # int()'s parse and its messages
+        except OverflowError:  # beyond int64: keep the first out-of-range value, as int() reads it
+            values = np.array([next(v for v in map(int, tokens) if not 1 <= v <= k)])
+        bad = np.flatnonzero((values < 1) | (values > k))
+        if bad.size:
+            raise ValueError(f"outcome {values[bad[0]]} in {path} out of range [1, {k}]")
+        return cls(k, values - 1)
 
     def outcomes(self, horizon, rng=None):
         if horizon > len(self.sequence):
             raise ValueError(f"fixed sequence of length {len(self.sequence)} exhausted "
                              f"at round {len(self.sequence) + 1}")
-        return np.array(self.sequence[:horizon], dtype=np.int64)
+        return self.sequence[:horizon]
 
 
 class IidUniform(Adversary):

@@ -15,18 +15,15 @@ H runs max(H) rounds, and adjacent running horizons that keep the leader
 rule, ``Forecaster.rule``, step in one call a round.  ``play_games`` and
 ``run_game`` play one horizon's games and return transcripts that are
 views of their block.
-``trial_jobs`` plans an experiment as blocks: one
-trial range at a group of horizons, within ``BLOCK_CELLS`` played cells,
-handed to a worker whole unless it holds at least as many games as it runs
-rounds.  Horizons share a block only when all trials at all of them fit
-one, so a sweep too large for one block plays each horizon's blocks on
-their own.  ``run_experiment`` runs a whole experiment, one forecaster per
-horizon, and ``run_trials`` is its one-forecaster case.  It maps the plan's
-blocks through one trial runner, in one process pool when there is more
-than one worker and job, scores each block's games straight from its
-arrays, a few whole games at a time, and puts the regrets back at their
-trial rows, so the result does not depend on the worker count.  Trial i
-plays on stream (base_seed, i) at every horizon.
+``trial_jobs`` plans an experiment as jobs, each one trial range at a group
+of horizons (an adaptive one within ``BLOCK_CELLS`` played cells), and
+``run_experiment``, one forecaster per horizon, maps them through one trial
+runner, ``_run_block``, in one process pool when there is more than one
+worker and job.  The runner plays its range in pieces of whole trials, one
+``_play`` call each, scores each horizon's games straight from the block
+and puts the regrets back at their trial rows, so the result does not
+depend on the worker count: trial i plays on stream (base_seed, i) at every
+horizon.  ``run_trials`` is the one-forecaster case.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
 loss against the mean-of-outcomes benchmark, which is the empirical risk
@@ -111,10 +108,11 @@ MAX_GAME_CELLS = 1 << 24
 BLOCK_CELLS = 1 << 20
 
 #: Cell budget of one scoring chunk: whole games, at least one, of at most
-#: 2^14 forecast cells (128 KiB).  Each loss builds a few float temporaries
-#: of the chunk's size, so a larger chunk shows in peak RSS: on the 8-trial
-#: K = 3 sweep over T = 64..4096 it read about 0.5 MB more at 2^15 and 2 MB
-#: more at 2^16, with no CPU to show for it.
+#: 2^14 forecast cells (128 KiB), and of one oblivious block: whole trials at
+#: a group of horizons, at least one.  Each loss builds a few float
+#: temporaries of the chunk's size, so a larger chunk shows in peak RSS: on
+#: the 8-trial K = 3 sweep over T = 64..4096 it read about 0.5 MB more at
+#: 2^15 and 2 MB more at 2^16, with no CPU to show for it.
 SCORE_CELLS = 1 << 14
 
 
@@ -149,43 +147,41 @@ def _cut(trials: range, pieces: int) -> list:
 def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> list:
     """(horizons, trial range) jobs that play every trial at every horizon once.
 
-    A job is a block: one trial range played at a group of horizons, longest
-    first.  An oblivious adversary's games are played one at a time, with
-    no round loop, so its one block is every trial at every horizon, cut
-    into min(workers, trials) near-equal pieces.  An adaptive block is one
-    lockstep staircase: n trials at horizons H are n * len(H) games that
-    run max(H) rounds and play n * sum(H) * K cells, at most
-    ``BLOCK_CELLS``.  Horizons are grouped longest first, and a horizon
-    joins the group before it only if all trials at the grown group still
-    fit one block.  So a group of several horizons is one block, which
-    plays each of them once in max(H) rounds, and a horizon whose trials
-    need more than one block is a group of its own, cut into the fewest
-    near-equal blocks within budget: merging it would cut the shorter
-    horizons into as many blocks, each repeating their rule calls.  So no
-    plan makes more rule calls or runs more rounds than one horizon per
-    block.  A block goes to a worker whole unless it holds at least as many
-    games as it runs rounds: each piece repeats the whole round loop, so
-    only then is the block cut into min(workers, n) near-equal pieces.
-    Jobs come longest round loop first, then largest first, so a pool that
-    takes them in order starts the longest first.
+    A job is one trial range at a group of horizons, which ``_run_block``
+    plays in pieces.  Horizons are grouped longest first, and a horizon
+    joins the group before it only if the grown group still fits a budget.
+    An oblivious adversary has no round loop, so ``_run_block`` plays its
+    trials a few at a time, whole trials within ``SCORE_CELLS`` cells: its
+    horizons share a group while one trial at all of them fits, and a
+    group's trials are cut into min(workers, trials) near-equal ranges.  An
+    adaptive block is one lockstep staircase: n trials at horizons H are
+    n * len(H) games that run max(H) rounds and play n * sum(H) * K cells,
+    at most ``BLOCK_CELLS``, so its horizons share a group while all trials
+    fit one block.  A horizon whose trials need more is a group of its own,
+    cut into the fewest near-equal blocks within budget: merging it would
+    cut the shorter horizons into as many blocks, each repeating their rule
+    calls.  So no plan makes more rule calls or runs more rounds than one
+    horizon per block.  An adaptive block goes to a worker whole unless it
+    holds at least as many games as it runs rounds: each part repeats the
+    whole round loop, so only then is it cut into min(workers, n) near-equal
+    ranges.  Jobs come longest round loop first, then largest first, so a
+    pool that takes them in order starts the longest first.
     """
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be >= 1")
-    horizons = sorted(horizons, reverse=True)
-    if _oblivious(adversary):  # no round loop
-        blocks = [(tuple(horizons), range(trials), 0)]
-    else:
-        groups = []
-        for horizon in horizons:
-            if groups and trials * (sum(groups[-1]) + horizon) * adversary.k <= BLOCK_CELLS:
-                groups[-1].append(horizon)
-            else:
-                groups.append([horizon])
-        blocks = []
-        for group in groups:
-            per_block = max(1, BLOCK_CELLS // (sum(group) * adversary.k))
-            blocks += [(tuple(group), block, group[0])
-                       for block in _cut(range(trials), -(-trials // per_block))]
+    oblivious = _oblivious(adversary)
+    share, budget = (1, SCORE_CELLS) if oblivious else (trials, BLOCK_CELLS)  # trials it holds
+    groups = []
+    for horizon in sorted(horizons, reverse=True):
+        if groups and share * (sum(groups[-1]) + horizon) * adversary.k <= budget:
+            groups[-1].append(horizon)
+        else:
+            groups.append([horizon])
+    blocks = []
+    for group in groups:  # oblivious: every trial, with no round loop to repeat
+        per_block = trials if oblivious else max(1, BLOCK_CELLS // (sum(group) * adversary.k))
+        blocks += [(tuple(group), block, 0 if oblivious else group[0])
+                   for block in _cut(range(trials), -(-trials // per_block))]
     jobs = []
     for group, block, rounds in blocks:
         pieces = min(workers, len(block)) if len(block) * len(group) >= rounds else 1
@@ -309,15 +305,11 @@ def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Trans
     """Play ``len(rngs)`` games of ``forecaster.horizon`` rounds against ``adversary``.
 
     The games are one ``_play`` block.  Each starts from zero counts and
-    reads its own ``rng`` in one fixed layout: first the forecaster's whole
-    (horizon, K) noise block, then, against an oblivious adversary (one that
-    has ``outcomes``), the outcomes, and one ``rule`` call on the integer
-    prefix counts gives every forecast.  Against any other adversary the n
-    games run in lockstep: round t applies the rule once to the stacked
-    counts (n, K) and noise rows (n, K), then asks ``next_outcomes`` for all
-    n replies, which see forecasts 1..t-1 only.  Each transcript is the one
-    its game would get played alone, and its arrays are views of the
-    block's memory, which lives as long as any of them.
+    reads its own ``rng`` in one fixed layout: the forecaster's whole
+    (horizon, K) noise block, then an oblivious adversary's outcomes; an
+    adaptive one's replies see forecasts 1..t-1 only.  Each transcript is
+    the one its game would get played alone, and its arrays are views of
+    the block's memory, which lives as long as any of them.
     """
     _check_game(forecaster, adversary)
     if len(rngs) < 1:
@@ -376,18 +368,21 @@ def _run_block(forecasters, adversary: Adversary, losses, trials: range,
                base_seed: int) -> list[np.ndarray]:
     """One regret matrix (len(trials), len(losses)) per forecaster, longest horizon first.
 
-    Trial i plays on stream (base_seed, i) at every horizon.  Oblivious
-    games have no round loop to share, so each is a ``_play`` block of its
-    own, played, scored and released one at a time (48 mc-oblivious games
-    in one block would hold about 8 MB an array).  Adaptive ones are one
-    ``_play`` staircase, and each horizon's games are scored from its memory.
+    Trial i plays on stream (base_seed, i) at every horizon.  The range is
+    played in pieces, each one ``_play`` block at every horizon, scored a
+    horizon at a time and released before the next: against an adaptive
+    adversary the whole range, one staircase, and against an oblivious one,
+    with no round loop to share, one ``SCORE_CELLS`` chunk of whole trials.
     """
-    if _oblivious(adversary):
-        return [np.concatenate([_score(*_play([forecaster], adversary,
-                                              [[RngStream(base_seed, i).generator()]])[0], losses)
-                                for i in trials]) for forecaster in forecasters]
-    rngs = [[RngStream(base_seed, trial).generator() for trial in trials] for _ in forecasters]
-    return [_score(*block, losses) for block in _play(forecasters, adversary, rngs)]
+    cells = sum(f.horizon for f in forecasters) * adversary.k  # one trial at every horizon
+    step = max(1, SCORE_CELLS // cells) if _oblivious(adversary) else len(trials)
+    pieces = []
+    for start in range(0, len(trials), step):
+        rngs = [[RngStream(base_seed, trial).generator() for trial in trials[start:start + step]]
+                for _ in forecasters]
+        # scored in one comprehension, so no name holds the block into the next piece's play
+        pieces.append([_score(*block, losses) for block in _play(forecasters, adversary, rngs)])
+    return [np.concatenate(horizon) for horizon in zip(*pieces)]
 
 
 def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials: int,

@@ -41,17 +41,58 @@ class TestFixedSequence:
         path = tmp_path / "outcomes.txt"
         path.write_text("2 1\n1 2\n")
         adv = FixedSequence.from_file(2, path)
-        assert adv.sequence == [1, 0, 0, 1]
+        assert adv.sequence.tolist() == [1, 0, 0, 1]
 
-    def test_from_file_out_of_range(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("1 3 2\n", "outcome 3 in .* out of range \\[1, 2\\]"),
+        ("2 0", "outcome 0 in .* out of range"),
+        ("1 x 3", "invalid literal for int\\(\\) with base 10: 'x'"),
+        ("1 1.5", "invalid literal for int\\(\\) with base 10: '1.5'"),
+        # beyond int64, read as int() reads them: the first out-of-range value is named
+        ("1 99999999999999999999", "outcome 99999999999999999999 in .* out of range"),
+        ("7 -99999999999999999999", "outcome 7 in .* out of range"),
+    ], ids=["above-K", "zero", "word", "fraction", "above-int64", "first-of-two"])
+    def test_from_file_refusals_name_the_token(self, tmp_path, text, message):
         path = tmp_path / "outcomes.txt"
-        path.write_text("1 3 2\n")
-        with pytest.raises(ValueError, match="out of range"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             FixedSequence.from_file(2, path)
 
-    def test_validates_indices(self):
-        with pytest.raises(ValueError):
-            FixedSequence(2, [0, 2])
+    @pytest.mark.parametrize("sequence, message", [
+        ([0, 2], r"outcome index 2 out of range \[0, 2\)"),
+        (np.array([1, -1]), r"outcome index -1 out of range"),
+        ([0, 1.5], r"outcome index must be an integer, got 1.5"),
+        (["1"], r"outcome index must be an integer, got '1'"),
+    ], ids=["above-K", "negative-array", "fraction", "string"])
+    def test_validates_indices(self, sequence, message):
+        with pytest.raises(ValueError, match=message):
+            FixedSequence(2, sequence)
+
+    @pytest.mark.parametrize("sequence", [[1, 0, 1], (1.0, 0.0, True),
+                                          np.array([1, 0, 1], np.uint8)],
+                             ids=["ints", "integral-floats-and-bool", "uint8"])
+    def test_holds_one_read_only_int64_array(self, sequence):
+        adv = FixedSequence(2, sequence)
+        assert adv.sequence.dtype == np.int64 and not adv.sequence.flags.writeable
+        assert adv.sequence.tolist() == [1, 0, 1]
+        played = adv.outcomes(2)  # a slice of it, not a copy per game
+        assert played.tolist() == [1, 0] and np.shares_memory(played, adv.sequence)
+        with pytest.raises(ValueError, match="read-only"):
+            played[0] = 0
+
+    def test_caller_array_is_copied(self):
+        given = np.array([0, 1])
+        adv = FixedSequence(2, given)
+        given[0] = 1
+        assert adv.sequence.tolist() == [0, 1] and given.flags.writeable
+
+    def test_empty_sequence_is_exhausted_at_round_one(self, tmp_path):
+        path = tmp_path / "outcomes.txt"
+        path.write_text("\n")
+        for adv in (FixedSequence(2, []), FixedSequence.from_file(2, path)):
+            assert adv.sequence.dtype == np.int64 and len(adv.sequence) == 0
+            with pytest.raises(ValueError, match="length 0 exhausted at round 1"):
+                adv.outcomes(1)
 
 
 class TestGreedyAdaptive:

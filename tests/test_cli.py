@@ -498,8 +498,12 @@ GAME = ["--forecaster", "ftl", "--adversary", "alternating", "--loss", "vshaped"
     ("--loss", "tsallis:1.5,0.5,9"),
     ("--loss", "vshaped:banana"),
     ("--loss", "spherical:1"),
+    ("--loss", "tsallis"),
     ("--forecaster", "ftl:7"),
     ("--adversary", "alternating:3"),
+    ("--adversary", "fixed"),
+    ("--adversary", "greedy"),
+    ("--adversary", "banana"),
 ])
 def test_spec_with_wrong_arity_is_usage_error(capsys, tmp_path, monkeypatch, flag, spec):
     monkeypatch.chdir(tmp_path)
@@ -543,6 +547,15 @@ def test_spec_with_wrong_arity_is_usage_error(capsys, tmp_path, monkeypatch, fla
     (["run", *GAME, "--loss", "tsallis:inf", "--K", "2", "--T", "8"], "alpha must be finite"),
     (["run", *GAME, "--adversary", "greedy:squared:nan", "--K", "2", "--T", "8"],
      "scale must be finite"),
+    (["run", *GAME, "--forecaster", "static:0.5", "--K", "3", "--T", "8"],
+     "static forecaster needs 3 probabilities, got 1"),
+    (["run", *GAME, "--adversary", "fixed:missing.txt", "--K", "2", "--T", "8"],
+     "cannot load fixed sequence: [Errno 2] No such file or directory: 'missing.txt'"),
+    (["run", *GAME, "--loss", "squared:abc", "--K", "2", "--T", "8"],
+     "bad numeric arguments 'abc'"),
+    (["run", "--forecaster", "ftl", "--adversary", "alternating", "--loss", ";", "--K", "2",
+      "--T", "8"], "need at least one --loss"),
+    (["sweep", *GAME, "--K", "2", "--T-start", "16", "--T-stop", "8"], "empty horizon grid"),
 ])
 def test_out_of_range_number_is_usage_error(capsys, tmp_path, monkeypatch, command, message):
     monkeypatch.chdir(tmp_path)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucal import RngStream, mean_of_counts, one_hot, uniform_point, validate_simplex
-from ucal.core import row_sum
+from ucal.core import row_sum, validate_outcome
 
 
 class TestMeanOfCounts:
@@ -24,6 +24,14 @@ class TestMeanOfCounts:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             mean_of_counts([3, -1])
+
+    @pytest.mark.parametrize("counts, message", [
+        ([[1, 2], [3, 4]], r"expected a 1-d count vector, got shape \(2, 2\)"),
+        ([1.5, 2.0], "counts must be integers"),
+    ], ids=["2-d", "non-integral-floats"])
+    def test_malformed_counts_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            mean_of_counts(counts)
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=500)
            .map(lambda idx: (idx, 4)))
@@ -50,6 +58,10 @@ class TestValidateSimplex:
         with pytest.raises(ValueError, match="negative"):
             validate_simplex([-0.1, 1.1])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            validate_simplex([0.5, float("nan")])
+
     def test_renormalizes(self):
         p = validate_simplex([0.3 + 2e-13, 0.7])
         assert p.sum() == pytest.approx(1.0, abs=1e-15)
@@ -64,6 +76,11 @@ class TestValidateSimplex:
         p = validate_simplex(w / w.sum())
         assert p.min() >= 0.0
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fractional_outcome_index_refused():
+    with pytest.raises(ValueError, match="outcome index must be an integer, got 1.5"):
+        validate_outcome(1.5, 3)
 
 
 class TestRngStream:

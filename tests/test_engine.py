@@ -1,3 +1,4 @@
+import decimal
 import fractions
 import math
 import os
@@ -361,6 +362,10 @@ class TestGameSizeCap:
         with pytest.raises(ValueError, match="above the cap"):
             engine.check_game_size(2, engine.MAX_GAME_CELLS // 2 + 1)
 
+    def test_empty_game_refused(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            engine.check_game_size(2, 0)
+
 
 class TestRegret:
     @pytest.mark.parametrize("horizon", [8, 100])
@@ -578,6 +583,21 @@ class TestExactBinomialMad:
     def test_large_horizon_above_sqrt_bound(self):
         assert exact_binomial_mad(10_000, 0.5) >= math.sqrt(10_000 / 8)
 
+    @pytest.mark.parametrize("p", [0.5, 0.2, 1 / 3, 0.1])
+    @pytest.mark.parametrize("n", [10_001, 100_000])
+    def test_lgamma_branch_matches_the_exact_form(self, n, p):
+        # de Moivre's integer form on the float p = a/d at 50 digits; the exact big-integer
+        # powers take seconds at n = 10^5.  C(n, m) keeps its leading 256 bits.
+        context = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        a, d = p.as_integer_ratio()
+        m = n * a // d + 1
+        comb = math.comb(n, m)
+        shift = max(0, comb.bit_length() - 256)
+        mad = decimal.Decimal(2 * m * (comb >> shift))
+        for base, power in ((2, shift), (a, m), (d - a, n - m + 1), (d, -(n + 1))):
+            mad = context.multiply(mad, context.power(decimal.Decimal(base), power))
+        assert exact_binomial_mad(n, p) == pytest.approx(float(mad), rel=1e-9, abs=0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             exact_binomial_mad(0, 0.5)
@@ -656,22 +676,26 @@ class TestTrialJobs:
            st.integers(1, 40), st.integers(1, 9), st.integers(1, 3000), st.booleans())
     def test_cover_budget_cuts_and_cost_order(self, horizons, trials, workers, cells, adaptive):
         adversary = GreedyAdaptive(3, SquaredLoss()) if adaptive else IidUniform(3)
-        with unittest.mock.patch.object(engine, "BLOCK_CELLS", cells):
+        budget = "BLOCK_CELLS" if adaptive else "SCORE_CELLS"
+        with unittest.mock.patch.object(engine, budget, cells):
             jobs = engine.trial_jobs(adversary, horizons, trials, workers)
         for horizon in horizons:  # every trial at every horizon exactly once
             assert sorted(t for group, r in jobs if horizon in group for t in r) == list(
                 range(trials))
         groups = list(dict.fromkeys(group for group, _ in jobs))
         assert [h for group in groups for h in group] == sorted(horizons, reverse=True)
-        if not adaptive:  # no round loop: one group in min(workers, trials) near-equal ranges
-            sizes = [len(r) for _, r in jobs]
-            assert len(groups) == 1 and len(sizes) == min(workers, trials)
-            assert max(sizes) - min(sizes) <= 1
+        # the budget holds all trials of an adaptive block, one trial of an oblivious one
+        share = trials if adaptive else 1
+        for group, following in zip(groups, groups[1:]):  # as large as the budget allows
+            assert 3 * share * (sum(group) + following[0]) > cells
+        for group in groups:  # several horizons share a group only within the budget
+            assert len(group) == 1 or 3 * share * sum(group) <= cells
+        if not adaptive:  # no round loop: each group in min(workers, trials) near-equal ranges
+            for group in groups:
+                sizes = [len(r) for g, r in jobs if g == group]
+                assert len(sizes) == min(workers, trials) and max(sizes) - min(sizes) <= 1
             return
-        for group, following in zip(groups, groups[1:]):  # as large as one block of all trials
-            assert 3 * trials * (sum(group) + following[0]) > cells
-        for group in groups:  # several horizons share a block only when all trials fit one
-            assert len(group) == 1 or 3 * trials * sum(group) <= cells
+        for group in groups:
             per_block = max(1, cells // (3 * sum(group)))
             blocks = -(-trials // per_block)
             sizes = [len(r) for g, r in jobs if g == group]
@@ -844,6 +868,64 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="repeat"):
             engine.run_experiment([FollowTheLeader(2, 8), StaticForecaster([0.5, 0.5], 8)],
                                   Alternating(2), [VShapedLoss()], 2, 0)
+
+
+def _count_blocks(monkeypatch) -> list:
+    """Wrap ``engine._play`` so that each call appends its game count per horizon to a list."""
+    games, play = [], engine._play
+
+    def counted(forecasters, adversary, rngs):
+        games.append([len(group) for group in rngs])
+        return play(forecasters, adversary, rngs)
+
+    monkeypatch.setattr(engine, "_play", counted)
+    return games
+
+
+class TestObliviousPieces:
+    """An oblivious trial range is played in pieces of whole trials, one ``_play`` call each."""
+
+    LOSSES = [VShapedLoss(), SquaredLoss(0.5), SphericalLoss(), TsallisLoss(1.5)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("adversary", OBLIVIOUS)
+    def test_piece_size_moves_no_bit(self, adversary, workers, monkeypatch):
+        k, trials = 3, 7
+        forecasters = [PerturbedLeaderUniform(k, 33), GaussianLeader(k, 16), FollowTheLeader(k, 7)]
+        oblivious, _ = _oblivious_and_reference(adversary, k, 33)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for group in (forecasters[:1], forecasters):  # one horizon, then several
+            expected = [[[regret(run_game(f, oblivious, _gen(5, i)), loss).regret
+                          for loss in self.LOSSES] for i in range(trials)] for f in group]
+            cells = sum(f.horizon for f in group) * k  # one trial at every horizon
+            # each horizon alone, a trial a piece; (33,) alone and (16, 7) together; all
+            # horizons, three trials a piece; all horizons, every trial in one piece
+            for budget in (1, 33 * k, 3 * cells, trials * cells + 1):
+                monkeypatch.setattr(engine, "SCORE_CELLS", budget)
+                got = engine.run_experiment(group, oblivious, self.LOSSES, trials, 5, workers)
+                assert [matrix.tolist() for matrix in got] == expected, budget
+
+    def test_short_games_share_a_block(self, monkeypatch):
+        # 4000 trials at K = 3, T = 64: 2^14 // (64 * 3) = 85 trials a block, not one each
+        games = _count_blocks(monkeypatch)
+        engine.run_experiment([PerturbedLeaderGeometric(3, 64)], IidUniform(3),
+                              self.LOSSES[:3], 4000, 1)
+        assert games == [[85]] * 47 + [[5]]
+
+    def test_long_games_play_one_per_block(self, monkeypatch):
+        # mc-oblivious's games, K = 5 and T = 4096, are 20480 cells, above SCORE_CELLS
+        games = _count_blocks(monkeypatch)
+        engine.run_experiment([PerturbedLeaderGeometric(5, 4096)], IidUniform(5), self.LOSSES,
+                              3, 1)
+        assert games == [[1]] * 3
+
+    def test_horizons_share_a_block_while_a_trial_fits(self, monkeypatch):
+        # T = 64..4096 at K = 10: 4096 and 2048 each alone, one game a block, as a trial of all
+        # seven would hold them at once; (1024, 512) one trial a block; (256, 128, 64) both
+        games = _count_blocks(monkeypatch)
+        forecasters = [PerturbedLeaderGeometric(10, 64 << i) for i in reversed(range(7))]
+        engine.run_experiment(forecasters, IidUniform(10), self.LOSSES, 2, 0)
+        assert games == [[1]] * 4 + [[1, 1]] * 2 + [[2, 2, 2]]
 
 
 class FloatNoiseLeader(PerturbedLeaderUniform):

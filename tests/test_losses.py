@@ -93,6 +93,11 @@ class TestBivariate:
         with pytest.raises(ValueError, match="must be an integer"):
             SquaredLoss().bivariate([0.2, 0.8], y)
 
+    @pytest.mark.parametrize("y", [2, np.array([0, 1, 2]), -1])
+    def test_outcome_index_out_of_range_refused(self, y):
+        with pytest.raises(ValueError, match="outcome index out of range"):
+            SquaredLoss().bivariate([0.2, 0.8], y)
+
     @pytest.mark.parametrize("y", [1, np.int32(1), np.array([1], dtype=np.uint8)])
     def test_any_integer_dtype_taken(self, y):
         table = SquaredLoss().outcome_losses([0.2, 0.8])
@@ -217,6 +222,10 @@ class TestProperness:
         assert report.properness_violations == 1
         assert report.max_violation == pytest.approx(0.32, abs=1e-12)
 
+    def test_pair_arrays_of_different_shapes_refused(self):
+        with pytest.raises(ValueError, match="pair arrays must have identical shapes"):
+            check_proper(SquaredLoss(), (np.full((2, 3), 1 / 3), np.full((3, 3), 1 / 3)))
+
     def test_improper_found_by_random_sampling(self):
         improper = CustomLoss(lambda p: np.sum(p * p, axis=-1),
                               lambda p: 2.0 * p, name="convex-form")
@@ -295,6 +304,10 @@ class TestHessianGrowth:
         with pytest.raises(ValueError, match="boundary"):
             check_hessian_growth(TsallisLoss(1.5), [0.0, 0.5], c=1.0)
 
+    def test_alpha_above_two_refused(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\]"):
+            check_hessian_growth(TsallisLoss(2.5), self.GRID, c=1.0)
+
     def test_wrong_loss_rejected(self):
         with pytest.raises(TypeError):
             check_hessian_growth(SquaredLoss(), self.GRID, c=1.0)
@@ -317,6 +330,10 @@ class TestLipschitzEstimate:
         est = estimate_lipschitz(VShapedLoss(), k=2, samples=30_000, rng=rng)
         assert est >= 1e3
 
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            estimate_lipschitz(SquaredLoss(), k=3, samples=0, rng=RNG.generator())
+
 
 class TestConstruction:
     def test_tsallis_requires_alpha_above_one(self):
@@ -328,6 +345,10 @@ class TestConstruction:
     def test_squared_scale_positive(self):
         with pytest.raises(ValueError):
             SquaredLoss(0.0)
+
+    def test_tsallis_scale_positive(self):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            TsallisLoss(1.5, scale=0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("make, parameter", [

@@ -159,6 +159,10 @@ class TestClosedForm:
         assert seqs.value == float(v[horizon])
         assert seqs.u.shape == (horizon + 1,) and seqs.a.shape == (horizon,)
 
+    def test_empty_horizon_refused(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            closed_form(0)
+
     def test_horizon_cap(self, monkeypatch):
         with pytest.raises(ValueError, match="cap"):
             closed_form(CLOSED_FORM_MAX_HORIZON + 1)
