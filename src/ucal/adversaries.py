@@ -58,24 +58,20 @@ class FixedSequence(Adversary):
 
     def __init__(self, k: int, sequence):
         super().__init__(k)
-        given = np.asarray(sequence)
-        if given.dtype.kind not in "iu" or given.ndim != 1 or np.any((given < 0) | (given >= k)):
-            given = [validate_outcome(y, k) for y in sequence]  # refuses the first bad entry
-        self.sequence = np.array(given, dtype=np.int64)
+        self.sequence = np.array([validate_outcome(y, k) for y in sequence], dtype=np.int64)
         self.sequence.flags.writeable = False
 
     @classmethod
     def from_file(cls, k: int, path) -> "FixedSequence":
         """Load a sequence of whitespace-separated 1-based outcome indices."""
         tokens = Path(path).read_text().split()
-        try:
-            values = np.array(tokens, dtype=np.int64)  # int()'s parse and its messages
-        except OverflowError:  # beyond int64: keep the first out-of-range value, as int() reads it
-            values = np.array([next(v for v in map(int, tokens) if not 1 <= v <= k)])
-        bad = np.flatnonzero((values < 1) | (values > k))
-        if bad.size:
-            raise ValueError(f"outcome {values[bad[0]]} in {path} out of range [1, {k}]")
-        return cls(k, values - 1)
+        indices = []
+        for tok in tokens:
+            value = int(tok)
+            if not 1 <= value <= k:
+                raise ValueError(f"outcome {value} in {path} out of range [1, {k}]")
+            indices.append(value - 1)
+        return cls(k, indices)
 
     def outcomes(self, horizon, rng=None):
         if horizon > len(self.sequence):

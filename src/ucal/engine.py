@@ -109,10 +109,10 @@ BLOCK_CELLS = 1 << 20
 
 #: Cell budget of one scoring chunk: whole games, at least one, of at most
 #: 2^14 forecast cells (128 KiB), and of one oblivious block: whole trials at
-#: a group of horizons, at least one.  Each loss builds a few float
-#: temporaries of the chunk's size, so a larger chunk shows in peak RSS: on
-#: the 8-trial K = 3 sweep over T = 64..4096 it read about 0.5 MB more at
-#: 2^15 and 2 MB more at 2^16, with no CPU to show for it.
+#: a group of horizons, padded to the longest, at least one.  Each loss
+#: builds a few float temporaries of the chunk's size, so a larger chunk
+#: shows in peak RSS: on the 8-trial K = 3 sweep over T = 64..4096 it read
+#: about 0.5 MB more at 2^15 and 2 MB more at 2^16, with no CPU to show for it.
 SCORE_CELLS = 1 << 14
 
 
@@ -151,29 +151,32 @@ def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> lis
     plays in pieces.  Horizons are grouped longest first, and a horizon
     joins the group before it only if the grown group still fits a budget.
     An oblivious adversary has no round loop, so ``_run_block`` plays its
-    trials a few at a time, whole trials within ``SCORE_CELLS`` cells: its
-    horizons share a group while one trial at all of them fits, and a
-    group's trials are cut into min(workers, trials) near-equal ranges.  An
-    adaptive block is one lockstep staircase: n trials at horizons H are
-    n * len(H) games that run max(H) rounds and play n * sum(H) * K cells,
-    at most ``BLOCK_CELLS``, so its horizons share a group while all trials
-    fit one block.  A horizon whose trials need more is a group of its own,
-    cut into the fewest near-equal blocks within budget: merging it would
-    cut the shorter horizons into as many blocks, each repeating their rule
-    calls.  So no plan makes more rule calls or runs more rounds than one
-    horizon per block.  An adaptive block goes to a worker whole unless it
-    holds at least as many games as it runs rounds: each part repeats the
-    whole round loop, so only then is it cut into min(workers, n) near-equal
-    ranges.  Jobs come longest round loop first, then largest first, so a
-    pool that takes them in order starts the longest first.
+    trials a few at a time, whole trials within ``SCORE_CELLS`` cells; its
+    block is filled whole, each game padded to the longest, so one trial at
+    horizons H holds len(H) * max(H) * K cells.  Its horizons share a group
+    while one trial at all of them fits, and a group's trials are cut into
+    min(workers, trials) near-equal ranges.  An adaptive block is one
+    lockstep staircase, whose unplayed corner never becomes resident: n
+    trials at horizons H are n * len(H) games that run max(H) rounds and
+    play n * sum(H) * K cells, at most ``BLOCK_CELLS``, so its horizons
+    share a group while all trials fit one block.  A horizon whose trials
+    need more is a group of its own, cut into the fewest near-equal blocks
+    within budget: merging it would cut the shorter horizons into as many
+    blocks, each repeating their rule calls.  So no plan makes more rule
+    calls or runs more rounds than one horizon per block.  An adaptive
+    block goes to a worker whole unless it holds at least as many games as
+    it runs rounds: each part repeats the whole round loop, so only then is
+    it cut into min(workers, n) near-equal ranges.  Jobs come longest round
+    loop first, then largest first, so a pool starts the longest first.
     """
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be >= 1")
     oblivious = _oblivious(adversary)
     share, budget = (1, SCORE_CELLS) if oblivious else (trials, BLOCK_CELLS)  # trials it holds
+    size = (lambda group: len(group) * group[0]) if oblivious else sum  # rows of one trial
     groups = []
     for horizon in sorted(horizons, reverse=True):
-        if groups and share * (sum(groups[-1]) + horizon) * adversary.k <= budget:
+        if groups and share * size(groups[-1] + [horizon]) * adversary.k <= budget:
             groups[-1].append(horizon)
         else:
             groups.append([horizon])
@@ -374,7 +377,7 @@ def _run_block(forecasters, adversary: Adversary, losses, trials: range,
     adversary the whole range, one staircase, and against an oblivious one,
     with no round loop to share, one ``SCORE_CELLS`` chunk of whole trials.
     """
-    cells = sum(f.horizon for f in forecasters) * adversary.k  # one trial at every horizon
+    cells = len(forecasters) * forecasters[0].horizon * adversary.k  # one trial's padded block
     step = max(1, SCORE_CELLS // cells) if _oblivious(adversary) else len(trials)
     pieces = []
     for start in range(0, len(trials), step):

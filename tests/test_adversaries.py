@@ -48,10 +48,12 @@ class TestFixedSequence:
         ("2 0", "outcome 0 in .* out of range"),
         ("1 x 3", "invalid literal for int\\(\\) with base 10: 'x'"),
         ("1 1.5", "invalid literal for int\\(\\) with base 10: '1.5'"),
-        # beyond int64, read as int() reads them: the first out-of-range value is named
+        # tokens are read in file order: the first bad one is named, whatever the later ones are
+        ("3 x", "outcome 3 in .* out of range \\[1, 2\\]"),
         ("1 99999999999999999999", "outcome 99999999999999999999 in .* out of range"),
         ("7 -99999999999999999999", "outcome 7 in .* out of range"),
-    ], ids=["above-K", "zero", "word", "fraction", "above-int64", "first-of-two"])
+    ], ids=["above-K", "zero", "word", "fraction", "range-before-word", "above-int64",
+            "first-of-two"])
     def test_from_file_refusals_name_the_token(self, tmp_path, text, message):
         path = tmp_path / "outcomes.txt"
         path.write_text(text)

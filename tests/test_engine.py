@@ -684,12 +684,15 @@ class TestTrialJobs:
                 range(trials))
         groups = list(dict.fromkeys(group for group, _ in jobs))
         assert [h for group in groups for h in group] == sorted(horizons, reverse=True)
-        # the budget holds all trials of an adaptive block, one trial of an oblivious one
-        share = trials if adaptive else 1
+        # the budget holds all trials of an adaptive block, the games they play, and one trial
+        # of an oblivious one, which is filled whole, each game padded to the longest
+        def held(group):
+            return 3 * trials * sum(group) if adaptive else 3 * len(group) * group[0]
+
         for group, following in zip(groups, groups[1:]):  # as large as the budget allows
-            assert 3 * share * (sum(group) + following[0]) > cells
+            assert held(group + (following[0],)) > cells
         for group in groups:  # several horizons share a group only within the budget
-            assert len(group) == 1 or 3 * share * sum(group) <= cells
+            assert len(group) == 1 or held(group) <= cells
         if not adaptive:  # no round loop: each group in min(workers, trials) near-equal ranges
             for group in groups:
                 sizes = [len(r) for g, r in jobs if g == group]
@@ -897,7 +900,7 @@ class TestObliviousPieces:
         for group in (forecasters[:1], forecasters):  # one horizon, then several
             expected = [[[regret(run_game(f, oblivious, _gen(5, i)), loss).regret
                           for loss in self.LOSSES] for i in range(trials)] for f in group]
-            cells = sum(f.horizon for f in group) * k  # one trial at every horizon
+            cells = len(group) * group[0].horizon * k  # one trial, padded to the longest
             # each horizon alone, a trial a piece; (33,) alone and (16, 7) together; all
             # horizons, three trials a piece; all horizons, every trial in one piece
             for budget in (1, 33 * k, 3 * cells, trials * cells + 1):
@@ -920,12 +923,13 @@ class TestObliviousPieces:
         assert games == [[1]] * 3
 
     def test_horizons_share_a_block_while_a_trial_fits(self, monkeypatch):
-        # T = 64..4096 at K = 10: 4096 and 2048 each alone, one game a block, as a trial of all
-        # seven would hold them at once; (1024, 512) one trial a block; (256, 128, 64) both
+        # T = 64..4096 at K = 10, each game padded to its group's longest: 4096, 2048 and 1024
+        # each alone, one game a block, as a trial of all seven would hold them at once;
+        # (512, 256, 128), 15360 cells, one trial a block; 64 alone, both trials
         games = _count_blocks(monkeypatch)
         forecasters = [PerturbedLeaderGeometric(10, 64 << i) for i in reversed(range(7))]
         engine.run_experiment(forecasters, IidUniform(10), self.LOSSES, 2, 0)
-        assert games == [[1]] * 4 + [[1, 1]] * 2 + [[2, 2, 2]]
+        assert games == [[1]] * 6 + [[1, 1, 1]] * 2 + [[2]]
 
 
 class FloatNoiseLeader(PerturbedLeaderUniform):
