@@ -26,7 +26,9 @@ below 1, a ``sweep --T-factor`` that is not finite or not above 1, a game
 above ``engine.MAX_GAME_CELLS``, ``minimax --check-bounds`` below T = 2, a
 DP above ``minimax.DP_MAX_HORIZON``, a closed form above
 ``minimax.CLOSED_FORM_MAX_HORIZON``, a ``validate --tol`` that is negative
-or not finite, a ``--seed`` outside [-2^63, 2^63), which ``core.RngStream``
+or not finite, a ``validate`` draw above ``engine.MAX_GAME_CELLS`` (the
+larger of ``--samples`` and ``losses.VALIDATION_RANDOM_POINTS`` points, times
+K), a ``--seed`` outside [-2^63, 2^63), which ``core.RngStream``
 would otherwise alias modulo 2^64, and an ``--output`` in a missing
 directory or naming a directory).
 ``run`` and ``sweep`` resolve every spec once, one forecaster per horizon,
@@ -53,12 +55,13 @@ import numpy as np
 
 from . import engine, minimax
 from .adversaries import Adversary, Alternating, FixedSequence, GreedyAdaptive, IidUniform
-from .core import RngStream, one_hot
+from .core import RngStream, one_hot, validate_integer
 from .forecasters import (FollowTheLeader, Forecaster, PerturbedLeaderGeometric,
                           PerturbedLeaderUniform, StaticForecaster)
-from .losses import (ProperLoss, SphericalLoss, SquaredLoss, TsallisLoss, VShapedLoss,
-                     check_concavity, check_hessian_growth, check_proper, check_range,
-                     estimate_lipschitz, random_simplex_points, validation_points)
+from .losses import (VALIDATION_RANDOM_POINTS, ProperLoss, SphericalLoss, SquaredLoss,
+                     TsallisLoss, VShapedLoss, check_concavity, check_hessian_growth,
+                     check_proper, check_range, estimate_lipschitz, random_simplex_points,
+                     validation_points)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -176,10 +179,8 @@ def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecast
         if not specs:
             raise ValueError("need at least one --loss")
         losses = [make_loss(s) for s in specs]
-        if args.trials < 1:
-            raise ValueError("--trials must be >= 1")
-        if args.workers < 1:
-            raise ValueError("--workers must be >= 1")
+        validate_integer(args.trials, "--trials", 1)
+        validate_integer(args.workers, "--workers", 1)
         _check_output(args.output)
         adversary = make_adversary(args.adversary, args.K)
         forecasters = []
@@ -314,6 +315,10 @@ def cmd_validate(args) -> int:
         raise UsageError("--samples must be >= 1")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
+    points = max(args.samples, VALIDATION_RANDOM_POINTS)  # the largest draw, in points of K cells
+    if points * k > engine.MAX_GAME_CELLS:
+        raise UsageError(f"a draw of {points} points at K={k} has {points * k} cells, above "
+                         f"the cap of {engine.MAX_GAME_CELLS} (2^24) cells")
     rng = RngStream(args.seed, 0).generator()
     failures = []
 

@@ -64,8 +64,7 @@ def row_sum(a: np.ndarray) -> np.ndarray:
 
 def uniform_point(k: int) -> np.ndarray:
     """The barycenter (1/k, ..., 1/k) of the simplex over ``k`` outcomes."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = validate_integer(k, "k", 1)
     return np.full(k, 1.0 / k)
 
 
@@ -87,12 +86,20 @@ def validate_outcome(index: int, k: int) -> int:
     return i
 
 
-def validate_integer(value, name: str) -> int:
-    """``value`` as an int: Python and numpy integers pass, 2.7 and 5.0 are refused."""
+def validate_integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int of at least ``low``: the one check of a count.
+
+    Python and numpy integers pass, 2.7 and 5.0 are refused with
+    ``"{name} must be an integer, got ..."``, and a value below ``low``, when
+    ``low`` is given, with ``"{name} must be >= {low}"``.
+    """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
 
 
 def validate_counts(counts) -> np.ndarray:

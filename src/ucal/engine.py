@@ -118,9 +118,7 @@ SCORE_CELLS = 1 << 14
 
 def check_game_size(k: int, horizon: int) -> None:
     """Refuse a game of ``horizon`` rounds over ``k`` outcomes above ``MAX_GAME_CELLS`` cells."""
-    if validate_integer(horizon, "horizon") < 1:
-        raise ValueError("horizon must be >= 1")
-    if horizon * k > MAX_GAME_CELLS:
+    if validate_integer(horizon, "horizon", 1) * k > MAX_GAME_CELLS:
         raise ValueError(f"a game of T={horizon} rounds over K={k} outcomes has {horizon * k} "
                          f"cells, above the cap of {MAX_GAME_CELLS} (2^24) cells per game")
 
@@ -511,8 +509,7 @@ def check_high_prob_bound(regrets, k: int, horizon: int, delta: float) -> float:
     """Fraction of trial regrets exceeding 4*sqrt(KT) + sqrt(2T log(1/delta))."""
     if validate_integer(k, "K") < 2:
         raise ValueError("need at least 2 outcomes")
-    if validate_integer(horizon, "horizon") < 1:
-        raise ValueError("horizon must be >= 1")
+    validate_integer(horizon, "horizon", 1)
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     regrets = np.asarray(regrets, dtype=float)
@@ -531,9 +528,7 @@ def exact_binomial_mad(trials: int, p: float) -> float:
     ratio a/d and rounded once; beyond, through ``lgamma`` (relative error
     about 1e-9 at n = 10^6).
     """
-    n = validate_integer(trials, "trials")
-    if n < 1:
-        raise ValueError("trials must be >= 1")
+    n = validate_integer(trials, "trials", 1)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     a, d = float(p).as_integer_ratio()

@@ -47,11 +47,9 @@ class Forecaster:
 
     def __init__(self, k: int, horizon: int):
         self.k = validate_integer(k, "K")
-        self.horizon = validate_integer(horizon, "horizon")
+        self.horizon = validate_integer(horizon, "horizon", 1)
         if self.k < 2:
             raise ValueError("need at least 2 outcomes")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
     def noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
         """Hallucinated counts, (horizon, K), finite and >= 0 for the leader; none by default."""

@@ -47,7 +47,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import row_sum, uniform_point
+from .core import row_sum, uniform_point, validate_integer
 
 
 def _as_points(p) -> np.ndarray:
@@ -293,16 +293,20 @@ def simplex_mesh(k: int, resolution: int) -> np.ndarray:
     Exhaustive only for small k; the validators fall back to random sampling
     for k > 3 where the mesh size blows up combinatorially.
     """
-    if k < 1 or resolution < 1:
-        raise ValueError("k and resolution must be positive")
+    k, resolution = validate_integer(k, "k", 1), validate_integer(resolution, "resolution", 1)
     # stars and bars: k - 1 bars among resolution + k - 1 places, in lexicographic order
     places = resolution + k - 1
     bars = np.array(list(combinations(range(places), k - 1)), dtype=np.int64)
     return (np.diff(bars, axis=1, prepend=-1, append=places) - 1) / resolution
 
 
+#: Uniform random points in ``validation_points``' grid; ``ucal validate`` caps its draw by it.
+VALIDATION_RANDOM_POINTS = 10_000
+
+
 def validation_points(loss_k: int, rng: np.random.Generator,
-                      n_random: int = 10_000, mesh_resolution: int = 50) -> np.ndarray:
+                      n_random: int = VALIDATION_RANDOM_POINTS,
+                      mesh_resolution: int = 50) -> np.ndarray:
     """Dense evaluation grid: simplex mesh (k <= 3) plus uniform random points."""
     pts = [random_simplex_points(loss_k, n_random, rng)]
     if loss_k <= 3:
@@ -383,9 +387,7 @@ def estimate_lipschitz(loss: ProperLoss, k: int, samples: int,
     For a step-discontinuous loss the last regime makes the estimate blow up
     as the pair distance shrinks.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    n_each = max(1, samples // 3)
+    n_each = max(1, validate_integer(samples, "samples", 1) // 3)
     p1 = random_simplex_points(k, n_each, rng)
     q1 = random_simplex_points(k, n_each, rng)
 

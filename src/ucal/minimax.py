@@ -40,7 +40,8 @@ floor (1/2) * log(T / (log T + 1) + 1) on the game value.
 
 ``write_sequences_csv`` dumps the sequences and both bounds as CSV, with the
 bytes of ``"%d,%.12g,%.12g,%.12g,%.12g,%.12g" % row`` but without formatting
-one value at a time.  A numpy kernel rounds each float to twelve significant
+one value at a time.  The round index r is rendered as ``%.12g`` too, which
+prints an integer below 10^12 as ``%d`` does.  A numpy kernel rounds each float to twelve significant
 digits with one correctly rounded scaling by an exact power of ten (error at
 most 2^-14 of the unit in the last digit), lays out the digits in ``%g``'s
 fixed or exponent notation, and deletes NUL padding from a position-major
@@ -156,9 +157,7 @@ class ClosedFormSequences:
 
 def closed_form(horizon: int) -> ClosedFormSequences:
     """O(T) evaluation of the game value via the u/v recurrences."""
-    t = validate_integer(horizon, "horizon")
-    if t < 1:
-        raise ValueError("horizon must be >= 1")
+    t = validate_integer(horizon, "horizon", 1)
     if t > CLOSED_FORM_MAX_HORIZON:
         raise ValueError(f"closed form at T={t} is above the cap of "
                          f"{CLOSED_FORM_MAX_HORIZON} (2^24) rounds")
@@ -201,9 +200,7 @@ def check_a_bounds(horizon: int, seqs: ClosedFormSequences | None = None) -> tup
     both are expected to vanish.  ``seqs``, if given, must be
     ``closed_form(horizon)``; otherwise it is computed here.
     """
-    t = validate_integer(horizon, "horizon")
-    if t < 2:
-        raise ValueError("horizon must be >= 2")
+    t = validate_integer(horizon, "horizon", 2)
     if seqs is None:
         seqs = closed_form(t)
     elif seqs.horizon != t:
@@ -221,9 +218,10 @@ def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
     """Write ``r,u_r,v_r,a_r,upper_bound,lower_bound`` rows for r in [0, T) to ``fh``.
 
     The bytes are those of ``"%d,%.12g,%.12g,%.12g,%.12g,%.12g\\n" % row``
-    (``engine.format_float`` for the floats); the bounds are 1/(T-r) and
-    1/(T-r+log T).  Rows are rendered ``CSV_CHUNK_ROWS`` at a time by
-    ``_csv_rows``, so memory stays O(chunk) in T.  Each float is rounded by
+    (``engine.format_float`` for the floats, and for r, which it prints as
+    ``%d`` because r < T <= 2^24); the bounds are 1/(T-r) and 1/(T-r+log T).
+    Rows are rendered ``CSV_CHUNK_ROWS`` at a time by ``_csv_rows``, so
+    memory stays O(chunk) in T.  Each float is rounded by
     ``_round_g12``: one correctly rounded product or quotient with an exact
     power of ten scales it into [10^11, 10^12) with an error of at most 2^-14,
     and ``rint`` then gives the twelve digits exactly unless the scaled value
@@ -232,37 +230,29 @@ def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
     """
     t = seqs.horizon
     log_t = math.log(t)
-    width = len(str(t - 1))
     fh.write("r,u_r,v_r,a_r,upper_bound,lower_bound\n")
     for lo in range(0, t, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, t)
-        r = np.arange(lo, hi)
-        left = t - r  # int64, exact like the Python int T - r
-        fh.write(_csv_rows(r, (seqs.u[lo:hi], seqs.v[lo:hi], seqs.a[lo:hi],
-                               1.0 / left, 1.0 / (left + log_t)), width))
+        r = np.arange(lo, hi, dtype=float)
+        left = t - r  # exact, like the Python int T - r
+        fh.write(_csv_rows((r, seqs.u[lo:hi], seqs.v[lo:hi], seqs.a[lo:hi],
+                            1.0 / left, 1.0 / (left + log_t))))
 
 
-def _csv_rows(r: np.ndarray, columns, width: int) -> str:
-    """CSV lines ``r[i],columns[0][i],...``: ``%d`` for r (below 10^width), ``%.12g`` after.
+def _csv_rows(columns) -> str:
+    """CSV lines ``columns[0][i],columns[1][i],...``, each value as ``'%.12g'``.
 
     The lines are built in a position-major (characters x rows) uint8 block,
     because numpy ops along a short per-line axis run line by line and ops
     along the long one do not.  Unused positions hold NUL and are deleted
     after one transpose.
     """
-    n = r.size
-    slots = _FLOAT_SLOTS + 1  # a comma, then the float
-    block = np.empty((width + len(columns) * slots + 1, n), dtype=np.uint8)
-    rest = r
-    for pos in range(width - 1, -1, -1):  # the digits of r, its leading zeros NUL
-        higher = rest // 10
-        np.multiply(rest - 10 * higher + ord("0"), (rest > 0) | (pos == width - 1),
-                    out=block[pos], casting="unsafe")
-        rest = higher
-    cells = block[width:-1].reshape(len(columns), slots, n).transpose(1, 0, 2)
-    cells[0] = ord(",")
+    slots = _FLOAT_SLOTS + 1  # the float, then a comma or the newline
+    block = np.empty((len(columns) * slots, columns[0].size), dtype=np.uint8)
+    cells = block.reshape(len(columns), slots, -1).transpose(1, 0, 2)
+    cells[-1] = ord(",")
     block[-1] = ord("\n")
-    _format_g12(np.stack(columns), cells[1:])
+    _format_g12(np.stack(columns), cells[:-1])
     return block.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -348,9 +338,7 @@ def _format_g12(x: np.ndarray, out: np.ndarray) -> None:
 
 def value_lower_bound(horizon: int) -> float:
     """(1/2) * log(T / (log T + 1) + 1), implied by the sandwich lower bound."""
-    t = validate_integer(horizon, "horizon")
-    if t < 1:
-        raise ValueError("horizon must be >= 1")
+    t = validate_integer(horizon, "horizon", 1)
     return 0.5 * math.log(t / (math.log(t) + 1.0) + 1.0)
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -16,6 +17,7 @@ import pytest
 import ucal
 from ucal import cli, engine, minimax
 from ucal.cli import main
+from ucal.losses import VALIDATION_RANDOM_POINTS
 
 
 def run_cli(args, capsys):
@@ -284,6 +286,25 @@ class TestRun:
             ("make_forecaster", "ftpl-geometric", 2, 32)])
 
 
+# a check of `minimax` made to fail: (function patched, how its result is corrupted, FAIL line)
+MINIMAX_FAILURES = {
+    "dp-outside-the-interior": ("dp_value",
+                                lambda table: dataclasses.replace(table, outer_branch_states=1),
+                                "FAIL: a backward step left the interior branch"),
+    "dp-gap-above-two": ("dp_value", lambda table: dataclasses.replace(table, max_abs_gap=2.5),
+                         "FAIL: a backward step left the interior branch"),
+    "dp-and-closed-form-disagree": ("closed_form",
+                                    lambda seqs: dataclasses.replace(seqs, value=seqs.value + 1e-6),
+                                    "FAIL: dp and closed form disagree by 1.000e-06"),
+    "a-above-its-upper-bound": ("check_a_bounds", lambda bounds: (1e-9, 0.0),
+                                "FAIL: sandwich bounds violated"),
+    "a-below-its-lower-bound": ("check_a_bounds", lambda bounds: (0.0, 1e-9),
+                                "FAIL: sandwich bounds violated"),
+    "value-below-its-floor": ("value_lower_bound", lambda floor: floor + 10.0,
+                              "FAIL: sandwich bounds violated"),
+}
+
+
 class TestMinimaxCmd:
     def test_single_round_both(self, capsys):
         code, out, _ = run_cli(["minimax", "--T", "1", "--mode", "both"], capsys)
@@ -387,6 +408,18 @@ class TestMinimaxCmd:
         assert out == "" and "cap" in err
         assert not (tmp_path / "seqs.csv").exists()
 
+    @pytest.mark.parametrize("name", sorted(MINIMAX_FAILURES))
+    def test_failed_check_exits_one_without_output(self, capsys, tmp_path, monkeypatch, name):
+        function, corrupt, message = MINIMAX_FAILURES[name]
+        real = getattr(minimax, function)
+        monkeypatch.setattr(minimax, function, lambda *args: corrupt(real(*args)))
+        path = tmp_path / "seqs.csv"
+        code, _, err = run_cli(["minimax", "--T", "64", "--mode", "both", "--check-bounds",
+                                "--output", str(path)], capsys)
+        assert code == 1
+        assert err.startswith(message)
+        assert not path.exists()
+
     def test_dp_alone_ignores_closed_form_cap(self, capsys):
         code, out, err = run_cli(["minimax", "--T", str(minimax.CLOSED_FORM_MAX_HORIZON + 1),
                                   "--mode", "dp"], capsys)
@@ -443,6 +476,45 @@ class TestValidateCmd:
                                 "--samples", "2000"], capsys)
         assert code == 0
         assert "flag" in out
+
+    @pytest.mark.parametrize("spec, patch, failures", [
+        # a convex univariate form ||p||^2: improper, not concave, and outside [0, 0.5]
+        ("custom", ("make_loss", lambda spec: ucal.CustomLoss(
+            lambda p: (p * p).sum(axis=-1), lambda p: 2.0 * p, name=spec, range_bound=(0.0, 0.5))),
+         ["properness", "concavity", "range"]),
+        ("tsallis:1.5", ("check_hessian_growth", lambda loss, grid, c: False), ["hessian-growth"]),
+        # the barycenter in place of the vertex e_0, where the v-shaped loss is 0, not -(K-1)/K
+        ("vshaped", ("one_hot", lambda index, k: np.full(k, 1.0 / k)), ["extremes"]),
+    ], ids=["convex-form", "hessian-growth", "extremes"])
+    def test_failed_checks_are_named_and_exit_one(self, capsys, monkeypatch, spec, patch,
+                                                  failures):
+        monkeypatch.setattr(cli, *patch)
+        code, out, err = run_cli(["validate", "--loss", spec, "--K", "3", "--samples", "2000"],
+                                 capsys)
+        assert code == 1
+        assert err == f"FAIL: {', '.join(failures)}\n"
+        assert "ok" not in out.splitlines()
+
+    @pytest.mark.parametrize("flags, points, k", [
+        (["--K", "1678"], VALIDATION_RANDOM_POINTS, 1678),
+        (["--samples", "8388609", "--K", "2"], 8388609, 2),
+    ], ids=["grid-times-K", "samples-times-K"])
+    def test_draw_above_the_cell_cap_refused_before_drawing(self, capsys, monkeypatch, flags,
+                                                            points, k):
+        for name in ("random_simplex_points", "validation_points"):
+            monkeypatch.setattr(cli, name, _never_called)
+        code, out, err = run_cli(["validate", "--loss", "squared", *flags], capsys)
+        assert code == 2 and out == ""
+        assert (f"a draw of {points} points at K={k} has {points * k} cells, above the cap of "
+                f"{engine.MAX_GAME_CELLS} (2^24) cells") in err
+
+    def test_draw_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_GAME_CELLS", 2 * VALIDATION_RANDOM_POINTS)
+        assert run_cli(["validate", "--loss", "squared", "--K", "2", "--samples", "2000"],
+                       capsys)[0] == 0
+        code, out, _ = run_cli(["validate", "--loss", "squared", "--K", "2",
+                                "--samples", str(VALIDATION_RANDOM_POINTS + 1)], capsys)
+        assert code == 2 and out == ""
 
 
 class TestSweepCmd:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucal import RngStream, mean_of_counts, one_hot, uniform_point, validate_simplex
-from ucal.core import row_sum, validate_outcome
+from ucal.core import row_sum, validate_integer, validate_outcome
 
 
 class TestMeanOfCounts:
@@ -32,6 +32,9 @@ class TestMeanOfCounts:
     def test_malformed_counts_rejected(self, counts, message):
         with pytest.raises(ValueError, match=message):
             mean_of_counts(counts)
+
+    def test_integral_float_counts_accepted(self):
+        np.testing.assert_array_equal(mean_of_counts([1.0, 3.0]), [0.25, 0.75])
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=500)
            .map(lambda idx: (idx, 4)))
@@ -124,6 +127,27 @@ class TestRngStream:
 
 def test_uniform_point():
     np.testing.assert_allclose(uniform_point(4), [0.25] * 4)
+
+
+class TestValidateInteger:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_integers_pass_as_int(self, value):
+        got = validate_integer(value, "n", 1)
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [2.7, 5.0, "3", None])
+    def test_non_integer_refused_by_name(self, value):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {value!r}"):
+            validate_integer(value, "n", 1)
+
+    @pytest.mark.parametrize("value, low", [(0, 1), (-5, 1), (1, 2), (np.int64(0), 1)])
+    def test_below_low_refused_by_name(self, value, low):
+        with pytest.raises(ValueError, match=f"^n must be >= {low}$"):
+            validate_integer(value, "n", low)
+
+    @pytest.mark.parametrize("value, low", [(1, 1), (2, 2), (-7, None)])
+    def test_low_is_inclusive_and_optional(self, value, low):
+        assert validate_integer(value, "n", low) == value
 
 
 def test_one_hot_bounds():

@@ -1,11 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ucal import (CustomLoss, MixtureLoss, RngStream, SphericalLoss, SquaredLoss,
-                  TsallisLoss, VShapedLoss, check_concavity, check_hessian_growth,
+from ucal import (CustomLoss, MixtureLoss, ProperLoss, RngStream, SphericalLoss,
+                  SquaredLoss, TsallisLoss, VShapedLoss, check_concavity, check_hessian_growth,
                   check_proper, check_range, estimate_lipschitz, one_hot,
                   random_simplex_points, simplex_mesh, uniform_point)
 from ucal.losses import validation_points
@@ -334,6 +335,10 @@ class TestLipschitzEstimate:
         with pytest.raises(ValueError, match="samples must be >= 1"):
             estimate_lipschitz(SquaredLoss(), k=3, samples=0, rng=RNG.generator())
 
+    def test_one_point_simplex_has_no_pairs(self):
+        # every sampled pair is the single point [1.0], so no quotient is defined
+        assert estimate_lipschitz(SquaredLoss(), k=1, samples=30, rng=RNG.generator()) == 0.0
+
 
 class TestConstruction:
     def test_tsallis_requires_alpha_above_one(self):
@@ -363,6 +368,37 @@ class TestConstruction:
 
     def test_tsallis_default_scale(self):
         assert TsallisLoss(1.5).scale == pytest.approx(1 / 1.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simplex_mesh(2.5, 10), "k must be an integer, got 2.5"),
+    (lambda: simplex_mesh(3, 10.0), "resolution must be an integer, got 10.0"),
+    (lambda: simplex_mesh(0, 10), "k must be >= 1"),
+    (lambda: simplex_mesh(3, 0), "resolution must be >= 1"),
+    (lambda: uniform_point(2.5), "k must be an integer, got 2.5"),
+    (lambda: uniform_point(0), "k must be >= 1"),
+    (lambda: estimate_lipschitz(SquaredLoss(), k=3, samples=9.5, rng=RNG.generator()),
+     "samples must be an integer, got 9.5"),
+], ids=["mesh-k-fraction", "mesh-resolution-float", "mesh-k-zero", "mesh-resolution-zero",
+        "barycenter-k-fraction", "barycenter-k-zero", "lipschitz-samples-fraction"])
+def test_bad_count_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_repr_names_class_and_spec():
+    assert repr(SquaredLoss(0.5)) == "<SquaredLoss squared:0.5>"
+
+
+def test_scalar_forecast_refused():
+    with pytest.raises(ValueError, match="forecast must have at least one axis"):
+        SquaredLoss().univariate(0.5)
+
+
+@pytest.mark.parametrize("rule", ["univariate", "subgradient"])
+def test_base_loss_has_no_form(rule):
+    with pytest.raises(NotImplementedError):
+        getattr(ProperLoss(), rule)(uniform_point(3))
 
 
 def test_simplex_mesh_covers_simplex():

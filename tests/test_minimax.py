@@ -311,7 +311,7 @@ def _random_doubles(count, seed):
 
 
 class TestCsvKernel:
-    """The vectorized dump rows equal ``str(int)`` and ``engine.format_float`` value by value."""
+    """The vectorized dump rows equal ``engine.format_float`` value by value, r included."""
 
     @staticmethod
     def rows_both_ways(values):
@@ -319,10 +319,13 @@ class TestCsvKernel:
         values = np.concatenate([values, np.full(-values.size % 5, 1.0)])
         columns = values.reshape(5, -1)
         n = columns.shape[1]
-        r = np.arange(n) * 7919 % 10 ** 7  # zero, short and 7-digit integers
-        got = minimax._csv_rows(r, tuple(columns), 7)
-        want = "".join(",".join([str(int(r[i]))] + [engine.format_float(float(columns[c, i]))
-                                                     for c in range(5)]) + "\n" for i in range(n))
+        r = (np.arange(n) * 7919 % 10 ** 7).astype(float)  # zero, short and 7-digit integers
+        got = minimax._csv_rows((r,) + tuple(columns))
+        want = "".join(",".join([engine.format_float(r[i])]
+                                + [engine.format_float(float(columns[c, i])) for c in range(5)])
+                       + "\n" for i in range(n))
+        # the %.12g text of an integral r below 10^12 is its %d text
+        assert [engine.format_float(x) for x in r] == [str(int(x)) for x in r]
         return got, want
 
     @pytest.mark.parametrize("name, values", [
