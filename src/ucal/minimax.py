@@ -41,14 +41,20 @@ floor (1/2) * log(T / (log T + 1) + 1) on the game value.
 ``write_sequences_csv`` dumps the sequences and both bounds as CSV, with the
 bytes of ``"%d,%.12g,%.12g,%.12g,%.12g,%.12g" % row`` but without formatting
 one value at a time.  The round index r is rendered as ``%.12g`` too, which
-prints an integer below 10^12 as ``%d`` does.  A numpy kernel rounds each float to twelve significant
-digits with one correctly rounded scaling by an exact power of ten (error at
-most 2^-14 of the unit in the last digit), lays out the digits in ``%g``'s
-fixed or exponent notation, and deletes NUL padding from a position-major
-byte block.  A value it cannot certify -- zero, a non-finite value, an
-exponent outside [-10, 32], or a scaled value within 10^-3 of a rounding
-tie -- is formatted by ``'%.12g' % x`` itself, so the output never rests on
-the float argument alone.
+prints an integer below 10^12 as ``%d`` does.  A numpy kernel rounds each
+float to twelve significant digits with one correctly rounded scaling by an
+exact power of ten (error at most 2^-14 of the unit in the last digit), takes
+the digits from two six-digit int32 halves of the significand, lays them out
+in ``%g``'s fixed or exponent notation, and deletes NUL padding from a
+position-major byte block.  A value it cannot certify -- zero, a non-finite
+value, an exponent outside [-10, 32], or a scaled value within 10^-3 of a
+rounding tie -- is formatted by ``'%.12g' % x`` itself, so the output never
+rests on the float argument alone.
+
+Past the three sequences, ``closed_form``, ``check_a_bounds`` and the dump
+work ``CHUNK_ROWS`` entries at a time: v is built in place on the running
+sums, the bounds exist one chunk at a time, and the writer renders every
+chunk in one set of buffers allocated once per dump.
 """
 
 from __future__ import annotations
@@ -63,13 +69,20 @@ from .core import validate_integer
 
 DP_MAX_HORIZON = 4096
 
-#: Largest horizon ``closed_form`` accepts.  Its sequences and temporaries
-#: take about six float64 arrays of T entries at peak (~0.8 GB at 2^24);
-#: a larger horizon is refused before anything is allocated.
+#: Largest horizon ``closed_form`` accepts.  It holds three float64 arrays of
+#: about T entries (u, v and a; ~0.4 GB at 2^24) and one chunk besides; a
+#: larger horizon is refused before anything is allocated.
 CLOSED_FORM_MAX_HORIZON = 1 << 24
 
-#: Rows rendered per ``write`` call by ``write_sequences_csv``.
-CSV_CHUNK_ROWS = 4096
+#: Entries per chunk: ``closed_form`` adds its linear term, ``check_a_bounds``
+#: takes its maxima and ``write_sequences_csv`` renders its rows this many at
+#: a time.
+CHUNK_ROWS = 2048
+
+#: Rows per string handed to ``fh.write`` by the dump: a piece of 24 bytes
+#: per value stays below glibc's default 128 KiB mmap threshold, so its
+#: strings reuse heap memory instead of being mapped and faulted in anew.
+_TEXT_ROWS = 512
 
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # 10^0..10^22, each exact in float64
 #: Byte slots of one rendered float: its sign, the "0.000" of fixed notation
@@ -78,7 +91,7 @@ _POW10 = np.array([float(10 ** k) for k in range(23)])  # 10^0..10^22, each exac
 _FLOAT_SLOTS = 23
 _PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)[:, None, None]
 _PREFIX_SLOT = np.arange(5, dtype=np.int8)[:, None, None]
-_DIGIT = np.arange(12, dtype=np.uint8)[:, None, None]
+_DIGIT = np.arange(12, dtype=np.int8)[:, None, None]
 _MIDDLE_SLOT = np.arange(13, dtype=np.int8)[:, None, None]
 
 
@@ -95,8 +108,9 @@ class MinimaxTable:
     def value_at(self, n1: int, n2: int, r: int) -> float:
         if self.layers is None:
             raise ValueError("table was computed without keep_layers=True")
-        if n1 < 0 or n2 < 0 or n1 + n2 + r != self.horizon:
-            raise ValueError("state must satisfy n1 + n2 + r = T with n1, n2 >= 0")
+        n1, n2, r = (validate_integer(c, name, 0) for c, name in ((n1, "n1"), (n2, "n2"), (r, "r")))
+        if n1 + n2 + r != self.horizon:
+            raise ValueError("state must satisfy n1 + n2 + r = T")
         return float(self.layers[r][n1])
 
 
@@ -183,12 +197,14 @@ def closed_form(horizon: int) -> ClosedFormSequences:
         u_r = u_r + a_r * a_r
         u_append(u_r)
     u = np.frombuffer(u_buf)
+    v = np.frombuffer(sums)  # v is built in place on the sums
+    v *= 0.5
     # m(m+1-T) <= T^2/4 <= 2^46 at the cap: exact in int64 and in float64
-    m = np.arange(t + 1, dtype=np.int64)
-    linear = m + (1 - t)
-    linear *= m
-    v = np.frombuffer(sums) * 0.5
-    v += linear / (2.0 * t)
+    for lo in range(0, t + 1, CHUNK_ROWS):
+        m = np.arange(lo, min(lo + CHUNK_ROWS, t + 1), dtype=np.int64)
+        linear = m + (1 - t)
+        linear *= m
+        v[lo:lo + m.size] += linear / (2.0 * t)
     a = u[:t] + inv_t
     return ClosedFormSequences(horizon=t, u=u, v=v, a=a, value=float(v[t]))
 
@@ -198,20 +214,33 @@ def check_a_bounds(horizon: int, seqs: ClosedFormSequences | None = None) -> tup
 
     Returns (max_upper_violation, max_lower_violation), each clipped at 0;
     both are expected to vanish.  ``seqs``, if given, must be
-    ``closed_form(horizon)``; otherwise it is computed here.
+    ``closed_form(horizon)``; otherwise it is computed here.  The bounds are
+    built and maximized ``CHUNK_ROWS`` rounds at a time.
     """
     t = validate_integer(horizon, "horizon", 2)
     if seqs is None:
         seqs = closed_form(t)
     elif seqs.horizon != t:
         raise ValueError(f"sequences are for T={seqs.horizon}, not T={t}")
-    a = seqs.a
-    r = np.arange(t, dtype=float)
-    upper = 1.0 / (t - r)
-    lower = 1.0 / (t - r + math.log(t))
-    max_upper = float(np.max(a - upper, initial=0.0))
-    max_lower = float(np.max(lower - a, initial=0.0))
-    return max(max_upper, 0.0), max(max_lower, 0.0)
+    bounds = np.empty((2, min(t, CHUNK_ROWS)))
+    max_upper = max_lower = 0.0
+    for lo in range(0, t, CHUNK_ROWS):
+        a = seqs.a[lo:lo + CHUNK_ROWS]
+        upper, lower = bounds[:, :a.size]
+        _bounds(t, np.arange(lo, lo + a.size, dtype=float), upper, lower)
+        np.subtract(a, upper, out=upper)
+        np.subtract(lower, a, out=lower)
+        max_upper = np.maximum(max_upper, upper.max(initial=0.0))
+        max_lower = np.maximum(max_lower, lower.max(initial=0.0))
+    return max(float(max_upper), 0.0), max(float(max_lower), 0.0)
+
+
+def _bounds(t: int, r: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> None:
+    """Write 1/(T-r) to ``upper`` and 1/(T-r+log T) to ``lower``."""
+    np.subtract(t, r, out=upper)  # exact, like the Python int T - r
+    np.add(upper, math.log(t), out=lower)
+    np.divide(1.0, upper, out=upper)
+    np.divide(1.0, lower, out=lower)
 
 
 def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
@@ -220,8 +249,10 @@ def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
     The bytes are those of ``"%d,%.12g,%.12g,%.12g,%.12g,%.12g\\n" % row``
     (``engine.format_float`` for the floats, and for r, which it prints as
     ``%d`` because r < T <= 2^24); the bounds are 1/(T-r) and 1/(T-r+log T).
-    Rows are rendered ``CSV_CHUNK_ROWS`` at a time by ``_csv_rows``, so
-    memory stays O(chunk) in T.  Each float is rounded by
+    Rows are rendered ``CHUNK_ROWS`` at a time by one ``_CsvRows``, whose
+    buffers are allocated once per dump (once more for a shorter last chunk)
+    and reused, so memory stays O(chunk) in T and the writer does not
+    allocate and free them chunk after chunk.  Each float is rounded by
     ``_round_g12``: one correctly rounded product or quotient with an exact
     power of ten scales it into [10^11, 10^12) with an error of at most 2^-14,
     and ``rint`` then gives the twelve digits exactly unless the scaled value
@@ -229,69 +260,140 @@ def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
     exponents outside [-10, 32] are formatted by ``'%.12g' % x`` itself.
     """
     t = seqs.horizon
-    log_t = math.log(t)
     fh.write("r,u_r,v_r,a_r,upper_bound,lower_bound\n")
-    for lo in range(0, t, CSV_CHUNK_ROWS):
-        hi = min(lo + CSV_CHUNK_ROWS, t)
-        r = np.arange(lo, hi, dtype=float)
-        left = t - r  # exact, like the Python int T - r
-        fh.write(_csv_rows((r, seqs.u[lo:hi], seqs.v[lo:hi], seqs.a[lo:hi],
-                            1.0 / left, 1.0 / (left + log_t))))
+    rows = None
+    for lo in range(0, t, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, t)
+        if rows is None or rows.x.shape[1] != hi - lo:
+            rows = _CsvRows(6, hi - lo)
+        r, u, v, a, upper, lower = rows.x
+        r[:] = np.arange(lo, hi)
+        u[:] = seqs.u[lo:hi]
+        v[:] = seqs.v[lo:hi]
+        a[:] = seqs.a[lo:hi]
+        _bounds(t, r, upper, lower)
+        for text in rows.text():
+            fh.write(text)
+
+
+class _CsvRows:
+    """CSV lines ``x[0][i],x[1][i],...`` of a (columns, rows) block ``x``, each value as ``'%.12g'``.
+
+    Fill ``x`` and call ``text``; every buffer is allocated here and reused
+    by each call.  The lines are built in a position-major (characters x
+    rows) uint8 block, because numpy ops along a short per-line axis run line
+    by line and ops along the long one do not.  Unused positions hold NUL and
+    are deleted after one transpose.
+    """
+
+    def __init__(self, columns: int, rows: int):
+        slots = _FLOAT_SLOTS + 1  # the float, then a comma or the newline
+        self.x = np.empty((columns, rows))
+        # Each position's row is 16 bytes longer than the chunk: at a power-of-two
+        # stride the transpose reads a line's bytes from a few cache sets, ~3x slower.
+        padded = np.empty((columns * slots, rows + 16), dtype=np.uint8)
+        self.block = padded[:, :rows]
+        cells = padded.reshape(columns, slots, -1)[:, :, :rows].transpose(1, 0, 2)
+        cells[-1] = ord(",")
+        self.block[-1] = ord("\n")
+        self.floats = cells[:-1]
+        self.work = _Work(self.x.shape)
+
+    def text(self):
+        """The lines, as strings of up to ``_TEXT_ROWS`` lines each."""
+        _format_g12(self.x, self.floats, self.work)
+        for lo in range(0, self.x.shape[1], _TEXT_ROWS):
+            piece = self.block[:, lo:lo + _TEXT_ROWS].T.tobytes()
+            yield piece.translate(None, b"\0").decode("ascii")
 
 
 def _csv_rows(columns) -> str:
-    """CSV lines ``columns[0][i],columns[1][i],...``, each value as ``'%.12g'``.
-
-    The lines are built in a position-major (characters x rows) uint8 block,
-    because numpy ops along a short per-line axis run line by line and ops
-    along the long one do not.  Unused positions hold NUL and are deleted
-    after one transpose.
-    """
-    slots = _FLOAT_SLOTS + 1  # the float, then a comma or the newline
-    block = np.empty((len(columns) * slots, columns[0].size), dtype=np.uint8)
-    cells = block.reshape(len(columns), slots, -1).transpose(1, 0, 2)
-    cells[-1] = ord(",")
-    block[-1] = ord("\n")
-    _format_g12(np.stack(columns), cells[:-1])
-    return block.T.tobytes().translate(None, b"\0").decode("ascii")
+    """CSV lines ``columns[0][i],columns[1][i],...``, each value as ``'%.12g'``."""
+    rows = _CsvRows(len(columns), columns[0].size)
+    np.stack(columns, out=rows.x)
+    return "".join(rows.text())
 
 
-def _round_g12(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Work:
+    """The scratch arrays of ``_round_g12`` and ``_format_g12`` for values of one shape."""
+
+    def __init__(self, shape: tuple):
+        self.ax, self.s, self.m, self.tmp = np.empty((4,) + shape)
+        self.k, self.index = np.empty((2,) + shape, dtype=np.intp)
+        self.halves, self.quotient, self.product = np.empty((3, 2) + shape, dtype=np.int32)
+        self.certified, self.flag, self.carry, self.fixed, self.below_one, self.sci = np.empty(
+            (6,) + shape, dtype=bool)
+        self.exp10, self.last, self.whole, self.point, self.small, self.tens, self.ones = np.empty(
+            (7,) + shape, dtype=np.int8)
+        self.dot = np.empty(shape, dtype=np.uint8)
+        self.digits = np.zeros((14,) + shape, dtype=np.uint8)  # D0..D11 in rows 1..12, NUL around
+        self.mask = np.empty((13,) + shape, dtype=bool)
+        self.ranks = np.empty((12,) + shape, dtype=np.int8)
+
+
+def _round_g12(x: np.ndarray, work: _Work | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(m, exponent, certified)``: each x as m * 10^(exponent - 11), m in [10^11, 10^12).
 
-    Where ``certified`` holds, m (int64) is the correctly rounded twelve-digit
-    significand that ``'%.12g'`` prints and ``exponent`` (int8) the power of
-    ten of its first digit.  With k = 11 - floor(log10|x|), the scaled
-    s = |x| * 10^k is one correctly rounded multiply or divide by an exact
-    power 10^0..10^22, so |s - exact| <= 2^-14 on [10^11, 10^12); a floor of
-    log10 that misses by one near a power of ten is corrected once from s.
-    Not certified: 0, inf and nan (their log10 is not finite), |k| > 21, an s
-    that still lies outside [10^11, 10^12), and an s within 10^-3 of a
-    half-integer, where the error bound could not decide the rounding.
+    Where ``certified`` holds, m (an integral float64) is the correctly rounded
+    twelve-digit significand that ``'%.12g'`` prints and ``exponent`` (int8)
+    the power of ten of its first digit.  With k = 11 - floor(log10|x|), the
+    scaled s = |x| * 10^k is one correctly rounded multiply or divide by an
+    exact power 10^0..10^22, so |s - exact| <= 2^-14 on [10^11, 10^12); a
+    floor of log10 that misses by one near a power of ten is corrected once
+    from s.  Not certified: 0, inf and nan (their log10 is not finite),
+    |k| > 21, an s that still lies outside [10^11, 10^12), and an s within
+    10^-3 of a half-integer, where the error bound could not decide the
+    rounding.  The three arrays are ``work``'s, a new one when it is None.
     """
-    ax = np.abs(x)
+    w = work or _Work(x.shape)
+    ax, s, m, tmp, k, flag, certified = w.ax, w.s, w.m, w.tmp, w.k, w.flag, w.certified
+    np.abs(x, out=ax)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = 11.0 - np.floor(np.log10(ax))
-        certified = np.abs(k) <= 21.0
-    ax[~certified] = 1.0  # placeholders keep the arithmetic below finite
-    k = np.where(certified, k, 11.0).astype(np.intp)
-    s = _times_pow10(ax, k)
-    k += s < 1e11
-    k -= s >= 1e12
-    s = _times_pow10(ax, k)
-    m = np.rint(s)
-    certified &= (s >= 1e11) & (s < 1e12) & (np.abs(s - m) <= 0.499)
-    carry = m == 1e12  # 999999999999.5 and up round to 10^12: one more digit
-    m[carry] = 1e11
-    return m.astype(np.int64), (11 - k + carry).astype(np.int8), certified
+        np.log10(ax, out=tmp)
+        np.floor(tmp, out=tmp)
+        np.subtract(11.0, tmp, out=tmp)
+        np.abs(tmp, out=s)
+        np.less_equal(s, 21.0, out=certified)
+    np.logical_not(certified, out=flag)
+    np.copyto(ax, 1.0, where=flag)  # placeholders keep the arithmetic below finite
+    np.copyto(tmp, 11.0, where=flag)
+    np.copyto(k, tmp, casting="unsafe")
+    _times_pow10(ax, k, s, w)
+    np.less(s, 1e11, out=flag)
+    k += flag
+    np.greater_equal(s, 1e12, out=flag)
+    k -= flag
+    _times_pow10(ax, k, s, w)
+    np.rint(s, out=m)
+    np.greater_equal(s, 1e11, out=flag)
+    certified &= flag
+    np.less(s, 1e12, out=flag)
+    certified &= flag
+    np.subtract(s, m, out=tmp)
+    np.abs(tmp, out=tmp)
+    np.less_equal(tmp, 0.499, out=flag)
+    certified &= flag
+    np.equal(m, 1e12, out=w.carry)  # 999999999999.5 and up round to 10^12: one more digit
+    np.copyto(m, 1e11, where=w.carry)
+    np.subtract(11, k, out=k)
+    k += w.carry
+    np.copyto(w.exp10, k, casting="unsafe")
+    return m, w.exp10, certified
 
 
-def _times_pow10(ax: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """ax * 10^k, |k| <= 22, in one rounding: the other factor or divisor is 1."""
-    return ax * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
+def _times_pow10(ax: np.ndarray, k: np.ndarray, out: np.ndarray, w: _Work) -> None:
+    """out = ax * 10^k, |k| <= 22, in one rounding: the other factor or divisor is 1."""
+    # mode="clip" (k is in range anyway) lets take write to its out without a copy
+    np.maximum(k, 0, out=w.index)
+    np.take(_POW10, w.index, out=w.tmp, mode="clip")
+    np.multiply(ax, w.tmp, out=out)
+    np.negative(k, out=w.index)
+    np.maximum(w.index, 0, out=w.index)
+    np.take(_POW10, w.index, out=w.tmp, mode="clip")
+    np.divide(out, w.tmp, out=out)
 
 
-def _format_g12(x: np.ndarray, out: np.ndarray) -> None:
+def _format_g12(x: np.ndarray, out: np.ndarray, w: _Work) -> None:
     """Write ``'%.12g' % v`` for each v of ``x`` into ``out``, NUL-padded.
 
     ``out`` is uint8 of shape ``(_FLOAT_SLOTS,) + x.shape``, one position per
@@ -300,35 +402,77 @@ def _format_g12(x: np.ndarray, out: np.ndarray) -> None:
     "e+dd" of exponent notation (exponent below -4 or above 11).  Digit j sits
     in slot j up to the point and in slot j + 1 after it, so no row shifts its
     digits; trailing zeros of the fraction, and a point with no digit after
-    it, are NUL.
+    it, are NUL.  ``w`` holds the scratch arrays.
     """
-    m, exp10, certified = _round_g12(x)
-    digits = np.zeros((14,) + x.shape, dtype=np.uint8)  # D0..D11 in rows 1..12, NUL around
-    for row in range(12, 0, -1):
-        higher = m // 10
-        digits[row] = m - 10 * higher
-        m = higher
-    last = ((digits[1:13] != 0) * _DIGIT).max(axis=0)  # the last nonzero digit
+    m, exp10, certified = _round_g12(x, w)
+    digits, flag, mask, small = w.digits, w.flag, w.mask, w.small
+    # the twelve digits of m = high * 10^6 + low, six from each int32 half;
+    # floor(m / 10^6) is exact, as m / 10^6 lies at least 10^-6 below the next integer
+    np.divide(m, 1e6, out=w.tmp)
+    np.floor(w.tmp, out=w.tmp)
+    halves, quotient = w.halves, w.quotient
+    np.copyto(halves[0], w.tmp, casting="unsafe")
+    np.multiply(w.tmp, 1e6, out=w.tmp)
+    np.subtract(m, w.tmp, out=w.tmp)
+    np.copyto(halves[1], w.tmp, casting="unsafe")
+    rows = digits[1:13].reshape((2, 6) + x.shape)  # rows[h, j] holds digit 6h + j
+    for j in range(5, -1, -1):
+        np.floor_divide(halves, 10, out=quotient)
+        np.multiply(quotient, 10, out=w.product)
+        np.subtract(halves, w.product, out=rows[:, j], casting="unsafe")
+        halves, quotient = quotient, halves
+    last = w.last  # the last nonzero digit
+    np.not_equal(digits[1:13], 0, out=mask[:12])
+    np.multiply(mask[:12], _DIGIT, out=w.ranks)
+    np.max(w.ranks, axis=0, out=last)
     digits[1:13] += ord("0")
-    fixed = (exp10 >= -4) & (exp10 < 12)
-    below_one = fixed & (exp10 < 0)
-    whole = np.where(fixed & (exp10 >= 0), exp10, np.int8(0))  # the last digit before the point
-    digits[1:13] *= _DIGIT <= np.maximum(last, whole)
-    point = np.where(below_one, np.int8(12), whole)  # the point follows this digit
+    fixed, below_one, whole, point = w.fixed, w.below_one, w.whole, w.point
+    np.greater_equal(exp10, -4, out=fixed)
+    np.less(exp10, 12, out=flag)
+    fixed &= flag
+    np.less(exp10, 0, out=below_one)
+    below_one &= fixed
+    np.greater_equal(exp10, 0, out=flag)
+    flag &= fixed
+    np.multiply(exp10, flag, out=whole)  # the last digit before the point
+    np.maximum(last, whole, out=small)
+    np.less_equal(_DIGIT, small, out=mask[:12])
+    digits[1:13] *= mask[:12]
+    np.copyto(point, whole)  # the point follows this digit
+    np.copyto(point, 12, where=below_one)
     sign, prefix, middle, suffix = out[0], out[1:6], out[6:19], out[19:]
-    np.multiply(np.signbit(x), np.uint8(ord("-")), out=sign)
-    np.multiply(_PREFIX_SLOT < np.where(below_one, 1 - exp10, np.int8(0)), _PREFIX, out=prefix)
+    np.signbit(x, out=flag)
+    np.multiply(flag, np.uint8(ord("-")), out=sign)
+    np.subtract(1, exp10, out=small)  # the length of "0.000" taken below 1
+    small *= below_one
+    np.less(_PREFIX_SLOT, small, out=mask[:5])
+    np.multiply(mask[:5], _PREFIX, out=prefix)
     np.copyto(middle, digits[:13])
-    np.copyto(middle, digits[1:], where=_MIDDLE_SLOT <= point)
-    np.copyto(middle, np.where(last > point, np.uint8(ord(".")), np.uint8(0)),
-              where=_MIDDLE_SLOT == point + 1)
-    sci = ~fixed
-    mag = np.abs(exp10)
-    suffix[0] = sci * np.uint8(ord("e"))
-    suffix[1] = sci * np.where(exp10 < 0, np.uint8(ord("-")), np.uint8(ord("+")))
-    suffix[2] = sci * (mag // 10 + ord("0"))
-    suffix[3] = sci * (mag % 10 + ord("0"))
-    slow = np.nonzero(~certified)
+    np.less_equal(_MIDDLE_SLOT, point, out=mask)
+    np.copyto(middle, digits[1:], where=mask)
+    np.greater(last, point, out=flag)
+    np.multiply(flag, np.uint8(ord(".")), out=w.dot)
+    np.add(point, 1, out=small)
+    np.equal(_MIDDLE_SLOT, small, out=mask)
+    np.copyto(middle, w.dot, where=mask)
+    sci = w.sci
+    np.logical_not(fixed, out=sci)
+    np.multiply(sci, np.uint8(ord("e")), out=suffix[0])
+    np.less(exp10, 0, out=flag)
+    suffix[1] = ord("+")
+    np.copyto(suffix[1], np.uint8(ord("-")), where=flag)
+    suffix[1] *= sci
+    tens, ones = w.tens, w.ones
+    mag = np.abs(exp10, out=small)
+    np.floor_divide(mag, 10, out=tens)
+    np.multiply(tens, 10, out=ones)
+    np.subtract(mag, ones, out=ones)
+    tens += ord("0")
+    ones += ord("0")
+    np.multiply(tens, sci, out=suffix[2], casting="unsafe")
+    np.multiply(ones, sci, out=suffix[3], casting="unsafe")
+    np.logical_not(certified, out=flag)
+    slow = np.unravel_index(np.flatnonzero(flag), x.shape)
     if slow[0].size:
         fmt = f"%-{_FLOAT_SLOTS}.12g"
         text = "".join([fmt % v for v in x[slow].tolist()]).replace(" ", "\0")

@@ -352,7 +352,8 @@ class TestMinimaxCmd:
         assert first[0] == "0" and float(first[1]) == 0.0
         assert float(first[3]) == pytest.approx(1 / 16)
 
-    @pytest.mark.parametrize("horizon", [1, 2, 3 * minimax.CSV_CHUNK_ROWS + 5])
+    @pytest.mark.parametrize("horizon", [1, 2, minimax._TEXT_ROWS + 1, minimax.CHUNK_ROWS,
+                                         3 * minimax.CHUNK_ROWS + 5])
     def test_csv_equals_row_by_row_rendering(self, capsys, tmp_path, horizon):
         path = tmp_path / "seqs.csv"
         code, _, _ = run_cli(["minimax", "--T", str(horizon), "--mode", "closed",

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from ucal import (check_a_bounds, closed_form, dp_value, optimal_q,
                   structural_identity_error, value_lower_bound)
 from ucal import cli, engine, minimax
-from ucal.minimax import CLOSED_FORM_MAX_HORIZON, _backward_step
+from ucal.minimax import CHUNK_ROWS, CLOSED_FORM_MAX_HORIZON, _backward_step
 
 
 def reference_dp(horizon):
@@ -55,6 +57,44 @@ def reference_closed_form(horizon):
     return u, v, u[:t] + inv_t
 
 
+def whole_array_closed_form(horizon):
+    """``closed_form`` with its linear term over all T + 1 entries at once."""
+    t = horizon
+    inv_t = 1.0 / t
+    u, sums = [0.0], [0.0]
+    u_r = sum_u = comp = 0.0
+    for _ in range(t):
+        a_r = u_r + inv_t
+        y = u_r - comp
+        tot = sum_u + y
+        comp = (tot - sum_u) - y
+        sum_u = tot
+        sums.append(sum_u)
+        u_r = u_r + a_r * a_r
+        u.append(u_r)
+    u = np.array(u)
+    m = np.arange(t + 1, dtype=np.int64)
+    linear = m + (1 - t)
+    linear *= m
+    v = np.array(sums) * 0.5
+    v += linear / (2.0 * t)
+    return u, v, u[:t] + inv_t, float(v[t])
+
+
+def whole_array_bounds(horizon, a):
+    """``check_a_bounds`` with both bounds built over all T rounds at once."""
+    t = horizon
+    r = np.arange(t, dtype=float)
+    upper = 1.0 / (t - r)
+    lower = 1.0 / (t - r + math.log(t))
+    max_upper = float(np.max(a - upper, initial=0.0))
+    max_lower = float(np.max(lower - a, initial=0.0))
+    return max(max_upper, 0.0), max(max_lower, 0.0)
+
+
+CHUNK_EDGES = [1, 2, 3, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5]
+
+
 class TestDpValue:
     def test_single_round(self):
         # one round: forecaster plays (1/2, 1/2), pays 1/2, benchmark pays 0
@@ -91,6 +131,20 @@ class TestDpValue:
             dp_value(3).value_at(0, 0, 3)
         with pytest.raises(ValueError):
             dp_value(3, keep_layers=True).value_at(1, 1, 3)
+
+    @pytest.mark.parametrize("state, message", [
+        ((0, 9, -1), "r must be >= 0"),        # sums to T = 8, but r < 0
+        ((9, -1, 0), "n2 must be >= 0"),
+        ((1.5, 6.5, 0), "n1 must be an integer"),
+        ((1, 7.0, 0), "n2 must be an integer"),
+    ])
+    def test_value_at_refuses_impossible_states(self, state, message):
+        with pytest.raises(ValueError, match=message):
+            dp_value(8, keep_layers=True).value_at(*state)
+
+    def test_value_at_takes_numpy_counts(self):
+        table = dp_value(8, keep_layers=True)
+        assert table.value_at(np.int64(3), np.int32(5), np.int8(0)) == table.value_at(3, 5, 0)
 
 
 class TestBackwardStep:
@@ -199,6 +253,59 @@ class TestClosedForm:
     def test_increment_recurrence(self):
         seqs = closed_form(300)
         np.testing.assert_allclose(seqs.a[1:], seqs.a[:-1] + seqs.a[:-1] ** 2, atol=1e-15)
+
+
+class TestChunkedEqualsWholeArray:
+    """The chunked ``closed_form`` and ``check_a_bounds`` give the whole-array results bit for bit."""
+
+    @pytest.mark.parametrize("horizon", CHUNK_EDGES)
+    def test_closed_form(self, horizon):
+        u, v, a, value = whole_array_closed_form(horizon)
+        seqs = closed_form(horizon)
+        assert np.array_equal(seqs.u, u)
+        assert np.array_equal(seqs.v, v)
+        assert np.array_equal(seqs.a, a)
+        assert seqs.value == value
+
+    @pytest.mark.parametrize("horizon", [h for h in CHUNK_EDGES if h >= 2])
+    def test_check_a_bounds(self, horizon):
+        seqs = closed_form(horizon)
+        rng = np.random.default_rng(horizon)
+        # violations of both signs, their worst in any chunk
+        for a in (seqs.a, seqs.a * (1.0 + 1e-3 * rng.random(horizon)),
+                  seqs.a * (1.0 - 0.5 * rng.random(horizon)), seqs.a * rng.uniform(0.5, 1.5, horizon)):
+            perturbed = dataclasses.replace(seqs, a=a)
+            assert check_a_bounds(horizon, perturbed) == whole_array_bounds(horizon, a)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+class TestWorkingSet:
+    def test_closed_form_and_bounds_hold_three_arrays(self):
+        t = 1 << 18
+        tracemalloc.start()
+        try:
+            seqs = closed_form(t)
+            check_a_bounds(t, seqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * (t + 1) + (1 << 20)  # u, v and a, plus one MiB
+
+    def test_writer_peak_does_not_grow_with_horizon(self):
+        peaks = []
+        for t in (1 << 16, 1 << 18):
+            seqs = closed_form(t)
+            tracemalloc.start()
+            try:
+                minimax.write_sequences_csv(seqs, _Discard())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * (1 << 20)
 
 
 class TestStructuralIdentity:
@@ -337,6 +444,19 @@ class TestCsvKernel:
     def test_rows_equal_per_value_formatting(self, name, values):
         got, want = self.rows_both_ways(values)
         assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+    def test_significands_across_the_six_digit_split(self):
+        # significand m = high * 10^6 + low: low of zero, of all nines, and with leading zeros
+        high = np.array([100000, 123456, 999999], dtype=np.int64)
+        low = np.array([0, 1, 10, 100000, 999999], dtype=np.int64)
+        m = (high[:, None] * 10 ** 6 + low).ravel()
+        m = np.concatenate([m, [10 ** 11, 10 ** 12 - 1]]).astype(float)
+        assert (m >= 1e11).all() and (m < 1e12).all()
+        values = np.concatenate([m * scale for scale in (1.0, 1e-11, 1e-20, 1e5)])
+        got, want = self.rows_both_ways(np.concatenate([values, -values]))
+        assert got == want
+        _, _, certified = minimax._round_g12(m)
+        assert certified.all()
 
     def test_fallback_takes_what_it_cannot_certify(self):
         uncertain = np.concatenate([SPECIALS, TIES, [1e-12, 1e34]])
