@@ -32,15 +32,16 @@ K), a ``--seed`` outside [-2^63, 2^63), which ``core.RngStream``
 would otherwise alias modulo 2^64, and an ``--output`` in a missing
 directory or naming a directory).
 ``run`` and ``sweep`` resolve every spec once, one forecaster per horizon,
-and hand them to ``engine.run_experiment``, which plays each block of
-trials at a group of horizons in one lockstep staircase, splits a block across
-workers only when it holds at least as many games as rounds, and starts a
-pool only for more than one job.  They stream one CSV row per (T, trial, loss) through
-``csv.writer``: horizons in grid order, trials in order, and each trial's
-losses sorted by name (a stable sort, so duplicate names keep their
-``--loss`` order); a field that holds a comma, such as ``static:0.2,0.8``,
-is quoted.  Results are byte-identical regardless of worker count because
-every trial owns its own RNG stream.
+and hand them to ``engine.run_experiment``.  It plays each block, one
+trial range at a group of horizons, in one kernel call (against an adaptive
+adversary a lockstep staircase, split across workers only when it holds at
+least as many games as rounds) and starts a pool only for more than one
+job.  They stream one CSV row per (T, trial, loss) through ``csv.writer``:
+horizons in grid order, trials in order, and each trial's losses sorted by
+name (a stable sort, so duplicate names keep their ``--loss`` order); a
+field that holds a comma, such as ``static:0.2,0.8``, is quoted.  Results
+are byte-identical regardless of worker count because every trial owns its
+own RNG stream.
 """
 
 from __future__ import annotations

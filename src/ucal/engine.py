@@ -12,18 +12,20 @@ from one ``rule`` call on its prefix counts.  Against any other (adaptive)
 the games run in lockstep, one ``next_outcomes`` call a round, as a
 staircase: a game drops out when its horizon ends, so a block of horizons
 H runs max(H) rounds, and adjacent running horizons that keep the leader
-rule, ``Forecaster.rule``, step in one call a round.  ``play_games`` and
-``run_game`` play one horizon's games and return transcripts that are
+rule, ``Forecaster.rule``, step in one call a round.  Every block's
+forecasts must lie on the simplex, whatever rule made them.  ``play_games``
+and ``run_game`` play one horizon's games and return transcripts that are
 views of their block.
-``trial_jobs`` plans an experiment as jobs, each one trial range at a group
-of horizons (an adaptive one within ``BLOCK_CELLS`` played cells), and
+``trial_jobs`` plans an experiment as jobs, each one block: a trial range at
+a group of horizons, an oblivious one within ``SCORE_CELLS`` and an adaptive
+one within ``BLOCK_CELLS`` cells, or one trial if that is more.
 ``run_experiment``, one forecaster per horizon, maps them through one trial
 runner, ``_run_block``, in one process pool when there is more than one
-worker and job.  The runner plays its range in pieces of whole trials, one
-``_play`` call each, scores each horizon's games straight from the block
-and puts the regrets back at their trial rows, so the result does not
-depend on the worker count: trial i plays on stream (base_seed, i) at every
-horizon.  ``run_trials`` is the one-forecaster case.
+worker and job.  The runner plays its job in one ``_play`` call, scores
+each horizon's games straight from the block and puts the regrets back at
+their trial rows, so the result does not depend on the worker count: trial
+i plays on stream (base_seed, i) at every horizon.  ``run_trials`` is the
+one-forecaster case.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
 loss against the mean-of-outcomes benchmark, which is the empirical risk
@@ -60,7 +62,8 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .adversaries import Adversary
-from .core import RngStream, mean_of_counts, validate_integer, validate_simplex
+from .core import (SIMPLEX_TOL, RngStream, mean_of_counts, row_sum, validate_integer,
+                   validate_simplex)
 from .forecasters import Forecaster
 from .losses import ProperLoss
 
@@ -145,27 +148,24 @@ def _cut(trials: range, pieces: int) -> list:
 def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> list:
     """(horizons, trial range) jobs that play every trial at every horizon once.
 
-    A job is one trial range at a group of horizons, which ``_run_block``
-    plays in pieces.  Horizons are grouped longest first, and a horizon
-    joins the group before it only if the grown group still fits a budget.
-    An oblivious adversary has no round loop, so ``_run_block`` plays its
-    trials a few at a time, whole trials within ``SCORE_CELLS`` cells; its
-    block is filled whole, each game padded to the longest, so one trial at
-    horizons H holds len(H) * max(H) * K cells.  Its horizons share a group
-    while one trial at all of them fits, and a group's trials are cut into
-    min(workers, trials) near-equal ranges.  An adaptive block is one
-    lockstep staircase, whose unplayed corner never becomes resident: n
-    trials at horizons H are n * len(H) games that run max(H) rounds and
-    play n * sum(H) * K cells, at most ``BLOCK_CELLS``, so its horizons
-    share a group while all trials fit one block.  A horizon whose trials
-    need more is a group of its own, cut into the fewest near-equal blocks
-    within budget: merging it would cut the shorter horizons into as many
-    blocks, each repeating their rule calls.  So no plan makes more rule
-    calls or runs more rounds than one horizon per block.  An adaptive
-    block goes to a worker whole unless it holds at least as many games as
-    it runs rounds: each part repeats the whole round loop, so only then is
-    it cut into min(workers, n) near-equal ranges.  Jobs come longest round
-    loop first, then largest first, so a pool starts the longest first.
+    A job is one block, which ``_run_block`` plays in one ``_play`` call:
+    a trial range at a group of horizons.  Horizons are grouped longest
+    first, and a horizon joins the group before it only while the grown
+    group fits a budget.  An oblivious block is filled whole, each game
+    padded to the longest, so one trial at horizons H holds
+    len(H) * max(H) * K cells, and one trial at the group fits
+    ``SCORE_CELLS``.  An adaptive block is a lockstep staircase whose
+    unplayed corner never becomes resident, so one trial plays sum(H) * K
+    cells, and all trials at the group fit ``BLOCK_CELLS``: a horizon whose
+    trials need more blocks is a group of its own, since merging it would
+    cut the shorter horizons into as many blocks, each repeating their rule
+    calls.  Either way a group's trials are cut into the fewest near-equal
+    blocks of at most budget // (one trial's cells) trials, at least one.
+    The pool takes oblivious blocks as they come.  An adaptive block goes
+    to a worker whole unless it holds at least as many games as it runs
+    rounds, since each part repeats the round loop; only then is it cut
+    into min(workers, n) near-equal ranges.  Jobs come longest round loop
+    first, then largest first, so a pool starts the longest first.
     """
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be >= 1")
@@ -178,17 +178,15 @@ def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> lis
             groups[-1].append(horizon)
         else:
             groups.append([horizon])
-    blocks = []
-    for group in groups:  # oblivious: every trial, with no round loop to repeat
-        per_block = trials if oblivious else max(1, BLOCK_CELLS // (sum(group) * adversary.k))
-        blocks += [(tuple(group), block, 0 if oblivious else group[0])
-                   for block in _cut(range(trials), -(-trials // per_block))]
     jobs = []
-    for group, block, rounds in blocks:
-        pieces = min(workers, len(block)) if len(block) * len(group) >= rounds else 1
-        jobs += [(group, piece, rounds) for piece in _cut(block, pieces)]
-    jobs.sort(key=lambda job: (-job[2], -len(job[1])))  # stable: ties keep trial order
-    return [(group, piece) for group, piece, _ in jobs]
+    for group in groups:
+        per_block = max(1, budget // (size(group) * adversary.k))
+        for block in _cut(range(trials), -(-trials // per_block)):
+            wide = not oblivious and len(block) * len(group) >= group[0]  # games >= rounds
+            jobs += [(tuple(group), piece)
+                     for piece in _cut(block, min(workers, len(block)) if wide else 1)]
+    jobs.sort(key=lambda job: (-job[0][0], -len(job[1])))  # stable: ties keep trial order
+    return jobs
 
 
 def _bad_outcomes(horizon, k):
@@ -240,7 +238,9 @@ def _play(forecasters, adversary: Adversary, rngs) -> list:
     dtype, steps in one ``Forecaster.rule`` call a round; a horizon whose
     class overrides ``rule`` steps in a call of its own.  An adaptive block
     lives in an anonymous ``mmap``, so a staircase's unplayed corner never
-    becomes resident; an oblivious one is filled whole, on the heap.
+    becomes resident; an oblivious one is filled whole, on the heap.  A
+    horizon whose forecasts are not all finite, >= 0 and in rows summing to
+    1 within ``SIMPLEX_TOL`` is refused, whatever rule made them.
     Returns one (forecasts (n, T, K), outcomes (n, T)) pair of views per
     forecaster, each game's rows contiguous and games strided by max T.
     """
@@ -298,6 +298,11 @@ def _play(forecasters, adversary: Adversary, rngs) -> list:
             np.cumsum(prefix, axis=1, out=prefix)
             played[...] = forecaster.rule(prefix.reshape(-1, k),
                                           played.reshape(-1, k)).reshape(played.shape)
+        sums = row_sum(played)  # every rule: an override bypasses the leader's noise check
+        if not (0 <= played.min() <= played.max() < math.inf
+                and 1 - SIMPLEX_TOL <= sums.min() <= sums.max() <= 1 + SIMPLEX_TOL):
+            raise ValueError(f"{type(forecaster).__name__} forecasts at T={horizon} must be "
+                             f"finite, >= 0 and sum to 1 within {SIMPLEX_TOL}")
         blocks.append((played, seen))
     return blocks
 
@@ -369,21 +374,11 @@ def _run_block(forecasters, adversary: Adversary, losses, trials: range,
                base_seed: int) -> list[np.ndarray]:
     """One regret matrix (len(trials), len(losses)) per forecaster, longest horizon first.
 
-    Trial i plays on stream (base_seed, i) at every horizon.  The range is
-    played in pieces, each one ``_play`` block at every horizon, scored a
-    horizon at a time and released before the next: against an adaptive
-    adversary the whole range, one staircase, and against an oblivious one,
-    with no round loop to share, one ``SCORE_CELLS`` chunk of whole trials.
+    Trial i plays on stream (base_seed, i) at every horizon.  The job is one
+    ``_play`` block, which ``trial_jobs`` sized, scored a horizon at a time.
     """
-    cells = len(forecasters) * forecasters[0].horizon * adversary.k  # one trial's padded block
-    step = max(1, SCORE_CELLS // cells) if _oblivious(adversary) else len(trials)
-    pieces = []
-    for start in range(0, len(trials), step):
-        rngs = [[RngStream(base_seed, trial).generator() for trial in trials[start:start + step]]
-                for _ in forecasters]
-        # scored in one comprehension, so no name holds the block into the next piece's play
-        pieces.append([_score(*block, losses) for block in _play(forecasters, adversary, rngs)])
-    return [np.concatenate(horizon) for horizon in zip(*pieces)]
+    rngs = [[RngStream(base_seed, trial).generator() for trial in trials] for _ in forecasters]
+    return [_score(*block, losses) for block in _play(forecasters, adversary, rngs)]
 
 
 def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials: int,
@@ -481,13 +476,15 @@ def estimate_calibration(forecaster: Forecaster, adversary: Adversary, losses,
 
 
 def mixture_weight_grid(eps: float) -> np.ndarray:
-    """The weights {0, eps, 2*eps, ..., 1}; both endpoints are always included."""
+    """The weights {0, eps, 2*eps, ..., 1}: both endpoints, and at most ``MAX_GAME_CELLS``."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     steps = int(np.floor(1.0 / eps + 1e-12))
-    grid = np.arange(steps + 1) * eps
-    grid = grid[grid < 1.0]
-    return np.append(grid, 1.0)
+    points = steps + 1 + (steps * eps < 1.0)  # the multiples of eps below 1, then 1
+    if points > MAX_GAME_CELLS:
+        raise ValueError(f"eps={eps} makes a grid of {points} weights, above the cap of "
+                         f"{MAX_GAME_CELLS} (2^24)")
+    return np.append(np.arange(points - 1) * eps, 1.0)
 
 
 def sup_regret_mixture(transcript: Transcript, loss1: ProperLoss, loss2: ProperLoss,

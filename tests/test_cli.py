@@ -696,6 +696,12 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+# greedy at K=2, T=2: one block of as many games as trials, at least as many as its 2 rounds,
+# so it is cut into min(workers, trials) jobs
+WIDE_GAME = ["--forecaster", "ftl", "--adversary", "greedy:vshaped", "--loss", "vshaped",
+             "--K", "2", "--T", "2"]
+
+
 @pytest.mark.parametrize("cpus, trials, pool", [
     (3, 1000, 3),
     (3, 2, 2),
@@ -704,8 +710,8 @@ def pool_sizes(monkeypatch):
 ])
 def test_pool_capped_at_machine(capsys, monkeypatch, pool_sizes, cpus, trials, pool):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    code, out, _ = run_cli(["run", *GAME, "--K", "2", "--T", "2", "--trials", str(trials),
-                            "--workers", "1000"], capsys)
+    code, out, _ = run_cli(["run", *WIDE_GAME, "--trials", str(trials), "--workers", "1000"],
+                           capsys)
     assert code == 0 and out.count("\n") == 1 + trials
     assert pool_sizes == ([] if pool is None else [pool])
 
@@ -714,8 +720,7 @@ def test_pool_ignores_ucal_threads(capsys, monkeypatch, pool_sizes):
     # the pool is min(--workers, CPU count, jobs); no environment variable caps it
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setenv("UCAL_THREADS", "1")
-    code, _, _ = run_cli(["run", *GAME, "--K", "2", "--T", "2", "--trials", "1000",
-                          "--workers", "1000"], capsys)
+    code, _, _ = run_cli(["run", *WIDE_GAME, "--trials", "1000", "--workers", "1000"], capsys)
     assert code == 0 and pool_sizes == [3]
 
 
@@ -739,10 +744,12 @@ def test_block_cuts_do_not_change_bytes(capsys, monkeypatch, adversary):
     code, serial, _ = run_cli(base, capsys)
     assert code == 0
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    # unpatched, greedy plays one staircase of all three horizons, whole; then each
-    # horizon is its own group, in 1-trial blocks at T=64 and T=32 and 2-trial ones at T=16
-    for cells in (engine.BLOCK_CELLS, 2 * 16 * 3):
-        monkeypatch.setattr(engine, "BLOCK_CELLS", cells)
+    # unpatched, greedy plays one staircase of all three horizons, whole, and iid-uniform one
+    # block of all 7 trials; then each horizon is its own group, in 1-trial blocks at T=64
+    # and T=32 and 2-trial ones at T=16
+    budget = "SCORE_CELLS" if adversary == "iid-uniform" else "BLOCK_CELLS"
+    for cells in (getattr(engine, budget), 2 * 16 * 3):
+        monkeypatch.setattr(engine, budget, cells)
         for workers in ("1", "2", "4"):
             code, out, _ = run_cli(base + ["--workers", workers], capsys)
             assert code == 0 and out == serial

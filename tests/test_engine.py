@@ -18,7 +18,7 @@ from ucal import (Adversary, Alternating, CustomLoss, FixedSequence, FollowTheLe
                   mean_of_counts, play_games, random_simplex_points, regret, run_game,
                   run_trials, summarize, sup_regret_mixture)
 from ucal import check_a_bounds, closed_form, dp_value, engine, value_lower_bound
-from ucal.core import uniform_point
+from ucal.core import SIMPLEX_TOL, uniform_point
 from ucal.engine import format_float, mixture_weight_grid
 
 
@@ -530,6 +530,15 @@ class TestMixtureSup:
         with pytest.raises(ValueError):
             sup_regret_mixture(tr, SquaredLoss(), VShapedLoss(), eps=0.0)
 
+    def test_grid_above_the_cap_refused_before_allocating(self):
+        # 1e-13 would be 10^13 weights, 73 TiB; 2^-24 is one weight more than the cap
+        tr = self._transcript()
+        for eps, points in ((1e-13, 10 ** 13 + 1), (2.0 ** -24, 2 ** 24 + 1)):
+            with pytest.raises(ValueError, match=f"grid of {points} weights, above the cap"):
+                mixture_weight_grid(eps)
+            with pytest.raises(ValueError, match="above the cap"):
+                sup_regret_mixture(tr, SquaredLoss(), VShapedLoss(), eps=eps)
+
 
 class TestHighProbBound:
     def test_all_zero_regrets(self):
@@ -684,32 +693,32 @@ class TestTrialJobs:
                 range(trials))
         groups = list(dict.fromkeys(group for group, _ in jobs))
         assert [h for group in groups for h in group] == sorted(horizons, reverse=True)
-        # the budget holds all trials of an adaptive block, the games they play, and one trial
-        # of an oblivious one, which is filled whole, each game padded to the longest
+        # one trial of an adaptive block plays sum(H) rows; an oblivious block is filled whole,
+        # each game padded to the longest; the budget holds all trials of an adaptive group
+        def trial(group):
+            return 3 * sum(group) if adaptive else 3 * len(group) * group[0]
+
         def held(group):
-            return 3 * trials * sum(group) if adaptive else 3 * len(group) * group[0]
+            return trials * trial(group) if adaptive else trial(group)
 
         for group, following in zip(groups, groups[1:]):  # as large as the budget allows
             assert held(group + (following[0],)) > cells
         for group in groups:  # several horizons share a group only within the budget
             assert len(group) == 1 or held(group) <= cells
-        if not adaptive:  # no round loop: each group in min(workers, trials) near-equal ranges
-            for group in groups:
-                sizes = [len(r) for g, r in jobs if g == group]
-                assert len(sizes) == min(workers, trials) and max(sizes) - min(sizes) <= 1
-            return
         for group in groups:
-            per_block = max(1, cells // (3 * sum(group)))
+            per_block = max(1, cells // trial(group))
             blocks = -(-trials // per_block)
             sizes = [len(r) for g, r in jobs if g == group]
-            assert max(sizes) <= per_block  # within budget, or one trial at one horizon
-            if workers == 1 or -(-trials // blocks) * len(group) < group[0]:
-                # fewer games than rounds: every block goes to a worker whole
+            assert max(sizes) <= per_block  # within budget, or one trial
+            if not adaptive or workers == 1 or -(-trials // blocks) * len(group) < group[0]:
+                # no round loop, or fewer games than rounds: every block goes to a worker whole
                 assert len(sizes) == blocks and max(sizes) - min(sizes) <= 1
             else:  # a block of at least as many games as rounds is cut for the workers
                 assert blocks <= len(sizes) <= blocks * workers
         order = [(group[0], len(r)) for group, r in jobs]
         assert order == sorted(order, reverse=True)
+        if not adaptive:
+            return
         # against each horizon in its own blocks: as many rule calls, no more rounds
         with unittest.mock.patch.object(engine, "BLOCK_CELLS", cells):
             serial = engine.trial_jobs(adversary, horizons, trials, 1)
@@ -729,12 +738,17 @@ class TestTrialJobs:
         assert jobs == [((64,), range(0, 2000)), ((64,), range(2000, 4000))]
 
     @pytest.mark.parametrize("trials, workers", [(7, 3), (2, 3), (5, 1)])
-    def test_oblivious_trials_split_evenly(self, trials, workers):
+    def test_oblivious_trials_split_evenly(self, trials, workers, monkeypatch):
+        # one trial at (32, 16) is 2 * 32 * 3 = 192 cells: 85 fit a block, whatever the workers
+        assert engine.trial_jobs(IidUniform(3), [16, 32], trials, workers) == [
+            ((32, 16), range(trials))]
+        # two trials a block: ceil(trials / 2) near-equal blocks, none cut for the workers
+        monkeypatch.setattr(engine, "SCORE_CELLS", 2 * 192 + 1)
         jobs = engine.trial_jobs(IidUniform(3), [16, 32], trials, workers)
         assert {group for group, _ in jobs} == {(32, 16)}
+        assert len(jobs) == -(-trials // 2)
         assert sorted((r.start, r.stop) for _, r in jobs) == [
             (trials * i // len(jobs), trials * (i + 1) // len(jobs)) for i in range(len(jobs))]
-        assert len(jobs) == min(workers, trials)
 
     def test_blocks_are_cut_into_near_equal_sizes(self):
         # two blocks at T=64 play 4000 trials each, not 5461 and 2539
@@ -886,7 +900,7 @@ def _count_blocks(monkeypatch) -> list:
 
 
 class TestObliviousPieces:
-    """An oblivious trial range is played in pieces of whole trials, one ``_play`` call each."""
+    """An oblivious trial range is cut into blocks of whole trials, one ``_play`` call each."""
 
     LOSSES = [VShapedLoss(), SquaredLoss(0.5), SphericalLoss(), TsallisLoss(1.5)]
 
@@ -901,19 +915,20 @@ class TestObliviousPieces:
             expected = [[[regret(run_game(f, oblivious, _gen(5, i)), loss).regret
                           for loss in self.LOSSES] for i in range(trials)] for f in group]
             cells = len(group) * group[0].horizon * k  # one trial, padded to the longest
-            # each horizon alone, a trial a piece; (33,) alone and (16, 7) together; all
-            # horizons, three trials a piece; all horizons, every trial in one piece
+            # each horizon alone, a trial a block; (33,) alone and (16, 7) together; all
+            # horizons, three trials a block; all horizons, every trial in one block
             for budget in (1, 33 * k, 3 * cells, trials * cells + 1):
                 monkeypatch.setattr(engine, "SCORE_CELLS", budget)
                 got = engine.run_experiment(group, oblivious, self.LOSSES, trials, 5, workers)
                 assert [matrix.tolist() for matrix in got] == expected, budget
 
     def test_short_games_share_a_block(self, monkeypatch):
-        # 4000 trials at K = 3, T = 64: 2^14 // (64 * 3) = 85 trials a block, not one each
+        # 4000 trials at K = 3, T = 64: at most 2^14 // (64 * 3) = 85 trials a block, not one
+        # each, so 48 near-equal blocks, the larger first
         games = _count_blocks(monkeypatch)
         engine.run_experiment([PerturbedLeaderGeometric(3, 64)], IidUniform(3),
                               self.LOSSES[:3], 4000, 1)
-        assert games == [[85]] * 47 + [[5]]
+        assert games == [[84]] * 16 + [[83]] * 32
 
     def test_long_games_play_one_per_block(self, monkeypatch):
         # mc-oblivious's games, K = 5 and T = 4096, are 20480 cells, above SCORE_CELLS
@@ -930,6 +945,21 @@ class TestObliviousPieces:
         forecasters = [PerturbedLeaderGeometric(10, 64 << i) for i in reversed(range(7))]
         engine.run_experiment(forecasters, IidUniform(10), self.LOSSES, 2, 0)
         assert games == [[1]] * 6 + [[1, 1, 1]] * 2 + [[2]]
+
+
+@pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
+                         ids=["oblivious", "adaptive"])
+def test_one_play_call_per_job(adversary, monkeypatch):
+    # a budget of 120 cells: blocks of one trial up to all nine, at one horizon or two
+    horizons, trials, losses = [33, 16, 7, 2], 9, [VShapedLoss(), SquaredLoss(0.5)]
+    forecasters = [PerturbedLeaderUniform(3, h) for h in horizons]
+    for budget in ("SCORE_CELLS", "BLOCK_CELLS"):
+        monkeypatch.setattr(engine, budget, 120)
+    plan = engine.trial_jobs(adversary, horizons, trials, 1)
+    assert len(plan) > len({group for group, _ in plan}) > 1
+    games = _count_blocks(monkeypatch)
+    engine.run_experiment(forecasters, adversary, losses, trials, 4)
+    assert games == [[len(block)] * len(group) for group, block in plan]
 
 
 class FloatNoiseLeader(PerturbedLeaderUniform):
@@ -1114,9 +1144,55 @@ def test_rule_of_its_own_may_read_negative_noise(adversary):
     assert GaussianLeader(3, 8).noise(8, _gen(0)).min() < 0
     game = run_game(GaussianLeader(3, 8), adversary, _gen(0))
     assert np.allclose(game.forecasts.sum(axis=1), 1.0) and game.forecasts.min() > 0
-    regrets = engine.run_experiment([GaussianLeader(3, 8), PerturbedLeaderUniform(3, 4)],
+    # beside it, a static point whose rows sum to 1 + 2^-52: on the simplex within its tolerance
+    static = StaticForecaster([0.06, 0.57, 0.37], 6)
+    assert static.point.sum() - 1 == 2.0 ** -52
+    regrets = engine.run_experiment([GaussianLeader(3, 8), static, PerturbedLeaderUniform(3, 4)],
                                     adversary, [SquaredLoss()], 3, 0)
     assert all(np.isfinite(matrix).all() for matrix in regrets)
+
+
+class Undivided(PerturbedLeaderUniform):
+    """The leader's totals, ``counts + noise``, forecast without dividing by their sum."""
+
+    def rule(self, counts, noise):
+        return counts + noise
+
+
+class NegativeRule(Forecaster):
+    """Rows that sum to 1 with a negative entry."""
+
+    def rule(self, counts, noise):
+        return np.tile([1.5, -0.5, 0.0], (len(counts), 1))
+
+
+class NanRule(Forecaster):
+    """All-NaN forecasts."""
+
+    def rule(self, counts, noise):
+        return np.full((len(counts), 3), np.nan)
+
+
+class SumsOffByTol(Forecaster):
+    """Rows that sum to 1 + 4 * SIMPLEX_TOL, just off the simplex."""
+
+    def rule(self, counts, noise):
+        return np.tile([0.5 + 4 * SIMPLEX_TOL, 0.25, 0.25], (len(counts), 1))
+
+
+@pytest.mark.parametrize("forecaster", [Undivided, NegativeRule, NanRule, SumsOffByTol])
+@pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
+                         ids=["block", "lockstep"])
+def test_off_simplex_forecasts_refused(forecaster, adversary):
+    message = f"{forecaster.__name__} forecasts at T=8 must be finite, >= 0 and sum to 1"
+    with pytest.raises(ValueError, match=message):
+        run_game(forecaster(3, 8), adversary, _gen(0))
+    with pytest.raises(ValueError, match=message):
+        run_trials(forecaster(3, 8), adversary, [SquaredLoss(0.5)], 3, 0)
+    # in a staircase, named by its own horizon, whatever plays beside it
+    forecasters = [PerturbedLeaderUniform(3, 16), forecaster(3, 8), FollowTheLeader(3, 4)]
+    with pytest.raises(ValueError, match=message):
+        engine.run_experiment(forecasters, adversary, [SquaredLoss()], 3, 0)
 
 
 @pytest.mark.parametrize("adversary", OBLIVIOUS)
