@@ -3,9 +3,12 @@
 The library plays the sequential protocol (forecast a distribution, observe
 a one-hot outcome), measures regret against the mean-of-outcomes benchmark
 for any proper loss, estimates pucal/ucal over loss families by Monte
-Carlo, and solves the binary squared-loss game exactly.
+Carlo, and solves the binary squared-loss game exactly.  The exact solver,
+``ucal.minimax``, loads on first use of it or of one of its names, so a
+program that only plays games never loads it.
 """
 
+import importlib
 import os
 
 # Set before numpy is first imported.  ucal's largest BLAS call is a K-vector
@@ -27,8 +30,6 @@ from .losses import (CustomLoss, LossValidationReport, MixtureLoss, ProperLoss,
                      SphericalLoss, SquaredLoss, TsallisLoss, VShapedLoss,
                      check_concavity, check_hessian_growth, check_proper, check_range,
                      estimate_lipschitz, random_simplex_points, simplex_mesh)
-from .minimax import (ClosedFormSequences, MinimaxTable, check_a_bounds, closed_form,
-                      dp_value, optimal_q, structural_identity_error, value_lower_bound)
 
 __version__ = "0.1.0"
 
@@ -47,3 +48,15 @@ __all__ = [
     "sup_regret_mixture", "uniform_point", "validate_outcome", "validate_simplex",
     "value_lower_bound",
 ]
+
+
+def __getattr__(name):
+    """``minimax`` and its names in ``__all__``, the only ones not bound at import (PEP 562)."""
+    if name == "minimax" or name in __all__:
+        minimax = importlib.import_module(".minimax", __name__)  # binds ucal.minimax
+        return minimax if name == "minimax" else getattr(minimax, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | {"minimax"})

@@ -54,7 +54,7 @@ import sys
 
 import numpy as np
 
-from . import engine, minimax
+from . import engine
 from .adversaries import Adversary, Alternating, FixedSequence, GreedyAdaptive, IidUniform
 from .core import RngStream, one_hot, validate_integer
 from .forecasters import (FollowTheLeader, Forecaster, PerturbedLeaderGeometric,
@@ -258,6 +258,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_minimax(args) -> int:
+    from . import minimax  # the one command that needs it loads it
+
     t = args.T
     if t < 1:
         raise UsageError("--T must be >= 1")

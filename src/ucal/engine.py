@@ -111,8 +111,9 @@ MAX_GAME_CELLS = 1 << 24
 BLOCK_CELLS = 1 << 20
 
 #: Cell budget of one scoring chunk: whole games, at least one, of at most
-#: 2^14 forecast cells (128 KiB), and of one oblivious block: whole trials at
-#: a group of horizons, padded to the longest, at least one.  Each loss
+#: 2^14 forecast cells (128 KiB), of one oblivious block: whole trials at a
+#: group of horizons, padded to the longest, at least one, and of one chunk
+#: of ``_play``'s off-simplex check, which cuts a game too.  Each loss
 #: builds a few float temporaries of the chunk's size, so a larger chunk
 #: shows in peak RSS: on the 8-trial K = 3 sweep over T = 64..4096 it read
 #: about 0.5 MB more at 2^15 and 2 MB more at 2^16, with no CPU to show for it.
@@ -240,7 +241,8 @@ def _play(forecasters, adversary: Adversary, rngs) -> list:
     lives in an anonymous ``mmap``, so a staircase's unplayed corner never
     becomes resident; an oblivious one is filled whole, on the heap.  A
     horizon whose forecasts are not all finite, >= 0 and in rows summing to
-    1 within ``SIMPLEX_TOL`` is refused, whatever rule made them.
+    1 within ``SIMPLEX_TOL`` is refused, whatever rule made them; the check
+    reads ``SCORE_CELLS`` cells at a time.
     Returns one (forecasts (n, T, K), outcomes (n, T)) pair of views per
     forecaster, each game's rows contiguous and games strided by max T.
     """
@@ -298,13 +300,31 @@ def _play(forecasters, adversary: Adversary, rngs) -> list:
             np.cumsum(prefix, axis=1, out=prefix)
             played[...] = forecaster.rule(prefix.reshape(-1, k),
                                           played.reshape(-1, k)).reshape(played.shape)
-        sums = row_sum(played)  # every rule: an override bypasses the leader's noise check
-        if not (0 <= played.min() <= played.max() < math.inf
-                and 1 - SIMPLEX_TOL <= sums.min() <= sums.max() <= 1 + SIMPLEX_TOL):
+        if not _on_simplex(played):  # every rule: an override bypasses the leader's noise check
             raise ValueError(f"{type(forecaster).__name__} forecasts at T={horizon} must be "
                              f"finite, >= 0 and sum to 1 within {SIMPLEX_TOL}")
         blocks.append((played, seen))
     return blocks
+
+
+def _on_simplex(forecasts: np.ndarray) -> bool:
+    """Whether all of ``forecasts`` (n, T, K) is finite, >= 0 and in rows summing to 1.
+
+    A row sum may be off 1 by ``SIMPLEX_TOL``.  The block is read
+    ``SCORE_CELLS`` cells at a time, whole games when one fits, so the row
+    sums take a chunk's memory, not the block's.
+    """
+    n, horizon, k = forecasts.shape
+    rows = max(1, SCORE_CELLS // k)
+    games, rows = max(1, rows // horizon), min(rows, horizon)
+    for start in range(0, n, games):
+        for first in range(0, horizon, rows):
+            chunk = forecasts[start:start + games, first:first + rows]
+            sums = row_sum(chunk)
+            if not (0 <= chunk.min() <= chunk.max() < math.inf
+                    and 1 - SIMPLEX_TOL <= sums.min() <= sums.max() <= 1 + SIMPLEX_TOL):
+                return False
+    return True
 
 
 def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Transcript]:

@@ -22,9 +22,10 @@ different horizons, in one call on their stacked rows:
                            simultaneous empirical risk minimizer for every
                            proper loss.  Deterministic.
 ``PerturbedLeaderGeometric``  fresh geometric hallucinated counts with
-                           success probability q = min(1, sqrt(K/T)).  The
-                           geometric support {1, 2, ...} guarantees a
-                           positive denominator every round.
+                           success probability q = min(1, sqrt(K/T)),
+                           drawn as float64 by numpy's own inversion below
+                           q = 1/3.  The geometric support {1, 2, ...}
+                           guarantees a positive denominator every round.
 ``PerturbedLeaderUniform`` uniform integer noise on {0, ..., floor(sqrt(T))}.
 ``StaticForecaster``       always forecasts a fixed point (testing aid).
 
@@ -81,7 +82,12 @@ class PerturbedLeaderGeometric(Forecaster):
 
     q is clipped to 1 when T < K, which makes the noise deterministically 1
     per outcome and the first forecast uniform.  The geometric support
-    starts at 1, so the normalizer is at least K every round.
+    starts at 1, so the normalizer is at least K every round.  The noise is
+    ``rng.geometric(q, (T, K))`` as float64, value for value and leaving
+    ``rng`` in the same state.  Below q = 1/3 numpy inverts one standard
+    exponential E a draw, ceil(E / -log1p(-q)); ``noise`` does the same on
+    the whole block with log1p(-q) taken once.  From 1/3 up it keeps numpy's
+    own sequential search, which reads other draws.
     """
 
     def __init__(self, k: int, horizon: int):
@@ -89,7 +95,11 @@ class PerturbedLeaderGeometric(Forecaster):
         self.q = min(1.0, math.sqrt(self.k / self.horizon))
 
     def noise(self, horizon, rng):
-        return rng.geometric(self.q, size=(horizon, self.k))
+        if self.q >= 1 / 3:  # numpy's search branch
+            return rng.geometric(self.q, size=(horizon, self.k)).astype(np.float64)
+        draw = rng.standard_exponential((horizon, self.k))
+        draw /= -math.log1p(-self.q)
+        return np.ceil(draw, out=draw)
 
 
 class PerturbedLeaderUniform(Forecaster):

@@ -9,12 +9,16 @@ for a concave function f on the simplex and a subgradient g_p of f at p.
 Here f is the "univariate form" (the expected loss of forecasting p when the
 outcome truly follows p) and the two-argument "bivariate form" is
 reconstructed from f and its subgradient.  Each loss class below supplies
-``univariate`` and ``subgradient``.  ``outcome_losses(p)``, the table of
-loss(p, y) over every outcome y at once, is the layer's one arithmetic:
-``bivariate(p, y)`` reads entry y of it, and the validators and the
-benchmark cost read the whole table.  The greedy adversary reads none:
-f(p) - <g_p, p> is the same for every y, so the outcome of largest loss is
-the argmax of g_p, the lowest index on exact ties of g_p.
+``univariate`` and ``subgradient``.  The formula is coded once, in
+``ProperLoss._evaluate``, and its two faces differ only in which entries of
+g_p they select: ``outcome_losses(p)``, the table of loss(p, y) over every
+outcome y at once, which the validators and the benchmark cost read, takes
+them all; ``bivariate(p, y)``, the loss of the played outcome, which scoring
+reads, takes entry y alone and builds no table, with the same IEEE
+operations in the same order, so it equals entry y of the table bit for
+bit.  The greedy adversary reads neither: f(p) - <g_p, p> is the same for
+every y, so the outcome of largest loss is the argmax of g_p, the lowest
+index on exact ties of g_p.
 
 Shipped losses
 --------------
@@ -64,6 +68,16 @@ def _finite_parameter(value, parameter: str) -> float:
     return value
 
 
+def _select(values: np.ndarray, y) -> np.ndarray:
+    """The entries of ``values``' last axis that a loss at outcomes y reads: all when y is None."""
+    return values if y is None else _take_outcome(values, y)
+
+
+def _beside(y) -> tuple:
+    """Index that stands a per-point value beside ``_select``'s entries: a new last axis for all."""
+    return (..., None) if y is None else (...,)
+
+
 def _take_outcome(values: np.ndarray, y) -> np.ndarray:
     """values[..., y] with integer indices y broadcast against the leading axes of values."""
     y = np.asarray(y)
@@ -97,21 +111,31 @@ class ProperLoss:
         raise NotImplementedError
 
     def bivariate(self, p, y) -> np.ndarray:
-        """loss(p, y) for outcome index y: entry y of ``outcome_losses(p)``."""
-        return _take_outcome(self.outcome_losses(p), y)
+        """loss(p, y) for outcome indices y, broadcast against p's leading axes.
+
+        Entry y of ``outcome_losses(p)``, bit for bit, computed at entry y
+        alone: no (..., K) table is built.
+        """
+        return self._evaluate(p, y)
 
     def outcome_losses(self, p) -> np.ndarray:
-        """loss(p, y) = f(p) + <g_p, e_y - p> for every outcome y at once, shape (..., K).
+        """loss(p, y) = f(p) + <g_p, e_y - p> for every outcome y at once, shape (..., K)."""
+        return self._evaluate(p, None)
 
-        The one place a loss is computed, and ``bivariate`` reads it.  A
-        subclass overrides it only for a direct form (spherical) or an exact
-        combination of tables (mixture).
+    def _evaluate(self, p, y) -> np.ndarray:
+        """f(p) + <g_p, e_y - p> at outcomes y, or at every outcome when y is None.
+
+        The one place a loss is computed: (f(p) + g_p[y]) - <g_p, p>, the
+        selected entries of g_p beside f(p) and <g_p, p>.  A subclass
+        overrides it only for a direct form (spherical) or an exact
+        combination (mixture).
         """
         p = _as_points(p)
         g = self.subgradient(p)
-        table = self.univariate(p)[..., None] + g
-        table -= row_sum(g * p)[..., None]  # in place: one (..., K) temporary fewer
-        return table
+        beside = _beside(y)
+        values = self.univariate(p)[beside] + _select(g, y)
+        values -= row_sum(g * p)[beside]  # in place: one temporary fewer
+        return values
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -146,12 +170,12 @@ class SphericalLoss(ProperLoss):
         return -np.sqrt(row_sum(p * p))
 
     def subgradient(self, p):
-        p = _as_points(p)
-        return -p / np.sqrt(row_sum(p * p))[..., None]
+        return self._evaluate(p, None)  # -p / ||p||, the loss table itself
 
-    def outcome_losses(self, p):
-        # direct form: loss(p, y) = -p_y / ||p|| is the subgradient itself
-        return self.subgradient(p)
+    def _evaluate(self, p, y):
+        # direct form: loss(p, y) = -p_y / ||p||, entry y of the subgradient
+        p = _as_points(p)
+        return -_select(p, y) / np.sqrt(row_sum(p * p))[_beside(y)]
 
 
 class VShapedLoss(ProperLoss):
@@ -215,9 +239,9 @@ class MixtureLoss(ProperLoss):
     """weight * loss1 + (1 - weight) * loss2, an exact affine combination.
 
     Affine combinations of proper losses are proper (the univariate forms and
-    subgradients combine affinely), and ``outcome_losses`` is computed as the
-    affine combination of the component tables so the identity holds exactly
-    in floating point.
+    subgradients combine affinely), and a table or a played entry is computed
+    as the affine combination of the components' own, so the identity holds
+    exactly in floating point.
     """
 
     def __init__(self, loss1: ProperLoss, loss2: ProperLoss, weight: float):
@@ -240,9 +264,9 @@ class MixtureLoss(ProperLoss):
         w = self.weight
         return w * self.loss1.subgradient(p) + (1 - w) * self.loss2.subgradient(p)
 
-    def outcome_losses(self, p):
+    def _evaluate(self, p, y):
         w = self.weight
-        return w * self.loss1.outcome_losses(p) + (1 - w) * self.loss2.outcome_losses(p)
+        return w * self.loss1._evaluate(p, y) + (1 - w) * self.loss2._evaluate(p, y)
 
 
 class CustomLoss(ProperLoss):

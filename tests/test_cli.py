@@ -777,13 +777,25 @@ CSV_DIGESTS = {
          "--loss", "vshaped;squared;tsallis:1.5", "--K", "3", "--T", "64", "--trials", "3",
          "--seed", "3"],
         "db8945c89875308a1cf1e28aa2a2dc07e0d6adaebaebc39ee812b76b34b1b813"),
+    # K = 10: the K axis summed by numpy's pairwise reduce, not row_sum's column adds
+    "ftpl-geometric-iid-k10": (
+        ["run", "--forecaster", "ftpl-geometric", "--adversary", "iid-uniform",
+         "--loss", "vshaped;squared:0.5;spherical;tsallis:1.5", "--K", "10", "--T", "256",
+         "--trials", "6", "--seed", "3"],
+        "8a1a21e9cfd67e459fdf8d134f15fe7af89c8e0a51cf10a6a5724a31d65b8baf"),
+    # q = sqrt(5/16) >= 1/3: geometric noise by numpy's search, not by inversion
+    "ftpl-geometric-iid-search": (
+        ["run", "--forecaster", "ftpl-geometric", "--adversary", "iid-uniform",
+         "--loss", "vshaped;squared:0.5;spherical;tsallis:1.5", "--K", "5", "--T", "16",
+         "--trials", "8", "--seed", "3"],
+        "58e99b19015548d10369b2578669b2796a27cd33d83e8a609f90a3b86b2a11d3"),
 }
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
 def test_csv_bytes_pinned(capsys, tmp_path, monkeypatch, name, workers):
-    """The CSV bytes of four small command lines, as sha256 digests.
+    """The CSV bytes of six small command lines, as sha256 digests.
 
     A change that should leave every game and score as it is must leave
     these digests as they are.  They also pin the streams of numpy's
@@ -819,6 +831,10 @@ def test_fields_with_commas_are_quoted(capsys, tmp_path):
 REGRET_DIGESTS = {
     "ftl-alternating": "8b19e07426d27fdeb2f4a4d164d8355fd6be61d1bbfeac2c5dc37d04ef65b58c",
     "ftpl-geometric-iid": "27128a4391a21ef0fe17b6652f1069485121be24af6d158c146e8dcda8940076",
+    "ftpl-geometric-iid-k10":
+        "1efa528d8a539c8f69a0869833618874ab438687d81989684e51ce8f3e800635",
+    "ftpl-geometric-iid-search":
+        "4c03228149224ea60692fe7c33921a21c48a1cee82749443c7f4d666b7949cd2",
     "ftpl-uniform-greedy-sweep":
         "c77d4eca4d29df81527905bc874574655c49e027279d569ddff4129ae9bfcbb2",
     "static-greedy": "37b4796776352b6d0296885ed7c1f40c8c973ca87496bc03eb96b27cf9388501",
@@ -903,6 +919,38 @@ def test_import_leaves_the_process_pool_out():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.split() == ["False"]
+
+
+def _fresh(*argv):
+    """A fresh interpreter's run of ``argv``, with this ucal importable; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ucal.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result
+
+
+def test_only_the_minimax_command_loads_minimax(tmp_path):
+    # importing the CLI and playing games never compiles the exact solver
+    probe = "import sys, ucal.cli; print('ucal.minimax' in sys.modules)"
+    assert _fresh("-c", probe).stdout == "False\n"
+    as_main = ("import runpy, sys\ntry:\n    runpy.run_module('ucal.cli', run_name='__main__')\n"
+               "except SystemExit as exit:\n"
+               "    print(exit.code, 'ucal.minimax' in sys.modules, file=sys.stderr)")
+    run = ["run", "--forecaster", "ftl", "--adversary", "iid-uniform", "--loss", "squared",
+           "--K", "3", "--T", "8", "--trials", "2", "--output", str(tmp_path / "run.csv")]
+    assert _fresh("-c", as_main, *run).stderr.split() == ["0", "False"]
+    assert _fresh("-c", as_main, "minimax", "--T", "8").stderr.split() == ["0", "True"]
+
+
+@pytest.mark.parametrize("first", ["ucal.minimax", "ucal.dp_value", "dir(ucal)",
+                                   "exec('from ucal import *', {})"])
+def test_minimax_names_served_on_first_use(first):
+    # whichever use comes first loads the module, and then every name of __all__ is there
+    probe = (f"import sys, ucal; loaded = 'ucal.minimax' in sys.modules; {first}; star = {{}}; "
+             "exec('from ucal import *', star); "
+             "print(loaded, sorted(set(ucal.__all__) - (set(star) & set(dir(ucal)))), "
+             "'minimax' in dir(ucal), ucal.dp_value is ucal.minimax.dp_value is star['dp_value'])")
+    assert _fresh("-c", probe).stdout.split() == ["False", "[]", "True", "True"]
 
 
 def test_benchmark_probe_resolves_the_mc_oblivious_command(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import decimal
 import fractions
 import math
 import os
+import tracemalloc
 import unittest.mock
 import warnings
 
@@ -1195,6 +1196,25 @@ def test_off_simplex_forecasts_refused(forecaster, adversary):
         engine.run_experiment(forecasters, adversary, [SquaredLoss()], 3, 0)
 
 
+def test_off_simplex_check_reads_a_chunk_at_a_time():
+    # 4 games of 2^16 rounds at K = 3: the row sums of the whole block would take 2 MiB
+    forecasts = np.full((4, 1 << 16, 3), 1 / 3)
+    tracemalloc.start()
+    try:
+        assert engine._on_simplex(forecasts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * engine.SCORE_CELLS  # 128 KiB
+    rows = engine.SCORE_CELLS // 3
+    for game, row in [(0, rows - 1), (0, rows), (2, 1 << 15), (3, (1 << 16) - 1)]:
+        for bad in ([0.5, 0.5, 1e-6], [1.5, -0.5, 0.0], [np.nan] * 3):
+            off = forecasts.copy()
+            off[game, row] = bad
+            assert not engine._on_simplex(off)
+            assert not engine._on_simplex(off[:, :row + 1])  # a shorter horizon's view
+
+
 @pytest.mark.parametrize("adversary", OBLIVIOUS)
 def test_oblivious_staircase_equals_each_horizon_alone(adversary):
     # each horizon its own rule and noise: the leader on int64 and float noise, softmax, static
@@ -1230,14 +1250,15 @@ def test_transcripts_are_views_of_one_block(adversary):
 
 def test_sweep_replies_build_no_loss_table(monkeypatch):
     # the benchmark sweep: FTPL-uniform vs greedy:squared, K = 3, T = 64..4096, 8 trials
-    tables, table = [], ProperLoss.outcome_losses
+    tables, evaluate = [], ProperLoss._evaluate
 
-    def counted(self, p):
-        tables.append(np.shape(p))
-        return table(self, p)
+    def counted(self, p, y):
+        if y is None:  # every outcome at once: a (..., K) table
+            tables.append(np.shape(p))
+        return evaluate(self, p, y)
 
-    monkeypatch.setattr(ProperLoss, "outcome_losses", counted)
-    SquaredLoss().bivariate([0.5, 0.5], 0)
+    monkeypatch.setattr(ProperLoss, "_evaluate", counted)
+    SquaredLoss().outcome_losses([0.5, 0.5])
     assert tables == [(2,)]  # the wrapper sees the squared loss's table
     tables.clear()
     forecasters = [PerturbedLeaderUniform(3, 4096 >> i) for i in range(7)]

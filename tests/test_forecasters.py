@@ -47,6 +47,20 @@ class TestSampleGeometric:
             se = np.sqrt(expected * (1 - expected) / draws.size)
             assert np.mean(draws == m) == pytest.approx(expected, abs=4 * se + 1e-4)
 
+    # q = 0.035, 0.1 and 0.3 by inversion; 1/3 (a float that equals numpy's threshold), 0.5,
+    # 0.56 and 1 by numpy's search
+    @pytest.mark.parametrize("k, horizon", [(5, 4096), (2, 200), (9, 100), (2, 18), (2, 8),
+                                            (5, 16), (3, 2)])
+    def test_equals_numpy_geometric_on_the_same_stream(self, k, horizon):
+        f = PerturbedLeaderGeometric(k, horizon)
+        for seed in range(20):
+            ours, numpy_own = RngStream(seed, 0).generator(), RngStream(seed, 0).generator()
+            noise = f.noise(64, ours)
+            assert noise.dtype == np.float64
+            expected = numpy_own.geometric(f.q, size=(64, k)).astype(np.float64)
+            assert noise.tobytes() == expected.tobytes()
+            assert ours.bit_generator.state == numpy_own.bit_generator.state
+
     def test_block_equals_row_by_row_draws(self):
         f = PerturbedLeaderGeometric(5, 400)
         block = f.noise(64, RngStream(14, 0).generator())

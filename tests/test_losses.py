@@ -152,6 +152,43 @@ class TestOutcomeLosses:
             assert np.array_equal(loss.bivariate(edges[0], np.arange(k)), every_outcome), loss
 
 
+def _points_with_kinks(k, n, rng):
+    """n points: random ones, the vertices and points with coordinates exactly 1/K (the
+    step-shaped loss's kinks), in turn."""
+    points = random_simplex_points(k, n, rng)
+    points[1::3] = np.eye(k)[np.arange(1, n, 3) % k]
+    kinked = points[2::3]
+    kinked[:, 0] = 1.0 / k
+    kinked[:, 1:] *= (1.0 - 1.0 / k) / kinked[:, 1:].sum(axis=-1, keepdims=True)
+    points[-1] = uniform_point(k)
+    return points
+
+
+class TestBivariateIsTableEntry:
+    """``bivariate(p, y)`` is entry y of ``outcome_losses(p)``, bit for bit, without the table."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 10])
+    def test_every_loss_and_broadcast_shape(self, k):
+        rng = RNG.generator()
+        n, horizon = 4, 33  # 132 rows: row_sum's whole-column adds below K = 8
+        custom = CustomLoss(lambda p: 1.0 - np.sum(p * p, axis=-1), lambda p: -2.0 * p)
+        points = _points_with_kinks(k, n * horizon, rng)
+        outcomes = rng.integers(0, k, size=(n, horizon))
+        cases = [(points[0], outcomes[0]),                      # (K,) with y (n,)
+                 (points[2], outcomes[0]),                      # a kink
+                 (points[:horizon], 1),                         # (n, K) with a scalar y
+                 (points.reshape(n, horizon, k), outcomes)]     # (n, T, K) with (n, T)
+        for loss in shipped_losses() + [custom]:
+            for p, y in cases:
+                table = loss.outcome_losses(p)
+                y_axis = np.broadcast_to(y, np.broadcast_shapes(np.shape(y), p.shape[:-1]))
+                expected = np.take_along_axis(np.broadcast_to(table, y_axis.shape + (k,)),
+                                              y_axis[..., None], axis=-1)[..., 0]
+                got = loss.bivariate(p, y)
+                assert np.shape(got) == expected.shape, loss
+                assert np.asarray(got).tobytes() == expected.tobytes(), loss
+
+
 class TestCustomLossNonFinite:
     # log(p) is -inf on the simplex boundary; a rule like it must fail loudly
     # instead of feeding inf/nan regrets downstream
