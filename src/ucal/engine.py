@@ -28,10 +28,10 @@ i plays on stream (base_seed, i) at every horizon.  ``run_trials`` is the
 one-forecaster case.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
-loss against the mean-of-outcomes benchmark, which is the empirical risk
-minimizer for every proper loss simultaneously, so no numerical
-minimization is needed (a brute-force grid minimizer survives in the tests
-as an independent oracle).
+loss against the mean of outcomes, the empirical risk minimizer for every
+proper loss at once (a brute-force grid minimizer in the tests is an
+independent oracle).  ``_score`` alone computes it; ``regret`` and
+``sup_regret_mixture`` call it on a transcript as a block of one game.
 
 On top of single transcripts the module estimates two aggregate errors over
 a finite loss family by Monte Carlo:
@@ -83,8 +83,6 @@ class Transcript:
 
 @dataclass
 class RegretRecord:
-    algorithm_cost: float
-    benchmark_cost: float
     regret: float
 
 
@@ -95,7 +93,7 @@ class CalibrationEstimate:
     per_loss_mean: dict
     trials: int
     std_error: float  # standard error of the per-trial sup values, the error bar of ucal
-    pucal_se: float   # standard error of the per-trial regrets of the loss attaining pucal
+    pucal_se: float   # se of the winning loss's column; ignores the selection of that column
 
 
 #: Largest game, in horizon * K cells, that the engine plays.  A game holds
@@ -361,32 +359,33 @@ def benchmark_cost(transcript: Transcript, loss: ProperLoss, point=None) -> floa
 
 
 def regret(transcript: Transcript, loss: ProperLoss) -> RegretRecord:
-    """Cumulative loss of the played forecasts minus the benchmark cost."""
-    alg = float(np.sum(loss.bivariate(transcript.forecasts, transcript.outcomes)))
-    bench = benchmark_cost(transcript, loss)
-    return RegretRecord(algorithm_cost=alg, benchmark_cost=bench, regret=alg - bench)
+    """Cumulative loss of the played forecasts minus the benchmark cost: ``_score`` of one game."""
+    game = transcript.forecasts[None], transcript.outcomes[None]  # views, a block of one
+    return RegretRecord(regret=float(_score(*game, [loss])[0, 0]))
 
 
 def _score(forecasts: np.ndarray, outcomes: np.ndarray, losses) -> np.ndarray:
     """Regret matrix (n, len(losses)) of n games' forecasts (n, T, K) and outcomes (n, T).
 
-    Row i is ``regret`` of game i at each loss, bit for bit.  Games are
-    scored whole, at least one and within ``SCORE_CELLS`` cells at a time.
-    A game's cost sums its own contiguous row of ``bivariate``, as ``np.sum``
-    does its transcript's; its benchmark is a ``matmul`` of its counts with
-    the loss table at its mean, which equals the per-game ``np.dot``.
+    Games are scored whole, at least one and within ``SCORE_CELLS`` cells
+    at a time.  A game's cost sums its own contiguous row of ``bivariate``,
+    which refuses bad outcomes before they are counted; its benchmark is a
+    ``matmul`` of its counts with the loss table at their mean.
     """
     n, horizon, k = forecasts.shape
+    if horizon == 0:
+        raise ValueError("empty history")
     step = max(1, SCORE_CELLS // (horizon * k))
     regrets = np.empty((n, len(losses)))
     for start in range(0, n, step):
         played, seen = forecasts[start:start + step], outcomes[start:start + step]
+        costs = [loss.bivariate(played, seen).sum(axis=-1) for loss in losses]
         counts = np.bincount((seen + k * np.arange(len(seen))[:, None]).ravel(),
                              minlength=len(seen) * k).reshape(-1, k)
         means = counts / counts.sum(axis=1, keepdims=True)
         for j, loss in enumerate(losses):
             bench = np.matmul(counts[:, None], loss.outcome_losses(means)[..., None])[:, 0, 0]
-            regrets[start:start + step, j] = loss.bivariate(played, seen).sum(axis=-1) - bench
+            regrets[start:start + step, j] = costs[j] - bench
     return regrets
 
 
@@ -491,8 +490,7 @@ def estimate_calibration(forecaster: Forecaster, adversary: Adversary, losses,
     execution order.
     """
     losses = list(losses)
-    regrets = run_trials(forecaster, adversary, losses, trials, base_seed)
-    return summarize(regrets, losses)
+    return summarize(run_trials(forecaster, adversary, losses, trials, base_seed), losses)
 
 
 def mixture_weight_grid(eps: float) -> np.ndarray:
@@ -515,11 +513,10 @@ def sup_regret_mixture(transcript: Transcript, loss1: ProperLoss, loss2: ProperL
     affine in the mixture weight, so the exact sup is the larger endpoint
     regret, and a grid containing 0 and 1 attains it.
     """
-    r1 = regret(transcript, loss1).regret
-    r2 = regret(transcript, loss2).regret
+    r1, r2 = map(float, _score(transcript.forecasts[None], transcript.outcomes[None],
+                               [loss1, loss2])[0])
     grid = mixture_weight_grid(eps)
-    grid_values = grid * r1 + (1.0 - grid) * r2
-    return float(grid_values.max()), float(max(r1, r2))
+    return float((grid * r1 + (1.0 - grid) * r2).max()), max(r1, r2)
 
 
 def check_high_prob_bound(regrets, k: int, horizon: int, delta: float) -> float:

@@ -86,6 +86,8 @@ def _take_outcome(values: np.ndarray, y) -> np.ndarray:
     y = y.astype(np.int64, copy=False)
     if y.size and (y.min() < 0 or y.max() >= values.shape[-1]):
         raise ValueError("outcome index out of range")
+    if not all(a == b or 1 in (a, b) for a, b in zip(values.shape[-2::-1], y.shape[::-1])):
+        raise ValueError(f"outcomes {y.shape} do not broadcast against forecasts {values.shape}")
     # take_along_axis broadcasts the leading axes once both have the same count
     ndim = max(values.ndim, y.ndim + 1)
     values = values.reshape((1,) * (ndim - values.ndim) + values.shape)

@@ -372,9 +372,8 @@ class TestRegret:
     @pytest.mark.parametrize("horizon", [8, 100])
     def test_ftl_alternating_vshaped_exact_quarter(self, horizon):
         tr = run_game(FollowTheLeader(2, horizon), Alternating(2), _gen(0))
-        rec = regret(tr, VShapedLoss())
-        assert rec.regret == pytest.approx(horizon / 4, abs=1e-9)
-        assert rec.benchmark_cost == pytest.approx(0.0, abs=1e-12)
+        assert regret(tr, VShapedLoss()).regret == pytest.approx(horizon / 4, abs=1e-9)
+        assert benchmark_cost(tr, VShapedLoss()) == pytest.approx(0.0, abs=1e-12)
 
     def test_static_mean_zero_regret(self):
         seq = [0, 1, 1, 0, 1, 0]  # mean (1/2, 1/2)
@@ -385,8 +384,23 @@ class TestRegret:
     def test_arithmetic_identity(self):
         tr = run_game(PerturbedLeaderGeometric(2, 64), IidUniform(2), _gen(1))
         for loss in (VShapedLoss(), SquaredLoss(0.5)):
-            rec = regret(tr, loss)
-            assert rec.regret == rec.algorithm_cost - rec.benchmark_cost
+            cost = float(np.sum(loss.bivariate(tr.forecasts, tr.outcomes)))
+            assert regret(tr, loss).regret == cost - benchmark_cost(tr, loss)
+
+    @pytest.mark.parametrize("outcomes, message", [
+        ([], "empty history"),
+        ([0.0, 1.0, 0.0, 1.0], "outcome index must be an integer"),
+        ([0, 1, -1, 1], "outcome index out of range"),
+        ([0, 1, 2, 1], "outcome index out of range"),
+        ([0, 1, 0], r"outcomes \(1, 3\) do not broadcast against forecasts \(1, 4, 2\)")],
+        ids=["empty", "float", "negative", "K", "shape-mismatch"])
+    def test_bad_transcript_refused(self, outcomes, message):
+        # four forecasts, none when there is no outcome; [] is an empty int64 history
+        forecasts = np.full((4 if outcomes else 0, 2), 0.5)
+        tr = Transcript(forecasts, np.array(outcomes, dtype=None if outcomes else np.int64))
+        for loss in SHIPPED_LOSSES:
+            with pytest.raises(ValueError, match=message):
+                regret(tr, loss)
 
     def test_vshaped_benchmark_cost_identity(self):
         # realized counts n give benchmark cost -1/2 sum_i |n_i - T/K|
@@ -677,6 +691,19 @@ class TestBlockScorer:
                     monkeypatch.setattr(engine, "SCORE_CELLS", cells)
                     assert np.array_equal(engine._score(forecasts, outcomes, self.LOSSES),
                                           expected), (kind, cells)
+
+    @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    def test_regret_is_cost_minus_benchmark(self, k, horizon):
+        # the formula written out per transcript, apart from the scorer ``regret`` goes through
+        for kind in ("oblivious", "adaptive", "staircase"):
+            for forecasts, outcomes in self._blocks(kind, k, horizon):
+                for f, y in zip(forecasts, outcomes):
+                    game = Transcript(f, y)
+                    for loss in self.LOSSES:
+                        cost = float(np.sum(loss.bivariate(f, y)))
+                        assert regret(game, loss).regret == cost - benchmark_cost(game, loss), (
+                            kind, loss)
 
 
 class TestTrialJobs:
@@ -1302,7 +1329,9 @@ def test_non_integer_horizon_is_value_error(function, args):
 def test_regret_identity_property(bits):
     horizon = len(bits)
     tr = run_game(FollowTheLeader(2, horizon), FixedSequence(2, bits), _gen(0))
-    rec = regret(tr, SquaredLoss(0.5))
-    assert rec.regret == rec.algorithm_cost - rec.benchmark_cost
+    loss = SquaredLoss(0.5)
+    bench = benchmark_cost(tr, loss)
+    cost = float(np.sum(loss.bivariate(tr.forecasts, tr.outcomes)))
+    assert regret(tr, loss).regret == cost - bench
     # benchmark optimality against the uniform point
-    assert rec.benchmark_cost <= benchmark_cost(tr, SquaredLoss(0.5), point=[0.5, 0.5]) + 1e-12
+    assert bench <= benchmark_cost(tr, loss, point=[0.5, 0.5]) + 1e-12

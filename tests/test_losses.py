@@ -99,6 +99,17 @@ class TestBivariate:
         with pytest.raises(ValueError, match="outcome index out of range"):
             SquaredLoss().bivariate([0.2, 0.8], y)
 
+    @pytest.mark.parametrize("p_shape, y_shape", [((4, 2), (3,)), ((2, 4, 2), (3, 4)),
+                                                   ((4, 2), (4, 1, 2))])
+    def test_outcomes_that_do_not_broadcast_refused(self, p_shape, y_shape):
+        points = np.full(p_shape, 0.5)
+        outcomes = np.zeros(y_shape, dtype=np.int64)
+        custom = CustomLoss(lambda p: 1.0 - np.sum(p * p, axis=-1), lambda p: -2.0 * p)
+        for loss in shipped_losses() + [custom]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"outcomes {y_shape} do not broadcast against forecasts {p_shape}")):
+                loss.bivariate(points, outcomes)
+
     @pytest.mark.parametrize("y", [1, np.int32(1), np.array([1], dtype=np.uint8)])
     def test_any_integer_dtype_taken(self, y):
         table = SquaredLoss().outcome_losses([0.2, 0.8])
