@@ -18,14 +18,14 @@ and ``run_game`` play one horizon's games and return transcripts that are
 views of their block.
 ``trial_jobs`` plans an experiment as jobs, each one block: a trial range at
 a group of horizons, an oblivious one within ``SCORE_CELLS`` and an adaptive
-one within ``BLOCK_CELLS`` cells, or one trial if that is more.
-``run_experiment``, one forecaster per horizon, maps them through one trial
-runner, ``_run_block``, in one process pool when there is more than one
-worker and job.  The runner plays its job in one ``_play`` call, scores
-each horizon's games straight from the block and puts the regrets back at
-their trial rows, so the result does not depend on the worker count: trial
-i plays on stream (base_seed, i) at every horizon.  ``run_trials`` is the
-one-forecaster case.
+one within ``BLOCK_CELLS`` cells, or one trial if that is more, by one rule
+with no worker count in it.  ``run_experiment``, one forecaster per horizon,
+maps them through one trial runner, ``_run_block``, in one process pool when
+there is more than one worker and job.  The runner plays its job in one
+``_play`` call, scores each horizon's games straight from the block and puts
+the regrets back at their trial rows, so the result does not depend on the
+worker count: every count plays the same blocks, and trial i plays on stream
+(base_seed, i) at every horizon.  ``run_trials`` is the one-forecaster case.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
 loss against the mean of outcomes, the empirical risk minimizer for every
@@ -65,7 +65,7 @@ from .adversaries import Adversary
 from .core import (SIMPLEX_TOL, RngStream, mean_of_counts, row_sum, validate_integer,
                    validate_simplex)
 from .forecasters import Forecaster
-from .losses import ProperLoss
+from .losses import ProperLoss, outcome_indices
 
 
 @dataclass
@@ -77,8 +77,11 @@ class Transcript:
 
     @cached_property
     def final_counts(self) -> np.ndarray:
-        """How often each of the K outcomes occurred, as int64 (K,)."""
-        return np.bincount(self.outcomes, minlength=self.forecasts.shape[1]).astype(np.int64)
+        """How often each of the K outcomes occurred, as int64 (K,); bad outcomes are refused."""
+        outcomes, (horizon, k) = np.asarray(self.outcomes), self.forecasts.shape
+        if outcomes.shape != (horizon,):  # one outcome a forecast row
+            raise ValueError(f"outcomes {outcomes.shape} do not match forecasts {(horizon, k)}")
+        return np.bincount(outcome_indices(outcomes, k), minlength=k).astype(np.int64)
 
 
 @dataclass
@@ -110,8 +113,8 @@ BLOCK_CELLS = 1 << 20
 
 #: Cell budget of one scoring chunk: whole games, at least one, of at most
 #: 2^14 forecast cells (128 KiB), of one oblivious block: whole trials at a
-#: group of horizons, padded to the longest, at least one, and of one chunk
-#: of ``_play``'s off-simplex check, which cuts a game too.  Each loss
+#: horizon, or all at a group padded to the longest, at least one, and of one
+#: chunk of ``_play``'s off-simplex check, which cuts a game too.  Each loss
 #: builds a few float temporaries of the chunk's size, so a larger chunk
 #: shows in peak RSS: on the 8-trial K = 3 sweep over T = 64..4096 it read
 #: about 0.5 MB more at 2^15 and 2 MB more at 2^16, with no CPU to show for it.
@@ -138,52 +141,40 @@ def _oblivious(adversary: Adversary) -> bool:
     return hasattr(adversary, "outcomes")
 
 
-def _cut(trials: range, pieces: int) -> list:
-    """``trials`` cut into ``pieces`` contiguous ranges of near-equal size."""
-    n = len(trials)
-    return [trials[n * i // pieces:n * (i + 1) // pieces] for i in range(pieces)]
-
-
-def trial_jobs(adversary: Adversary, horizons, trials: int, workers: int) -> list:
+def trial_jobs(adversary: Adversary, horizons, trials: int) -> list:
     """(horizons, trial range) jobs that play every trial at every horizon once.
 
-    A job is one block, which ``_run_block`` plays in one ``_play`` call:
-    a trial range at a group of horizons.  Horizons are grouped longest
-    first, and a horizon joins the group before it only while the grown
-    group fits a budget.  An oblivious block is filled whole, each game
-    padded to the longest, so one trial at horizons H holds
-    len(H) * max(H) * K cells, and one trial at the group fits
-    ``SCORE_CELLS``.  An adaptive block is a lockstep staircase whose
-    unplayed corner never becomes resident, so one trial plays sum(H) * K
-    cells, and all trials at the group fit ``BLOCK_CELLS``: a horizon whose
-    trials need more blocks is a group of its own, since merging it would
-    cut the shorter horizons into as many blocks, each repeating their rule
-    calls.  Either way a group's trials are cut into the fewest near-equal
-    blocks of at most budget // (one trial's cells) trials, at least one.
-    The pool takes oblivious blocks as they come.  An adaptive block goes
-    to a worker whole unless it holds at least as many games as it runs
-    rounds, since each part repeats the round loop; only then is it cut
-    into min(workers, n) near-equal ranges.  Jobs come longest round loop
-    first, then largest first, so a pool starts the longest first.
+    A job is one block, which ``_run_block`` plays in one ``_play`` call: a
+    trial range at a group of horizons.  One rule plans both protocols:
+    horizons are grouped longest first, a horizon joins the group before it
+    while all trials at the grown group H fit the budget,
+    trials * size(H) * K <= budget, and each group's trials are cut into the
+    fewest near-equal blocks of max(1, budget // (size(H) * K)) trials at
+    most.  So a horizon whose trials need more than one block plays alone and
+    never cuts shorter horizons into as many blocks.  An oblivious block is
+    filled whole, each game padded to the longest: one trial holds
+    size(H) = len(H) * max(H) rows, within ``SCORE_CELLS``.  An adaptive
+    block is a lockstep staircase whose unplayed corner never becomes
+    resident: one trial plays sum(H) rows, within ``BLOCK_CELLS``.  No
+    worker count enters the plan, so every count plays the same blocks, each
+    in one process.  Jobs come longest round loop first, then largest first,
+    so a pool starts the longest first.
     """
-    if trials < 1 or workers < 1:
-        raise ValueError("trials and workers must be >= 1")
+    trials = validate_integer(trials, "trials", 1)
     oblivious = _oblivious(adversary)
-    share, budget = (1, SCORE_CELLS) if oblivious else (trials, BLOCK_CELLS)  # trials it holds
+    budget = SCORE_CELLS if oblivious else BLOCK_CELLS
     size = (lambda group: len(group) * group[0]) if oblivious else sum  # rows of one trial
     groups = []
     for horizon in sorted(horizons, reverse=True):
-        if groups and share * size(groups[-1] + [horizon]) * adversary.k <= budget:
+        if groups and trials * size(groups[-1] + [horizon]) * adversary.k <= budget:
             groups[-1].append(horizon)
         else:
             groups.append([horizon])
     jobs = []
     for group in groups:
-        per_block = max(1, budget // (size(group) * adversary.k))
-        for block in _cut(range(trials), -(-trials // per_block)):
-            wide = not oblivious and len(block) * len(group) >= group[0]  # games >= rounds
-            jobs += [(tuple(group), piece)
-                     for piece in _cut(block, min(workers, len(block)) if wide else 1)]
+        blocks = -(-trials // max(1, budget // (size(group) * adversary.k)))
+        jobs += [(tuple(group), range(trials * i // blocks, trials * (i + 1) // blocks))
+                 for i in range(blocks)]  # near-equal
     jobs.sort(key=lambda job: (-job[0][0], -len(job[1])))  # stable: ties keep trial order
     return jobs
 
@@ -360,6 +351,7 @@ def benchmark_cost(transcript: Transcript, loss: ProperLoss, point=None) -> floa
 
 def regret(transcript: Transcript, loss: ProperLoss) -> RegretRecord:
     """Cumulative loss of the played forecasts minus the benchmark cost: ``_score`` of one game."""
+    transcript.final_counts  # refuses bad outcomes in the transcript's own shapes
     game = transcript.forecasts[None], transcript.outcomes[None]  # views, a block of one
     return RegretRecord(regret=float(_score(*game, [loss])[0, 0]))
 
@@ -416,17 +408,18 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
 
     The forecasters' horizons must differ, and every input is checked
     before any game is played, ``base_seed`` against ``RngStream``'s range.
-    ``workers`` is capped at the CPU count, and the ``trial_jobs`` plan for
-    that many workers goes through one pool of min(workers, CPU count, jobs)
-    processes, longest job first; there is no pool when that is 1.  So an
-    adaptive sweep that fits one block plays every horizon in one staircase
-    of max T rounds, in this process.  Trial i of every horizon plays on
-    stream (base_seed, i), and each job's regrets land at its trial rows, so
-    a horizon's matrix does not depend on the worker count or on the other
-    horizons.
+    The ``trial_jobs`` plan, which no worker count moves, goes through one
+    pool of min(workers, CPU count, jobs) processes, longest job first, or
+    none when that is 1: an adaptive sweep that fits one block plays in one
+    staircase of max T rounds, in this process.  Trial i of every horizon
+    plays on stream (base_seed, i), and each job's regrets land at its trial
+    rows, so a horizon's matrix depends on neither the worker count nor the
+    other horizons.
     """
     forecasters, losses = list(forecasters), list(losses)
     trials, workers = validate_integer(trials, "trials"), validate_integer(workers, "workers")
+    if trials < 1 or workers < 1:
+        raise ValueError("trials and workers must be >= 1")
     RngStream(base_seed)  # refuses a seed outside [-2^63, 2^63)
     if not forecasters or not losses:
         raise ValueError("need at least one forecaster and one loss")
@@ -435,12 +428,11 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
     horizons = [forecaster.horizon for forecaster in forecasters]
     if len(set(horizons)) < len(horizons):
         raise ValueError(f"forecaster horizons {horizons} repeat")
-    workers = min(workers, os.cpu_count() or 1)
-    plan = trial_jobs(adversary, horizons, trials, workers)
+    plan = trial_jobs(adversary, horizons, trials)
     by_horizon = dict(zip(horizons, forecasters))
     jobs = ([[by_horizon[horizon] for horizon in group] for group, _ in plan], repeat(adversary),
             repeat(losses), [piece for _, piece in plan], repeat(base_seed))
-    workers = min(workers, len(plan))
+    workers = min(workers, os.cpu_count() or 1, len(plan))
     if workers == 1:
         parts = map(_run_block, *jobs)
     else:
@@ -513,6 +505,7 @@ def sup_regret_mixture(transcript: Transcript, loss1: ProperLoss, loss2: ProperL
     affine in the mixture weight, so the exact sup is the larger endpoint
     regret, and a grid containing 0 and 1 attains it.
     """
+    transcript.final_counts  # refuses bad outcomes in the transcript's own shapes
     r1, r2 = map(float, _score(transcript.forecasts[None], transcript.outcomes[None],
                                [loss1, loss2])[0])
     grid = mixture_weight_grid(eps)

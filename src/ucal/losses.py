@@ -78,14 +78,20 @@ def _beside(y) -> tuple:
     return (..., None) if y is None else (...,)
 
 
-def _take_outcome(values: np.ndarray, y) -> np.ndarray:
-    """values[..., y] with integer indices y broadcast against the leading axes of values."""
+def outcome_indices(y, k: int) -> np.ndarray:
+    """``y`` as int64 indices of ``k`` outcomes: floats, bools and any off [0, k) are refused."""
     y = np.asarray(y)
     if y.size and y.dtype.kind not in "iu":  # as numpy indexing does, refuse 1.7 and True
         raise ValueError(f"outcome index must be an integer, got dtype {y.dtype}")
     y = y.astype(np.int64, copy=False)
-    if y.size and (y.min() < 0 or y.max() >= values.shape[-1]):
+    if y.size and (y.min() < 0 or y.max() >= k):
         raise ValueError("outcome index out of range")
+    return y
+
+
+def _take_outcome(values: np.ndarray, y) -> np.ndarray:
+    """values[..., y] with integer indices y broadcast against the leading axes of values."""
+    y = outcome_indices(y, values.shape[-1])
     if not all(a == b or 1 in (a, b) for a, b in zip(values.shape[-2::-1], y.shape[::-1])):
         raise ValueError(f"outcomes {y.shape} do not broadcast against forecasts {values.shape}")
     # take_along_axis broadcasts the leading axes once both have the same count

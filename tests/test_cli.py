@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -672,33 +671,9 @@ def test_failed_write_exits_one_with_a_message(capsys, command):
     assert err.startswith("error: cannot write --output /dev/full") and "Traceback" not in err
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Puts a stand-in for ProcessPoolExecutor under the CLI; lists the pool sizes asked for."""
-    sizes = []
-
-    class RecordingPool:
-        """Records its size and maps in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
-# greedy at K=2, T=2: one block of as many games as trials, at least as many as its 2 rounds,
-# so it is cut into min(workers, trials) jobs
-WIDE_GAME = ["--forecaster", "ftl", "--adversary", "greedy:vshaped", "--loss", "vshaped",
+# FTL vs i.i.d. at K=2, T=2, a trial of 4 cells; under a budget of 4 cells each trial is a
+# block of its own, so n trials are n jobs
+POOL_GAME = ["--forecaster", "ftl", "--adversary", "iid-uniform", "--loss", "vshaped",
              "--K", "2", "--T", "2"]
 
 
@@ -710,7 +685,8 @@ WIDE_GAME = ["--forecaster", "ftl", "--adversary", "greedy:vshaped", "--loss", "
 ])
 def test_pool_capped_at_machine(capsys, monkeypatch, pool_sizes, cpus, trials, pool):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    code, out, _ = run_cli(["run", *WIDE_GAME, "--trials", str(trials), "--workers", "1000"],
+    monkeypatch.setattr(engine, "SCORE_CELLS", 4)
+    code, out, _ = run_cli(["run", *POOL_GAME, "--trials", str(trials), "--workers", "1000"],
                            capsys)
     assert code == 0 and out.count("\n") == 1 + trials
     assert pool_sizes == ([] if pool is None else [pool])
@@ -719,21 +695,23 @@ def test_pool_capped_at_machine(capsys, monkeypatch, pool_sizes, cpus, trials, p
 def test_pool_ignores_ucal_threads(capsys, monkeypatch, pool_sizes):
     # the pool is min(--workers, CPU count, jobs); no environment variable caps it
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(engine, "SCORE_CELLS", 4)
     monkeypatch.setenv("UCAL_THREADS", "1")
-    code, _, _ = run_cli(["run", *WIDE_GAME, "--trials", "1000", "--workers", "1000"], capsys)
+    code, _, _ = run_cli(["run", *POOL_GAME, "--trials", "3", "--workers", "1000"], capsys)
     assert code == 0 and pool_sizes == [3]
 
 
-def test_one_lockstep_block_still_fills_the_pool(capsys, monkeypatch, pool_sizes):
-    # K=2, T=4 holds all 40 greedy trials in one block; 2 workers still share them
+def test_one_lockstep_block_starts_no_pool(capsys, monkeypatch, pool_sizes):
+    # K=2, T=4 holds all 40 greedy trials in one block, more games than rounds, which plays
+    # whole in this process at any worker count
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     base = ["run", "--forecaster", "ftpl-uniform", "--adversary", "greedy:squared",
             "--loss", "squared", "--K", "2", "--T", "4", "--trials", "40", "--seed", "3"]
     code, serial, _ = run_cli(base, capsys)
-    assert code == 0 and pool_sizes == []
+    assert code == 0
     code, out, _ = run_cli(base + ["--workers", "2"], capsys)
     assert code == 0 and out == serial
-    assert pool_sizes == [2]
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("adversary", ["greedy:squared", "iid-uniform"])
@@ -753,7 +731,7 @@ def test_block_cuts_do_not_change_bytes(capsys, monkeypatch, adversary):
         for workers in ("1", "2", "4"):
             code, out, _ = run_cli(base + ["--workers", workers], capsys)
             assert code == 0 and out == serial
-    assert len(engine.trial_jobs(cli.make_adversary(adversary, 3), [16, 32, 64], 7, 4)) >= 4
+    assert len(engine.trial_jobs(cli.make_adversary(adversary, 3), [16, 32, 64], 7)) >= 4
 
 
 CSV_DIGESTS = {

@@ -392,15 +392,18 @@ class TestRegret:
         ([0.0, 1.0, 0.0, 1.0], "outcome index must be an integer"),
         ([0, 1, -1, 1], "outcome index out of range"),
         ([0, 1, 2, 1], "outcome index out of range"),
-        ([0, 1, 0], r"outcomes \(1, 3\) do not broadcast against forecasts \(1, 4, 2\)")],
-        ids=["empty", "float", "negative", "K", "shape-mismatch"])
+        # in the transcript's own shapes, not those of the one-game block regret scores
+        ([0, 1, 0], r"outcomes \(3,\) do not match forecasts \(4, 2\)"),
+        ([1], r"outcomes \(1,\) do not match forecasts \(4, 2\)")],
+        ids=["empty", "float", "negative", "K", "shape-mismatch", "one-outcome"])
     def test_bad_transcript_refused(self, outcomes, message):
         # four forecasts, none when there is no outcome; [] is an empty int64 history
         forecasts = np.full((4 if outcomes else 0, 2), 0.5)
         tr = Transcript(forecasts, np.array(outcomes, dtype=None if outcomes else np.int64))
-        for loss in SHIPPED_LOSSES:
-            with pytest.raises(ValueError, match=message):
-                regret(tr, loss)
+        for loss in SHIPPED_LOSSES:  # the benchmark reads the outcomes as regret does
+            for measure in (regret, benchmark_cost):
+                with pytest.raises(ValueError, match=message):
+                    measure(tr, loss)
 
     def test_vshaped_benchmark_cost_identity(self):
         # realized counts n give benchmark cost -1/2 sum_i |n_i - T/K|
@@ -710,83 +713,72 @@ class TestTrialJobs:
     """``trial_jobs`` is pure: a plan of (horizons, trial range) jobs, no games played."""
 
     @given(st.lists(st.integers(1, 300), min_size=1, max_size=5, unique=True),
-           st.integers(1, 40), st.integers(1, 9), st.integers(1, 3000), st.booleans())
-    def test_cover_budget_cuts_and_cost_order(self, horizons, trials, workers, cells, adaptive):
+           st.integers(1, 40), st.integers(1, 3000), st.booleans())
+    def test_cover_budget_cuts_and_cost_order(self, horizons, trials, cells, adaptive):
         adversary = GreedyAdaptive(3, SquaredLoss()) if adaptive else IidUniform(3)
         budget = "BLOCK_CELLS" if adaptive else "SCORE_CELLS"
         with unittest.mock.patch.object(engine, budget, cells):
-            jobs = engine.trial_jobs(adversary, horizons, trials, workers)
+            jobs = engine.trial_jobs(adversary, horizons, trials)
         for horizon in horizons:  # every trial at every horizon exactly once
             assert sorted(t for group, r in jobs if horizon in group for t in r) == list(
                 range(trials))
         groups = list(dict.fromkeys(group for group, _ in jobs))
         assert [h for group in groups for h in group] == sorted(horizons, reverse=True)
-        # one trial of an adaptive block plays sum(H) rows; an oblivious block is filled whole,
-        # each game padded to the longest; the budget holds all trials of an adaptive group
+        # one rule for both protocols; only one trial's cells differ: an adaptive block plays
+        # sum(H) rows a trial, an oblivious one is filled whole, each game padded to the longest
         def trial(group):
             return 3 * sum(group) if adaptive else 3 * len(group) * group[0]
 
-        def held(group):
-            return trials * trial(group) if adaptive else trial(group)
-
         for group, following in zip(groups, groups[1:]):  # as large as the budget allows
-            assert held(group + (following[0],)) > cells
-        for group in groups:  # several horizons share a group only within the budget
-            assert len(group) == 1 or held(group) <= cells
-        for group in groups:
+            assert trials * trial(group + (following[0],)) > cells
+        for group in groups:  # several horizons share a group only while all trials fit
+            assert len(group) == 1 or trials * trial(group) <= cells
+        for group in groups:  # the fewest near-equal blocks within budget, or of one trial
             per_block = max(1, cells // trial(group))
-            blocks = -(-trials // per_block)
             sizes = [len(r) for g, r in jobs if g == group]
-            assert max(sizes) <= per_block  # within budget, or one trial
-            if not adaptive or workers == 1 or -(-trials // blocks) * len(group) < group[0]:
-                # no round loop, or fewer games than rounds: every block goes to a worker whole
-                assert len(sizes) == blocks and max(sizes) - min(sizes) <= 1
-            else:  # a block of at least as many games as rounds is cut for the workers
-                assert blocks <= len(sizes) <= blocks * workers
+            assert len(sizes) == -(-trials // per_block) and max(sizes) <= per_block
+            assert max(sizes) - min(sizes) <= 1
         order = [(group[0], len(r)) for group, r in jobs]
         assert order == sorted(order, reverse=True)
-        if not adaptive:
-            return
         # against each horizon in its own blocks: as many rule calls, no more rounds
-        with unittest.mock.patch.object(engine, "BLOCK_CELLS", cells):
-            serial = engine.trial_jobs(adversary, horizons, trials, 1)
         solo = sum(h * -(-trials // max(1, cells // (3 * h))) for h in horizons)
-        assert sum(sum(group) for group, _ in serial) == solo
-        assert sum(group[0] for group, _ in serial) <= solo
+        assert sum(sum(group) for group, _ in jobs) == solo
+        assert sum(group[0] for group, _ in jobs) <= solo
 
     def test_benchmark_sweep_is_one_block(self):
         # 8 trials at 64, ..., 4096 are 56 games of 4096 rounds: one staircase, no pool
         horizons = [64 * 2 ** i for i in range(7)]
-        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), horizons, 8, workers=2)
+        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), horizons, 8)
         assert jobs == [(tuple(reversed(horizons)), range(8))]
 
-    def test_wide_block_is_cut_for_the_workers(self):
-        # 4000 games of 64 rounds: each worker plays half the trials
-        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), [64], 4000, workers=2)
-        assert jobs == [((64,), range(0, 2000)), ((64,), range(2000, 4000))]
+    def test_wide_block_plays_whole(self):
+        # 4000 games of 64 rounds fit one block, which no worker count cuts
+        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), [64], 4000)
+        assert jobs == [((64,), range(0, 4000))]
 
-    @pytest.mark.parametrize("trials, workers", [(7, 3), (2, 3), (5, 1)])
-    def test_oblivious_trials_split_evenly(self, trials, workers, monkeypatch):
-        # one trial at (32, 16) is 2 * 32 * 3 = 192 cells: 85 fit a block, whatever the workers
-        assert engine.trial_jobs(IidUniform(3), [16, 32], trials, workers) == [
-            ((32, 16), range(trials))]
-        # two trials a block: ceil(trials / 2) near-equal blocks, none cut for the workers
+    @pytest.mark.parametrize("trials, blocks", [(7, 3), (2, 1), (5, 3)])
+    def test_oblivious_trials_split_evenly(self, trials, blocks, monkeypatch):
+        # one trial at (32, 16) is 2 * 32 * 3 = 192 cells: all trials share a block up to 85
+        assert engine.trial_jobs(IidUniform(3), [16, 32], trials) == [((32, 16), range(trials))]
+        # a budget of two trials: the group holds while all trials fit it, else each horizon
+        # plays alone, in blocks of at most 385 // (32 * 3) = 4 trials, and 8 at T = 16
         monkeypatch.setattr(engine, "SCORE_CELLS", 2 * 192 + 1)
-        jobs = engine.trial_jobs(IidUniform(3), [16, 32], trials, workers)
-        assert {group for group, _ in jobs} == {(32, 16)}
-        assert len(jobs) == -(-trials // 2)
-        assert sorted((r.start, r.stop) for _, r in jobs) == [
-            (trials * i // len(jobs), trials * (i + 1) // len(jobs)) for i in range(len(jobs))]
+        jobs = engine.trial_jobs(IidUniform(3), [16, 32], trials)
+        assert len(jobs) == blocks
+        for group in {group for group, _ in jobs}:
+            ranges = sorted((r.start, r.stop) for g, r in jobs if g == group)
+            assert ranges == [(trials * i // len(ranges), trials * (i + 1) // len(ranges))
+                              for i in range(len(ranges))]
 
     def test_blocks_are_cut_into_near_equal_sizes(self):
         # two blocks at T=64 play 4000 trials each, not 5461 and 2539
-        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), [64], 8000, workers=1)
+        jobs = engine.trial_jobs(GreedyAdaptive(3, SquaredLoss()), [64], 8000)
         assert jobs == [((64,), range(0, 4000)), ((64,), range(4000, 8000))]
 
     def test_bad_counts_rejected(self):
-        for trials, workers in ((0, 2), (3, 0)):
-            with pytest.raises(ValueError):
-                engine.trial_jobs(IidUniform(3), [8], trials, workers)
+        for trials in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="trials must be"):
+                engine.trial_jobs(IidUniform(3), [8], trials)
 
 
 class ReadsEveryForecast(Adversary):
@@ -850,7 +842,7 @@ class TestRunExperiment:
                 assert len(got) == len(expected)
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         if adversary != "iid-uniform":
-            plan = engine.trial_jobs(make(), self.HORIZONS, 7, 1)
+            plan = engine.trial_jobs(make(), self.HORIZONS, 7)
             assert [group for group, _ in plan] == [(33,)] * 7 + [(16,)] * 3 + [(7, 2), (1,)]
 
     def test_adversary_sees_the_running_games(self):
@@ -965,29 +957,56 @@ class TestObliviousPieces:
                               3, 1)
         assert games == [[1]] * 3
 
-    def test_horizons_share_a_block_while_a_trial_fits(self, monkeypatch):
+    def test_horizons_share_a_block_while_all_trials_fit(self, monkeypatch):
         # T = 64..4096 at K = 10, each game padded to its group's longest: 4096, 2048 and 1024
-        # each alone, one game a block, as a trial of all seven would hold them at once;
-        # (512, 256, 128), 15360 cells, one trial a block; 64 alone, both trials
-        games = _count_blocks(monkeypatch)
+        # each alone, one game a block, as a trial of all seven would hold them at once; one
+        # trial at (512, 256, 128) is 15360 cells, so one trial plays them in one block and 64
+        # alone; two trials play 512 alone and (256, 128, 64), 2 * 7680 cells, in one block
         forecasters = [PerturbedLeaderGeometric(10, 64 << i) for i in reversed(range(7))]
-        engine.run_experiment(forecasters, IidUniform(10), self.LOSSES, 2, 0)
-        assert games == [[1]] * 6 + [[1, 1, 1]] * 2 + [[2]]
+        for trials, expected in ((1, [[1]] * 3 + [[1, 1, 1], [1]]),
+                                 (2, [[1]] * 6 + [[2], [2, 2, 2]])):
+            games = _count_blocks(monkeypatch)
+            engine.run_experiment(forecasters, IidUniform(10), self.LOSSES, trials, 0)
+            assert games == expected
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("adversary", [IidUniform(3), GreedyAdaptive(3, SquaredLoss())],
                          ids=["oblivious", "adaptive"])
 def test_one_play_call_per_job(adversary, monkeypatch):
-    # a budget of 120 cells: blocks of one trial up to all nine, at one horizon or two
+    # a budget of 120 cells: blocks of one trial up to all nine, each at one horizon
     horizons, trials, losses = [33, 16, 7, 2], 9, [VShapedLoss(), SquaredLoss(0.5)]
     forecasters = [PerturbedLeaderUniform(3, h) for h in horizons]
     for budget in ("SCORE_CELLS", "BLOCK_CELLS"):
         monkeypatch.setattr(engine, budget, 120)
-    plan = engine.trial_jobs(adversary, horizons, trials, 1)
+    plan = engine.trial_jobs(adversary, horizons, trials)
     assert len(plan) > len({group for group, _ in plan}) > 1
     games = _count_blocks(monkeypatch)
     engine.run_experiment(forecasters, adversary, losses, trials, 4)
     assert games == [[len(block)] * len(group) for group, block in plan]
+
+
+@pytest.mark.parametrize("adversary, horizons, trials", [
+    (IidUniform(3), [16 << i for i in range(7)], 20),  # 9 blocks, two of two horizons
+    (GreedyAdaptive(3, SquaredLoss()), [16], 200),  # one block of more games than rounds
+], ids=["oblivious-sweep", "wide-adaptive"])
+def test_worker_count_moves_no_block(adversary, horizons, trials, monkeypatch, pool_sizes):
+    # the pool maps in this process, so _count_blocks sees every block at every worker count
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    forecasters = [PerturbedLeaderUniform(3, h) for h in horizons]
+    losses = [VShapedLoss(), SquaredLoss(0.5)]
+    games = _count_blocks(monkeypatch)
+    expected = engine.run_experiment(forecasters, adversary, losses, trials, 4)
+    serial = list(games)
+    assert serial == [[len(block)] * len(group)
+                      for group, block in engine.trial_jobs(adversary, horizons, trials)]
+    for workers in (2, 3):
+        games.clear()
+        got = engine.run_experiment(forecasters, adversary, losses, trials, 4, workers)
+        assert games == serial  # the same blocks, the same games in each
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    # a pool of min(workers, CPU count, jobs): none for the one block
+    assert pool_sizes == ([2, 3] if len(serial) > 1 else [])
 
 
 class FloatNoiseLeader(PerturbedLeaderUniform):
