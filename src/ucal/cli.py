@@ -42,6 +42,10 @@ stable sort, so duplicate names keep their ``--loss`` order); a field that
 holds a comma, such as ``static:0.2,0.8``, is quoted.  Results are
 byte-identical regardless of worker count: every count plays the same
 blocks, and every trial owns its own RNG stream.
+This module loads ``ucal.core`` alone; each command imports the other
+modules it runs when it runs, so ``minimax`` loads ``ucal.minimax`` and no
+game module (engine, losses, forecasters, adversaries), and ``run``,
+``sweep`` and ``validate`` never load ``ucal.minimax``.
 """
 
 from __future__ import annotations
@@ -51,18 +55,16 @@ import csv
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import engine
-from .adversaries import Adversary, Alternating, FixedSequence, GreedyAdaptive, IidUniform
-from .core import RngStream, one_hot, validate_integer
-from .forecasters import (FollowTheLeader, Forecaster, PerturbedLeaderGeometric,
-                          PerturbedLeaderUniform, StaticForecaster)
-from .losses import (VALIDATION_RANDOM_POINTS, ProperLoss, SphericalLoss, SquaredLoss,
-                     TsallisLoss, VShapedLoss, check_concavity, check_hessian_growth,
-                     check_proper, check_range, estimate_lipschitz, random_simplex_points,
-                     validation_points)
+from .core import RngStream, format_float, one_hot, validate_integer
+
+if TYPE_CHECKING:
+    from .adversaries import Adversary
+    from .forecasters import Forecaster
+    from .losses import ProperLoss
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,6 +93,8 @@ def _float_args(spec: str, args: str, most: int) -> list[float]:
 
 
 def make_loss(spec: str) -> ProperLoss:
+    from .losses import SphericalLoss, SquaredLoss, TsallisLoss, VShapedLoss
+
     name, args = _split_spec(spec)
     try:
         if name == "squared":
@@ -111,6 +115,9 @@ def make_loss(spec: str) -> ProperLoss:
 
 
 def make_forecaster(spec: str, k: int, horizon: int) -> Forecaster:
+    from .forecasters import (FollowTheLeader, PerturbedLeaderGeometric, PerturbedLeaderUniform,
+                              StaticForecaster)
+
     name, args = _split_spec(spec)
     no_args = {"ftl": FollowTheLeader, "ftpl-geometric": PerturbedLeaderGeometric,
              "ftpl-uniform": PerturbedLeaderUniform}
@@ -126,6 +133,8 @@ def make_forecaster(spec: str, k: int, horizon: int) -> Forecaster:
 
 
 def make_adversary(spec: str, k: int) -> Adversary:
+    from .adversaries import Alternating, FixedSequence, GreedyAdaptive, IidUniform
+
     name, args = _split_spec(spec)
     no_args = {"alternating": Alternating, "iid-uniform": IidUniform}
     if name in no_args:
@@ -175,6 +184,9 @@ def _write_output(path, write) -> None:
 
 def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecaster]]:
     """The losses, the adversary and one forecaster per horizon, all checked before any trial."""
+    from . import engine
+    from .adversaries import FixedSequence
+
     try:
         specs = [s for chunk in args.loss for s in chunk.split(";") if s]
         if not specs:
@@ -198,6 +210,8 @@ def _resolve(args, horizons) -> tuple[list[ProperLoss], Adversary, list[Forecast
 
 def _play(args, horizons) -> tuple[list[ProperLoss], list]:
     """Play every horizon and write its CSV rows; returns the losses and one regret matrix per horizon."""
+    from . import engine
+
     losses, adversary, forecasters = _resolve(args, horizons)
     matrices = engine.run_experiment(forecasters, adversary, losses, args.trials, args.seed,
                                      args.workers)
@@ -211,7 +225,7 @@ def _play(args, horizons) -> tuple[list[ProperLoss], list]:
             for trial, regret in enumerate(regrets.tolist()):
                 rows.writerows((args.experiment, args.forecaster, args.adversary,
                                 losses[j].name, args.K, horizon, trial, args.seed,
-                                engine.format_float(regret[j])) for j in order)
+                                format_float(regret[j])) for j in order)
 
     if args.output:
         _write_output(args.output, write)
@@ -221,17 +235,21 @@ def _play(args, horizons) -> tuple[list[ProperLoss], list]:
 
 
 def cmd_run(args) -> int:
+    from . import engine
+
     losses, (regrets,) = _play(args, [args.T])
     est = engine.summarize(regrets, losses)
-    summary = (f"pucal={engine.format_float(est.pucal)} "
-               f"ucal={engine.format_float(est.ucal)} "
-               f"pucal_se={engine.format_float(est.pucal_se)} "
-               f"ucal_se={engine.format_float(est.std_error)} trials={est.trials}")
+    summary = (f"pucal={format_float(est.pucal)} "
+               f"ucal={format_float(est.ucal)} "
+               f"pucal_se={format_float(est.pucal_se)} "
+               f"ucal_se={format_float(est.std_error)} trials={est.trials}")
     print(summary, file=sys.stdout if args.output else sys.stderr)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    from . import engine
+
     # All refused before the grid is built, which a factor near 1 builds one
     # step at a time.
     if args.K < 2:
@@ -258,7 +276,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_minimax(args) -> int:
-    from . import minimax  # the one command that needs it loads it
+    from . import minimax
 
     t = args.T
     if t < 1:
@@ -278,7 +296,7 @@ def cmd_minimax(args) -> int:
     if args.mode in ("dp", "both"):
         table = minimax.dp_value(t)
         value_dp = table.value
-        print(f"dp value V(T={t}) = {engine.format_float(value_dp)} "
+        print(f"dp value V(T={t}) = {format_float(value_dp)} "
               f"(max child gap {table.max_abs_gap:.6f}, clamped branches {table.outer_branch_states})")
         if table.outer_branch_states > 0 or table.max_abs_gap > 2.0 + 1e-9:
             print("FAIL: a backward step left the interior branch", file=sys.stderr)
@@ -287,7 +305,7 @@ def cmd_minimax(args) -> int:
         seqs = minimax.closed_form(t)
         value_closed = seqs.value
         if args.mode in ("closed", "both"):
-            print(f"closed-form value v[T={t}] = {engine.format_float(value_closed)}")
+            print(f"closed-form value v[T={t}] = {format_float(value_closed)}")
     if args.mode == "both":
         gap = abs(value_dp - value_closed)
         if gap > 1e-8:
@@ -299,7 +317,7 @@ def cmd_minimax(args) -> int:
         floor = minimax.value_lower_bound(t)
         ok = upper_violation <= 1e-12 and lower_violation <= 1e-12 and seqs.value >= floor
         print(f"sandwich violations: above={upper_violation:.3e} below={lower_violation:.3e}; "
-              f"value {engine.format_float(seqs.value)} >= floor {engine.format_float(floor)}: "
+              f"value {format_float(seqs.value)} >= floor {format_float(floor)}: "
               f"{seqs.value >= floor}")
         if not ok:
             print("FAIL: sandwich bounds violated", file=sys.stderr)
@@ -310,6 +328,8 @@ def cmd_minimax(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import engine, losses
+
     loss = make_loss(args.loss)
     k = args.K
     if k < 2:
@@ -318,28 +338,29 @@ def cmd_validate(args) -> int:
         raise UsageError("--samples must be >= 1")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
-    points = max(args.samples, VALIDATION_RANDOM_POINTS)  # the largest draw, in points of K cells
+    # the largest draw, in points of K cells
+    points = max(args.samples, losses.VALIDATION_RANDOM_POINTS)
     if points * k > engine.MAX_GAME_CELLS:
         raise UsageError(f"a draw of {points} points at K={k} has {points * k} cells, above "
                          f"the cap of {engine.MAX_GAME_CELLS} (2^24) cells")
     rng = RngStream(args.seed, 0).generator()
     failures = []
 
-    pairs = (random_simplex_points(k, args.samples, rng),
-             random_simplex_points(k, args.samples, rng))
-    report = check_proper(loss, pairs, tol=args.tol)
+    pairs = (losses.random_simplex_points(k, args.samples, rng),
+             losses.random_simplex_points(k, args.samples, rng))
+    report = losses.check_proper(loss, pairs, tol=args.tol)
     print(f"properness: {report.properness_violations} violations "
           f"(max {report.max_violation:.3e}) over {args.samples} pairs")
     if report.properness_violations:
         failures.append("properness")
 
-    concavity = check_concavity(loss, pairs, tol=args.tol)
+    concavity = losses.check_concavity(loss, pairs, tol=args.tol)
     print(f"concavity (midpoint): {concavity} violations")
     if concavity:
         failures.append("concavity")
 
-    grid = validation_points(k, rng)
-    lo, hi, ok = check_range(loss, grid, tol=args.tol)
+    grid = losses.validation_points(k, rng)
+    lo, hi, ok = losses.check_range(loss, grid, tol=args.tol)
     blo, bhi = loss.range_bound
     print(f"range: observed [{lo:.6f}, {hi:.6f}] within declared [{blo:g}, {bhi:g}]: {ok}")
     if not ok:
@@ -347,18 +368,18 @@ def cmd_validate(args) -> int:
     if blo < -1.0 - 1e-9 or bhi > 1.0 + 1e-9:
         print(f"flag: declared range [{blo:g}, {bhi:g}] exceeds [-1, 1]")
 
-    lips = estimate_lipschitz(loss, k, args.samples, rng)
+    lips = losses.estimate_lipschitz(loss, k, args.samples, rng)
     print(f"lipschitz estimate: {lips:.6g}")
 
-    if isinstance(loss, TsallisLoss):
+    if isinstance(loss, losses.TsallisLoss):
         c = loss.alpha * (loss.alpha - 1.0)
         hessian_grid = np.linspace(1e-3, 1.0 - 1e-3, 999)
-        ok = check_hessian_growth(loss, hessian_grid, c)
+        ok = losses.check_hessian_growth(loss, hessian_grid, c)
         print(f"hessian growth with c = alpha*(alpha-1) = {c:g}: {ok}")
         if not ok:
             failures.append("hessian-growth")
 
-    if isinstance(loss, VShapedLoss):
+    if isinstance(loss, losses.VShapedLoss):
         lo_val = float(loss.bivariate(one_hot(0, k), 0))
         face = np.full(k, 1.0 / (k - 1))
         face[0] = 0.0

@@ -3,8 +3,9 @@
 Forecasts are probability vectors over ``k`` outcomes, outcomes are vertex
 indices in ``[0, k)``, and histories are integer count vectors.  Everything
 downstream (losses, forecasters, the experiment engine) builds on the
-helpers here, sums over the K axis with :func:`row_sum`, and draws through
-the reproducible-stream contract of :class:`RngStream`.
+helpers here, sums over the K axis with :func:`row_sum`, draws through
+the reproducible-stream contract of :class:`RngStream`, and prints its
+floats with :func:`format_float`.
 """
 
 from __future__ import annotations
@@ -164,3 +165,8 @@ class RngStream:
         # which maps [-2^63, 2^63) one to one.
         words = [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF]
         return np.random.default_rng(np.random.SeedSequence(words))
+
+
+def format_float(x: float) -> str:
+    """Render a float at 12 significant digits for CSV output."""
+    return f"{x:.12g}"

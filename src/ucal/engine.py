@@ -21,10 +21,10 @@ a group of horizons, an oblivious one within ``SCORE_CELLS`` and an adaptive
 one within ``BLOCK_CELLS`` cells, or one trial if that is more, by one rule
 with no worker count in it.  ``run_experiment``, one forecaster per horizon,
 maps them through one trial runner, ``_run_block``, in one process pool when
-there is more than one worker and job.  The runner plays its job in one
-``_play`` call, scores each horizon's games straight from the block and puts
-the regrets back at their trial rows, so the result does not depend on the
-worker count: every count plays the same blocks, and trial i plays on stream
+there is more than one worker and job, as one task per worker.  The runner
+plays its job in one ``_play`` call, scores each horizon's games straight
+from the block and puts the regrets back at their trial rows, so the result
+does not depend on the worker count: every count plays the same blocks, and trial i plays on stream
 (base_seed, i) at every horizon.  ``run_trials`` is the one-forecaster case.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
@@ -57,13 +57,14 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
 from .adversaries import Adversary
 from .core import (SIMPLEX_TOL, RngStream, mean_of_counts, row_sum, validate_integer,
                    validate_simplex)
+from .core import format_float  # engine.format_float: core's, under its old name
 from .forecasters import Forecaster
 from .losses import ProperLoss, outcome_indices
 
@@ -392,6 +393,11 @@ def _run_block(forecasters, adversary: Adversary, losses, trials: range,
     return [_score(*block, losses) for block in _play(forecasters, adversary, rngs)]
 
 
+def _run_blocks(jobs) -> list:
+    """``_run_block`` of each job in turn: one pool task plays a worker's whole share."""
+    return [_run_block(*job) for job in jobs]
+
+
 def run_trials(forecaster: Forecaster, adversary: Adversary, losses, trials: int,
                base_seed: int) -> np.ndarray:
     """Regret matrix of shape (trials, len(losses)); trial i uses stream (base_seed, i).
@@ -409,12 +415,13 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
     The forecasters' horizons must differ, and every input is checked
     before any game is played, ``base_seed`` against ``RngStream``'s range.
     The ``trial_jobs`` plan, which no worker count moves, goes through one
-    pool of min(workers, CPU count, jobs) processes, longest job first, or
-    none when that is 1: an adaptive sweep that fits one block plays in one
-    staircase of max T rounds, in this process.  Trial i of every horizon
-    plays on stream (base_seed, i), and each job's regrets land at its trial
-    rows, so a horizon's matrix depends on neither the worker count nor the
-    other horizons.
+    pool of min(workers, CPU count, jobs) processes as one task per worker,
+    worker i playing jobs i, i + workers, ... in plan order (longest first),
+    or through no pool when that is 1: an adaptive sweep that fits one block
+    plays in one staircase of max T rounds, in this process.  Trial i of
+    every horizon plays on stream (base_seed, i), and each job's regrets land
+    at its trial rows, so a horizon's matrix depends on neither the worker
+    count nor the other horizons.
     """
     forecasters, losses = list(forecasters), list(losses)
     trials, workers = validate_integer(trials, "trials"), validate_integer(workers, "workers")
@@ -430,16 +437,20 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
         raise ValueError(f"forecaster horizons {horizons} repeat")
     plan = trial_jobs(adversary, horizons, trials)
     by_horizon = dict(zip(horizons, forecasters))
-    jobs = ([[by_horizon[horizon] for horizon in group] for group, _ in plan], repeat(adversary),
-            repeat(losses), [piece for _, piece in plan], repeat(base_seed))
+    jobs = [([by_horizon[horizon] for horizon in group], adversary, losses, piece, base_seed)
+            for group, piece in plan]
     workers = min(workers, os.cpu_count() or 1, len(plan))
     if workers == 1:
-        parts = map(_run_block, *jobs)
+        parts = (_run_block(*job) for job in jobs)
     else:
         from concurrent.futures import ProcessPoolExecutor  # a one-worker run never imports it
 
+        # one task per worker: worker i plays jobs i, i + workers, ..., longest first
+        parts = [None] * len(jobs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_block, *jobs))
+            shares = pool.map(_run_blocks, [jobs[i::workers] for i in range(workers)])
+            for i, share in enumerate(shares):
+                parts[i::workers] = share
     matrices = {horizon: np.empty((trials, len(losses))) for horizon in horizons}
     for (group, piece), part in zip(plan, parts):
         for horizon, matrix in zip(group, part):
@@ -545,8 +556,3 @@ def exact_binomial_mad(trials: int, p: float) -> float:
     log_mad = (math.log(2 * m) + math.lgamma(n + 1) - math.lgamma(m + 1)
                - math.lgamma(n - m + 1) + m * math.log(p) + (n - m + 1) * math.log1p(-p))
     return math.exp(log_mad)
-
-
-def format_float(x: float) -> str:
-    """Render a float at 12 significant digits for CSV output."""
-    return f"{x:.12g}"

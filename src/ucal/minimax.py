@@ -40,16 +40,17 @@ floor (1/2) * log(T / (log T + 1) + 1) on the game value.
 
 ``write_sequences_csv`` dumps the sequences and both bounds as CSV, with the
 bytes of ``"%d,%.12g,%.12g,%.12g,%.12g,%.12g" % row`` but without formatting
-one value at a time.  The round index r is rendered as ``%.12g`` too, which
-prints an integer below 10^12 as ``%d`` does.  A numpy kernel rounds each
-float to twelve significant digits with one correctly rounded scaling by an
-exact power of ten (error at most 2^-14 of the unit in the last digit), takes
-the digits from two six-digit int32 halves of the significand, lays them out
-in ``%g``'s fixed or exponent notation, and deletes NUL padding from a
-position-major byte block.  A value it cannot certify -- zero, a non-finite
-value, an exponent outside [-10, 32], or a scaled value within 10^-3 of a
-rounding tie -- is formatted by ``'%.12g' % x`` itself, so the output never
-rests on the float argument alone.
+one value at a time.  The round index r is rendered as ``%d`` in its own
+field of eight digit slots (r < T <= 2^24 < 10^8), its digits taken from two
+four-digit int32 halves and its leading zeros left as NUL.  A numpy kernel
+rounds each float to twelve significant digits with one correctly rounded
+scaling by an exact power of ten (error at most 2^-14 of the unit in the last
+digit), takes the digits from two six-digit int32 halves of the significand,
+lays them out in ``%g``'s fixed or exponent notation, and deletes NUL padding
+from a position-major byte block.  A value it cannot certify -- zero, a
+non-finite value, an exponent outside [-10, 32], or a scaled value within
+10^-3 of a rounding tie -- is formatted by ``'%.12g' % x`` itself, so the
+output never rests on the float argument alone.
 
 Past the three sequences, ``closed_form``, ``check_a_bounds`` and the dump
 work ``CHUNK_ROWS`` entries at a time: v is built in place on the running
@@ -93,6 +94,11 @@ _PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)[:, None, None]
 _PREFIX_SLOT = np.arange(5, dtype=np.int8)[:, None, None]
 _DIGIT = np.arange(12, dtype=np.int8)[:, None, None]
 _MIDDLE_SLOT = np.arange(13, dtype=np.int8)[:, None, None]
+#: Digit slots of the dump's round index r: r < T <= 2^24 < 10^8.
+_INDEX_SLOTS = 8
+#: The least index that shows each of its digit slots; the last, its ones, always shows.
+_INDEX_FLOOR = np.array([10 ** k for k in range(_INDEX_SLOTS - 1, 0, -1)] + [0],
+                        dtype=np.int32)[:, None]
 
 
 @dataclass
@@ -247,8 +253,9 @@ def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
     """Write ``r,u_r,v_r,a_r,upper_bound,lower_bound`` rows for r in [0, T) to ``fh``.
 
     The bytes are those of ``"%d,%.12g,%.12g,%.12g,%.12g,%.12g\\n" % row``
-    (``engine.format_float`` for the floats, and for r, which it prints as
-    ``%d`` because r < T <= 2^24); the bounds are 1/(T-r) and 1/(T-r+log T).
+    (``core.format_float`` for the floats); the bounds are 1/(T-r) and
+    1/(T-r+log T).  r takes the leading integer field of ``_CsvRows``, eight
+    digit slots that ``_format_index`` fills, since r < T <= 2^24 < 10^8.
     Rows are rendered ``CHUNK_ROWS`` at a time by one ``_CsvRows``, whose
     buffers are allocated once per dump (once more for a shorter last chunk)
     and reused, so memory stays O(chunk) in T and the writer does not
@@ -265,8 +272,9 @@ def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
     for lo in range(0, t, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, t)
         if rows is None or rows.x.shape[1] != hi - lo:
-            rows = _CsvRows(6, hi - lo)
-        r, u, v, a, upper, lower = rows.x
+            rows = _CsvRows(5, hi - lo, index=True)
+        r = rows.index
+        u, v, a, upper, lower = rows.x
         r[:] = np.arange(lo, hi)
         u[:] = seqs.u[lo:hi]
         v[:] = seqs.v[lo:hi]
@@ -283,24 +291,35 @@ class _CsvRows:
     by each call.  The lines are built in a position-major (characters x
     rows) uint8 block, because numpy ops along a short per-line axis run line
     by line and ops along the long one do not.  Unused positions hold NUL and
-    are deleted after one transpose.
+    are deleted after one transpose.  With ``index``, each line starts with
+    ``index[i]``, an int32 in [0, 10^8) to fill as well, as ``'%d'``.
     """
 
-    def __init__(self, columns: int, rows: int):
+    def __init__(self, columns: int, rows: int, index: bool = False):
         slots = _FLOAT_SLOTS + 1  # the float, then a comma or the newline
+        lead = _INDEX_SLOTS + 1 if index else 0  # the index, then a comma
         self.x = np.empty((columns, rows))
         # Each position's row is 16 bytes longer than the chunk: at a power-of-two
         # stride the transpose reads a line's bytes from a few cache sets, ~3x slower.
-        padded = np.empty((columns * slots, rows + 16), dtype=np.uint8)
+        padded = np.empty((lead + columns * slots, rows + 16), dtype=np.uint8)
         self.block = padded[:, :rows]
-        cells = padded.reshape(columns, slots, -1)[:, :, :rows].transpose(1, 0, 2)
+        cells = padded[lead:].reshape(columns, slots, -1)[:, :, :rows].transpose(1, 0, 2)
         cells[-1] = ord(",")
         self.block[-1] = ord("\n")
         self.floats = cells[:-1]
         self.work = _Work(self.x.shape)
+        self.index = None
+        if index:
+            self.block[_INDEX_SLOTS] = ord(",")
+            self.index = np.empty(rows, dtype=np.int32)
+            self.index_digits = self.block[:_INDEX_SLOTS]
+            self.index_work = np.empty((3, 2, rows), dtype=np.int32)
+            self.index_kept = np.empty((_INDEX_SLOTS, rows), dtype=bool)
 
     def text(self):
         """The lines, as strings of up to ``_TEXT_ROWS`` lines each."""
+        if self.index is not None:
+            _format_index(self.index, self.index_digits, self.index_work, self.index_kept)
         _format_g12(self.x, self.floats, self.work)
         for lo in range(0, self.x.shape[1], _TEXT_ROWS):
             piece = self.block[:, lo:lo + _TEXT_ROWS].T.tobytes()
@@ -312,6 +331,30 @@ def _csv_rows(columns) -> str:
     rows = _CsvRows(len(columns), columns[0].size)
     np.stack(columns, out=rows.x)
     return "".join(rows.text())
+
+
+def _format_index(index: np.ndarray, out: np.ndarray, work: np.ndarray,
+                  kept: np.ndarray) -> None:
+    """Write ``'%d' % v`` for each int32 v in [0, 10^8) of ``index`` into ``out``, NUL-padded.
+
+    ``out`` is uint8 of shape ``(_INDEX_SLOTS, n)``, digits right-aligned and
+    leading zeros NUL; ``work`` (int32, (3, 2, n)) and ``kept`` (bool, like
+    ``out``) are scratch.  The digits come from two four-digit int32 halves,
+    v = high * 10^4 + low, split in place a digit at a time.
+    """
+    halves, quotient, product = work
+    np.floor_divide(index, 10 ** 4, out=halves[0])
+    np.multiply(halves[0], 10 ** 4, out=product[0])
+    np.subtract(index, product[0], out=halves[1])
+    rows = out.reshape((2, 4) + index.shape)  # rows[h, j] holds digit 4h + j
+    for j in range(3, -1, -1):
+        np.floor_divide(halves, 10, out=quotient)
+        np.multiply(quotient, 10, out=product)
+        np.subtract(halves, product, out=rows[:, j], casting="unsafe")
+        halves, quotient = quotient, halves
+    out += ord("0")
+    np.greater_equal(index, _INDEX_FLOOR, out=kept)  # digit j is shown from v >= 10^(7 - j)
+    out *= kept
 
 
 class _Work:
@@ -340,7 +383,8 @@ def _round_g12(x: np.ndarray, work: _Work | None = None) -> tuple[np.ndarray, np
     scaled s = |x| * 10^k is one correctly rounded multiply or divide by an
     exact power 10^0..10^22, so |s - exact| <= 2^-14 on [10^11, 10^12); a
     floor of log10 that misses by one near a power of ten is corrected once
-    from s.  Not certified: 0, inf and nan (their log10 is not finite),
+    from s, by a second scaling of the block that runs only when some value
+    needs it.  Not certified: 0, inf and nan (their log10 is not finite),
     |k| > 21, an s that still lies outside [10^11, 10^12), and an s within
     10^-3 of a half-integer, where the error bound could not decide the
     rounding.  The three arrays are ``work``'s, a new one when it is None.
@@ -361,9 +405,11 @@ def _round_g12(x: np.ndarray, work: _Work | None = None) -> tuple[np.ndarray, np
     _times_pow10(ax, k, s, w)
     np.less(s, 1e11, out=flag)
     k += flag
+    missed = flag.any()
     np.greater_equal(s, 1e12, out=flag)
     k -= flag
-    _times_pow10(ax, k, s, w)
+    if missed or flag.any():  # some floor of log10 missed by one: scale again from x
+        _times_pow10(ax, k, s, w)
     np.rint(s, out=m)
     np.greater_equal(s, 1e11, out=flag)
     certified &= flag

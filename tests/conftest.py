@@ -4,15 +4,19 @@ import pytest
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Puts a stand-in for ProcessPoolExecutor under the engine; lists the pool sizes asked for."""
-    sizes = []
+def pool_log(monkeypatch):
+    """Puts a stand-in for ProcessPoolExecutor under the engine; logs its sizes and tasks.
+
+    ``sizes`` lists the pool sizes asked for, and ``tasks`` the number of tasks
+    each ``map`` call hands the pool.
+    """
+    log = {"sizes": [], "tasks": []}
 
     class RecordingPool:
-        """Records its size and maps in this process."""
+        """Records its size and its tasks, and maps in this process."""
 
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            log["sizes"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -21,7 +25,15 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            tasks = list(zip(*iterables))
+            log["tasks"].append(len(tasks))
+            return (fn(*task) for task in tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    return log
+
+
+@pytest.fixture
+def pool_sizes(pool_log):
+    """The pool sizes asked for, under ``pool_log``'s stand-in pool."""
+    return pool_log["sizes"]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ucal
-from ucal import cli, engine, minimax
+from ucal import cli, engine, losses, minimax
 from ucal.cli import main
 from ucal.losses import VALIDATION_RANDOM_POINTS
 
@@ -479,16 +479,18 @@ class TestValidateCmd:
 
     @pytest.mark.parametrize("spec, patch, failures", [
         # a convex univariate form ||p||^2: improper, not concave, and outside [0, 0.5]
-        ("custom", ("make_loss", lambda spec: ucal.CustomLoss(
+        ("custom", (cli, "make_loss", lambda spec: ucal.CustomLoss(
             lambda p: (p * p).sum(axis=-1), lambda p: 2.0 * p, name=spec, range_bound=(0.0, 0.5))),
          ["properness", "concavity", "range"]),
-        ("tsallis:1.5", ("check_hessian_growth", lambda loss, grid, c: False), ["hessian-growth"]),
+        ("tsallis:1.5", (losses, "check_hessian_growth", lambda loss, grid, c: False),
+         ["hessian-growth"]),
         # the barycenter in place of the vertex e_0, where the v-shaped loss is 0, not -(K-1)/K
-        ("vshaped", ("one_hot", lambda index, k: np.full(k, 1.0 / k)), ["extremes"]),
+        ("vshaped", (cli, "one_hot", lambda index, k: np.full(k, 1.0 / k)), ["extremes"]),
     ], ids=["convex-form", "hessian-growth", "extremes"])
     def test_failed_checks_are_named_and_exit_one(self, capsys, monkeypatch, spec, patch,
                                                   failures):
-        monkeypatch.setattr(cli, *patch)
+        # cli imports the losses module when validate runs, and calls its checks through it
+        monkeypatch.setattr(*patch)
         code, out, err = run_cli(["validate", "--loss", spec, "--K", "3", "--samples", "2000"],
                                  capsys)
         assert code == 1
@@ -502,7 +504,7 @@ class TestValidateCmd:
     def test_draw_above_the_cell_cap_refused_before_drawing(self, capsys, monkeypatch, flags,
                                                             points, k):
         for name in ("random_simplex_points", "validation_points"):
-            monkeypatch.setattr(cli, name, _never_called)
+            monkeypatch.setattr(losses, name, _never_called)
         code, out, err = run_cli(["validate", "--loss", "squared", *flags], capsys)
         assert code == 2 and out == ""
         assert (f"a draw of {points} points at K={k} has {points * k} cells, above the cap of "
@@ -860,9 +862,9 @@ def test_validate_output_pinned(capsys, loss):
     assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_DIGESTS[loss]
 
 
-def _import_ucal(**env):
-    """``import ucal`` in a fresh interpreter: its thread count and OPENBLAS_NUM_THREADS."""
-    probe = ("import os, ucal; "
+def _import_ucal(module="ucal", **env):
+    """``import <module>`` in a fresh interpreter: its thread count and OPENBLAS_NUM_THREADS."""
+    probe = (f"import os, {module}; "
              "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
              "else 0, os.environ['OPENBLAS_NUM_THREADS'])")
     env = dict({key: value for key, value in os.environ.items()
@@ -888,6 +890,13 @@ def test_import_defaults_blas_threads_to_one():
 @pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy's BLAS is not OpenBLAS")
 def test_import_starts_no_blas_threads():
     assert _import_ucal()[0] == "1"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+@pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy's BLAS is not OpenBLAS")
+def test_numpy_through_ucal_starts_no_blas_threads():
+    # `import ucal` alone loads no numpy; the engine loads it, after ucal set the variable
+    assert _import_ucal("ucal.engine") == ["1", "1"]
 
 
 def test_import_leaves_the_process_pool_out():
@@ -918,6 +927,40 @@ def test_only_the_minimax_command_loads_minimax(tmp_path):
            "--K", "3", "--T", "8", "--trials", "2", "--output", str(tmp_path / "run.csv")]
     assert _fresh("-c", as_main, *run).stderr.split() == ["0", "False"]
     assert _fresh("-c", as_main, "minimax", "--T", "8").stderr.split() == ["0", "True"]
+
+
+GAME_MODULES = ["ucal.adversaries", "ucal.engine", "ucal.forecasters", "ucal.losses"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimax", "--T", "8"],
+    ["run", "--forecaster", "ftl", "--adversary", "iid-uniform", "--loss", "squared", "--K", "3",
+     "--T", "8", "--trials", "2"],
+    ["sweep", "--forecaster", "ftl", "--adversary", "greedy:vshaped", "--loss", "squared",
+     "--K", "3", "--T-start", "2", "--T-stop", "8", "--trials", "2"],
+    ["validate", "--loss", "tsallis:1.5", "--K", "3", "--samples", "200"],
+], ids=lambda argv: argv[0])
+def test_each_command_loads_only_the_modules_it_runs(argv, tmp_path):
+    # `python -m ucal.cli`: the exact game needs no game module, and a game no exact solver
+    if argv[0] in ("run", "sweep"):  # its summary then goes to stdout, not stderr
+        argv = argv + ["--output", str(tmp_path / "out.csv")]
+    as_main = ("import runpy, sys\ntry:\n    runpy.run_module('ucal.cli', run_name='__main__')\n"
+               "except SystemExit as exit:\n"
+               "    print(exit.code, *sorted(name for name in sys.modules\n"
+               "                             if name.startswith('ucal.')), file=sys.stderr)")
+    code, *loaded = _fresh("-c", as_main, *argv).stderr.split()
+    assert code == "0"
+    if argv[0] == "minimax":
+        assert set(loaded) <= {"ucal.cli", "ucal.core", "ucal.minimax"}
+        assert "ucal.minimax" in loaded
+    else:
+        assert "ucal.minimax" not in loaded
+        assert set(GAME_MODULES) <= set(loaded)
+
+
+def test_import_ucal_loads_no_submodule():
+    probe = "import sys, ucal; print(sorted(name for name in sys.modules if 'ucal' in name))"
+    assert _fresh("-c", probe).stdout == "['ucal']\n"
 
 
 @pytest.mark.parametrize("first", ["ucal.minimax", "ucal.dp_value", "dir(ucal)",

@@ -1003,10 +1003,29 @@ def test_worker_count_moves_no_block(adversary, horizons, trials, monkeypatch, p
     for workers in (2, 3):
         games.clear()
         got = engine.run_experiment(forecasters, adversary, losses, trials, 4, workers)
-        assert games == serial  # the same blocks, the same games in each
+        # the same blocks, the same games in each; the stand-in pool plays worker 0's share
+        # (blocks 0, workers, 2 * workers, ...) first, then worker 1's, and so on
+        assert games == [serial[j] for i in range(workers)
+                         for j in range(i, len(serial), workers)]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
     # a pool of min(workers, CPU count, jobs): none for the one block
     assert pool_sizes == ([2, 3] if len(serial) > 1 else [])
+
+
+@pytest.mark.parametrize("workers, cpus", [(2, 4), (3, 4), (8, 3)])
+def test_pool_takes_one_task_per_worker(workers, cpus, monkeypatch, pool_log):
+    # 400 trials at K = 3, T = 64 are 5 blocks of 80; each worker's share goes to the pool as
+    # one task, and it still plays each of its blocks in one _play call
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    forecasters, adversary = [PerturbedLeaderGeometric(3, 64)], IidUniform(3)
+    losses = [VShapedLoss(), SquaredLoss(0.5)]
+    expected = engine.run_experiment(forecasters, adversary, losses, 400, 4)
+    games = _count_blocks(monkeypatch)
+    got = engine.run_experiment(forecasters, adversary, losses, 400, 4, workers)
+    size = min(workers, cpus)
+    assert pool_log == {"sizes": [size], "tasks": [size]}
+    assert sorted(games) == [[80]] * 5
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 class FloatNoiseLeader(PerturbedLeaderUniform):

@@ -481,6 +481,39 @@ class TestCsvKernel:
         assert got.split("\n")[0].split(",")[1:3] == ["1e+12", "0.0001"]
 
 
+class TestDumpIndexAndRescale:
+    """The dump's integer r field, and the second scaling kept for a missed exponent guess."""
+
+    INDICES = sorted({0, 2 ** 24 - 1, 10 ** 8 - 1} | {10 ** k - 1 for k in range(1, 8)}
+                     | {10 ** k for k in range(1, 8)})
+
+    def test_each_index_renders_as_d(self):
+        rows = minimax._CsvRows(1, len(self.INDICES), index=True)
+        rows.index[:] = self.INDICES
+        rows.x[0] = 0.5
+        assert "".join(rows.text()).splitlines() == ["%d,0.5" % r for r in self.INDICES]
+
+    def test_a_missed_exponent_guess_is_scaled_again(self, monkeypatch):
+        # just below 10^k, floor(log10 x) still reads k, so the first scaling lands below
+        # 10^11; only the second, from the corrected exponent, certifies these values
+        exponents = [-4, -1, 5, 11, 12, 15]
+        missed = np.array([np.nextafter(10.0 ** k, 0.0) for k in exponents])
+        assert np.floor(np.log10(missed)).tolist() == exponents
+        scalings, scale = [], minimax._times_pow10
+
+        def counted(*args):
+            scalings.append(args)
+            scale(*args)
+
+        monkeypatch.setattr(minimax, "_times_pow10", counted)
+        for values, count in ((missed, 2), (np.array([1.5, -0.000123, 98765.4321e20]), 1)):
+            scalings.clear()
+            assert minimax._round_g12(values)[2].all()
+            assert len(scalings) == count
+        got, want = TestCsvKernel.rows_both_ways(np.concatenate([missed, -missed]))
+        assert got == want
+
+
 def test_benchmark_dump_bytes_pinned(tmp_path):
     """The T = 250000 dump the benchmark writes, byte for byte as ``%``-formatting gave it."""
     path = tmp_path / "seqs.csv"
