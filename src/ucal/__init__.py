@@ -39,7 +39,7 @@ _HOME = {name: module for module, names in {
     "minimax": ("ClosedFormSequences", "MinimaxTable", "check_a_bounds", "closed_form",
                 "dp_value", "optimal_q", "structural_identity_error", "value_lower_bound"),
 }.items() for name in names}
-_SUBMODULES = ("adversaries", "core", "engine", "forecasters", "losses", "minimax")
+_SUBMODULES = frozenset(_HOME.values())
 
 __all__ = sorted(_HOME)
 

@@ -30,7 +30,7 @@ or not finite, a ``validate`` draw above ``engine.MAX_GAME_CELLS`` (the
 larger of ``--samples`` and ``losses.VALIDATION_RANDOM_POINTS`` points, times
 K), a ``--seed`` outside [-2^63, 2^63), which ``core.RngStream``
 would otherwise alias modulo 2^64, and an ``--output`` in a missing
-directory or naming a directory).
+directory, naming a directory, or that ``os.access`` says cannot be written).
 ``run`` and ``sweep`` resolve every spec once, one forecaster per horizon,
 and hand them to ``engine.run_experiment``.  It plays each block, one
 trial range at a group of horizons, in one kernel call (against an adaptive
@@ -163,7 +163,7 @@ def _seed(text: str) -> int:
 
 
 def _check_output(path) -> None:
-    """Refuse an ``--output`` that cannot be created: its directory is missing or it is one."""
+    """Refuse an ``--output`` that cannot be written: no directory, a directory, or no permission."""
     if not path:
         return
     parent = os.path.dirname(os.path.abspath(path))
@@ -171,6 +171,11 @@ def _check_output(path) -> None:
         raise UsageError(f"cannot write --output {path}: it is a directory")
     if not os.path.isdir(parent):
         raise UsageError(f"cannot write --output {path}: no directory {parent}")
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            raise UsageError(f"cannot write --output {path}: the file is not writable")
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write --output {path}: directory {parent} is not writable")
 
 
 def _write_output(path, write) -> None:

@@ -64,7 +64,6 @@ import numpy as np
 from .adversaries import Adversary
 from .core import (SIMPLEX_TOL, RngStream, mean_of_counts, row_sum, validate_integer,
                    validate_simplex)
-from .core import format_float  # engine.format_float: core's, under its old name
 from .forecasters import Forecaster
 from .losses import ProperLoss, outcome_indices
 
@@ -424,9 +423,7 @@ def run_experiment(forecasters, adversary: Adversary, losses, trials: int, base_
     count nor the other horizons.
     """
     forecasters, losses = list(forecasters), list(losses)
-    trials, workers = validate_integer(trials, "trials"), validate_integer(workers, "workers")
-    if trials < 1 or workers < 1:
-        raise ValueError("trials and workers must be >= 1")
+    trials, workers = validate_integer(trials, "trials", 1), validate_integer(workers, "workers", 1)
     RngStream(base_seed)  # refuses a seed outside [-2^63, 2^63)
     if not forecasters or not losses:
         raise ValueError("need at least one forecaster and one loss")

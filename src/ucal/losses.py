@@ -10,15 +10,14 @@ Here f is the "univariate form" (the expected loss of forecasting p when the
 outcome truly follows p) and the two-argument "bivariate form" is
 reconstructed from f and its subgradient.  Each loss class below supplies
 ``univariate`` and ``subgradient``.  The formula is coded once, in
-``ProperLoss._evaluate``, and its two faces differ only in which entries of
-g_p they select: ``outcome_losses(p)``, the table of loss(p, y) over every
-outcome y at once, which the validators and the benchmark cost read, takes
-them all; ``bivariate(p, y)``, the loss of the played outcome, which scoring
-reads, takes entry y alone and builds no table, with the same IEEE
-operations in the same order, so it equals entry y of the table bit for
-bit.  The greedy adversary reads neither: f(p) - <g_p, p> is the same for
-every y, so the outcome of largest loss is the argmax of g_p, the lowest
-index on exact ties of g_p.
+``ProperLoss.bivariate(p, y)``: (f(p) + g_p[y]) - <g_p, p> at the given
+outcome entries alone, with no table, which scoring reads.  The table
+``outcome_losses(p)`` of loss(p, y) over every outcome y at once, which the
+validators and the benchmark cost read, is ``bivariate`` at every outcome,
+``bivariate(p[..., None, :], arange(K))``, so each of its entries is the
+played-entry loss by construction.  The greedy adversary reads neither:
+f(p) - <g_p, p> is the same for every y, so the outcome of largest loss is
+the argmax of g_p, the lowest index on exact ties of g_p.
 
 Shipped losses
 --------------
@@ -68,16 +67,6 @@ def _finite_parameter(value, parameter: str) -> float:
     return value
 
 
-def _select(values: np.ndarray, y) -> np.ndarray:
-    """The entries of ``values``' last axis that a loss at outcomes y reads: all when y is None."""
-    return values if y is None else _take_outcome(values, y)
-
-
-def _beside(y) -> tuple:
-    """Index that stands a per-point value beside ``_select``'s entries: a new last axis for all."""
-    return (..., None) if y is None else (...,)
-
-
 def outcome_indices(y, k: int) -> np.ndarray:
     """``y`` as int64 indices of ``k`` outcomes: floats, bools and any off [0, k) are refused."""
     y = np.asarray(y)
@@ -121,29 +110,20 @@ class ProperLoss:
     def bivariate(self, p, y) -> np.ndarray:
         """loss(p, y) for outcome indices y, broadcast against p's leading axes.
 
-        Entry y of ``outcome_losses(p)``, bit for bit, computed at entry y
-        alone: no (..., K) table is built.
-        """
-        return self._evaluate(p, y)
-
-    def outcome_losses(self, p) -> np.ndarray:
-        """loss(p, y) = f(p) + <g_p, e_y - p> for every outcome y at once, shape (..., K)."""
-        return self._evaluate(p, None)
-
-    def _evaluate(self, p, y) -> np.ndarray:
-        """f(p) + <g_p, e_y - p> at outcomes y, or at every outcome when y is None.
-
-        The one place a loss is computed: (f(p) + g_p[y]) - <g_p, p>, the
-        selected entries of g_p beside f(p) and <g_p, p>.  A subclass
-        overrides it only for a direct form (spherical) or an exact
-        combination (mixture).
+        The one place a loss is computed: (f(p) + g_p[y]) - <g_p, p>, at entry
+        y of g_p alone, with no (..., K) table.  A subclass overrides it only
+        for a direct form (spherical) or an exact combination (mixture).
         """
         p = _as_points(p)
         g = self.subgradient(p)
-        beside = _beside(y)
-        values = self.univariate(p)[beside] + _select(g, y)
-        values -= row_sum(g * p)[beside]  # in place: one temporary fewer
+        values = self.univariate(p) + _take_outcome(g, y)
+        values -= row_sum(g * p)  # in place: one temporary fewer
         return values
+
+    def outcome_losses(self, p) -> np.ndarray:
+        """``bivariate`` at every outcome y at once, shape (..., K)."""
+        p = _as_points(p)
+        return self.bivariate(p[..., None, :], np.arange(p.shape[-1]))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -178,12 +158,13 @@ class SphericalLoss(ProperLoss):
         return -np.sqrt(row_sum(p * p))
 
     def subgradient(self, p):
-        return self._evaluate(p, None)  # -p / ||p||, the loss table itself
+        p = _as_points(p)
+        return -p / np.sqrt(row_sum(p * p))[..., None]
 
-    def _evaluate(self, p, y):
+    def bivariate(self, p, y):
         # direct form: loss(p, y) = -p_y / ||p||, entry y of the subgradient
         p = _as_points(p)
-        return -_select(p, y) / np.sqrt(row_sum(p * p))[_beside(y)]
+        return -_take_outcome(p, y) / np.sqrt(row_sum(p * p))
 
 
 class VShapedLoss(ProperLoss):
@@ -272,9 +253,9 @@ class MixtureLoss(ProperLoss):
         w = self.weight
         return w * self.loss1.subgradient(p) + (1 - w) * self.loss2.subgradient(p)
 
-    def _evaluate(self, p, y):
+    def bivariate(self, p, y):
         w = self.weight
-        return w * self.loss1._evaluate(p, y) + (1 - w) * self.loss2._evaluate(p, y)
+        return w * self.loss1.bivariate(p, y) + (1 - w) * self.loss2.bivariate(p, y)
 
 
 class CustomLoss(ProperLoss):
@@ -282,7 +263,10 @@ class CustomLoss(ProperLoss):
 
     Nothing is assumed about the supplied form; run ``check_concavity`` and
     ``check_proper`` to test whether it actually defines a proper loss.
-    A rule that returns NaN or an infinity raises ``ValueError``.
+    Each rule receives any (..., K) stack of forecasts: (..., 1, K) from
+    ``outcome_losses`` and (n, T, K) from the scorer, so it must act on the
+    last axis alone.  A rule that returns NaN or an infinity raises
+    ``ValueError``.
     """
 
     def __init__(self, univariate_fn, subgradient_fn, name: str = "custom",

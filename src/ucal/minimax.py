@@ -272,7 +272,7 @@ def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
     for lo in range(0, t, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, t)
         if rows is None or rows.x.shape[1] != hi - lo:
-            rows = _CsvRows(5, hi - lo, index=True)
+            rows = _CsvRows(5, hi - lo)
         r = rows.index
         u, v, a, upper, lower = rows.x
         r[:] = np.arange(lo, hi)
@@ -285,19 +285,21 @@ def write_sequences_csv(seqs: ClosedFormSequences, fh) -> None:
 
 
 class _CsvRows:
-    """CSV lines ``x[0][i],x[1][i],...`` of a (columns, rows) block ``x``, each value as ``'%.12g'``.
+    """The dump's CSV lines ``index[i],x[0][i],x[1][i],...``, all in one layout.
 
-    Fill ``x`` and call ``text``; every buffer is allocated here and reused
-    by each call.  The lines are built in a position-major (characters x
-    rows) uint8 block, because numpy ops along a short per-line axis run line
-    by line and ops along the long one do not.  Unused positions hold NUL and
-    are deleted after one transpose.  With ``index``, each line starts with
-    ``index[i]``, an int32 in [0, 10^8) to fill as well, as ``'%d'``.
+    ``index`` holds int32s in [0, 10^8), each rendered as ``'%d'``, and the
+    (columns, rows) block ``x`` floats, each as ``'%.12g'``.  Fill both and
+    call ``text``; every buffer is allocated here and reused by each call.  The lines are
+    built in a position-major (characters x rows) uint8 block, because numpy
+    ops along a short per-line axis run line by line and ops along the long
+    one do not.  Unused positions hold NUL and are deleted after one
+    transpose.
     """
 
-    def __init__(self, columns: int, rows: int, index: bool = False):
+    def __init__(self, columns: int, rows: int):
         slots = _FLOAT_SLOTS + 1  # the float, then a comma or the newline
-        lead = _INDEX_SLOTS + 1 if index else 0  # the index, then a comma
+        lead = _INDEX_SLOTS + 1  # the index, then a comma
+        self.index = np.empty(rows, dtype=np.int32)
         self.x = np.empty((columns, rows))
         # Each position's row is 16 bytes longer than the chunk: at a power-of-two
         # stride the transpose reads a line's bytes from a few cache sets, ~3x slower.
@@ -305,32 +307,20 @@ class _CsvRows:
         self.block = padded[:, :rows]
         cells = padded[lead:].reshape(columns, slots, -1)[:, :, :rows].transpose(1, 0, 2)
         cells[-1] = ord(",")
+        self.block[_INDEX_SLOTS] = ord(",")
         self.block[-1] = ord("\n")
         self.floats = cells[:-1]
+        self.index_work = np.empty((3, 2, rows), dtype=np.int32)
+        self.index_kept = np.empty((_INDEX_SLOTS, rows), dtype=bool)
         self.work = _Work(self.x.shape)
-        self.index = None
-        if index:
-            self.block[_INDEX_SLOTS] = ord(",")
-            self.index = np.empty(rows, dtype=np.int32)
-            self.index_digits = self.block[:_INDEX_SLOTS]
-            self.index_work = np.empty((3, 2, rows), dtype=np.int32)
-            self.index_kept = np.empty((_INDEX_SLOTS, rows), dtype=bool)
 
     def text(self):
         """The lines, as strings of up to ``_TEXT_ROWS`` lines each."""
-        if self.index is not None:
-            _format_index(self.index, self.index_digits, self.index_work, self.index_kept)
+        _format_index(self.index, self.block[:_INDEX_SLOTS], self.index_work, self.index_kept)
         _format_g12(self.x, self.floats, self.work)
         for lo in range(0, self.x.shape[1], _TEXT_ROWS):
             piece = self.block[:, lo:lo + _TEXT_ROWS].T.tobytes()
             yield piece.translate(None, b"\0").decode("ascii")
-
-
-def _csv_rows(columns) -> str:
-    """CSV lines ``columns[0][i],columns[1][i],...``, each value as ``'%.12g'``."""
-    rows = _CsvRows(len(columns), columns[0].size)
-    np.stack(columns, out=rows.x)
-    return "".join(rows.text())
 
 
 def _format_index(index: np.ndarray, out: np.ndarray, work: np.ndarray,
@@ -340,21 +330,30 @@ def _format_index(index: np.ndarray, out: np.ndarray, work: np.ndarray,
     ``out`` is uint8 of shape ``(_INDEX_SLOTS, n)``, digits right-aligned and
     leading zeros NUL; ``work`` (int32, (3, 2, n)) and ``kept`` (bool, like
     ``out``) are scratch.  The digits come from two four-digit int32 halves,
-    v = high * 10^4 + low, split in place a digit at a time.
+    v = high * 10^4 + low.
     """
     halves, quotient, product = work
     np.floor_divide(index, 10 ** 4, out=halves[0])
     np.multiply(halves[0], 10 ** 4, out=product[0])
     np.subtract(index, product[0], out=halves[1])
-    rows = out.reshape((2, 4) + index.shape)  # rows[h, j] holds digit 4h + j
-    for j in range(3, -1, -1):
-        np.floor_divide(halves, 10, out=quotient)
-        np.multiply(quotient, 10, out=product)
-        np.subtract(halves, product, out=rows[:, j], casting="unsafe")
-        halves, quotient = quotient, halves
+    _split_digits(halves, quotient, product, out.reshape((2, 4) + index.shape))
     out += ord("0")
     np.greater_equal(index, _INDEX_FLOOR, out=kept)  # digit j is shown from v >= 10^(7 - j)
     out *= kept
+
+
+def _split_digits(halves: np.ndarray, quotient: np.ndarray, product: np.ndarray,
+                  digits: np.ndarray) -> None:
+    """Write the digits of each int32 of ``halves[h]`` into ``digits[h]``, most significant first.
+
+    ``digits`` is ``(2, n_digits) + halves.shape[1:]``, leading zeros included;
+    ``quotient`` and ``product`` are int32 scratch like ``halves``, which is used up.
+    """
+    for j in range(digits.shape[1] - 1, -1, -1):
+        np.floor_divide(halves, 10, out=quotient)
+        np.multiply(quotient, 10, out=product)
+        np.subtract(halves, product, out=digits[:, j], casting="unsafe")
+        halves, quotient = quotient, halves
 
 
 class _Work:
@@ -374,7 +373,7 @@ class _Work:
         self.ranks = np.empty((12,) + shape, dtype=np.int8)
 
 
-def _round_g12(x: np.ndarray, work: _Work | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _round_g12(x: np.ndarray, w: _Work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(m, exponent, certified)``: each x as m * 10^(exponent - 11), m in [10^11, 10^12).
 
     Where ``certified`` holds, m (an integral float64) is the correctly rounded
@@ -387,9 +386,8 @@ def _round_g12(x: np.ndarray, work: _Work | None = None) -> tuple[np.ndarray, np
     needs it.  Not certified: 0, inf and nan (their log10 is not finite),
     |k| > 21, an s that still lies outside [10^11, 10^12), and an s within
     10^-3 of a half-integer, where the error bound could not decide the
-    rounding.  The three arrays are ``work``'s, a new one when it is None.
+    rounding.  The three arrays are ``w``'s, which holds the scratch as well.
     """
-    w = work or _Work(x.shape)
     ax, s, m, tmp, k, flag, certified = w.ax, w.s, w.m, w.tmp, w.k, w.flag, w.certified
     np.abs(x, out=ax)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -456,17 +454,11 @@ def _format_g12(x: np.ndarray, out: np.ndarray, w: _Work) -> None:
     # floor(m / 10^6) is exact, as m / 10^6 lies at least 10^-6 below the next integer
     np.divide(m, 1e6, out=w.tmp)
     np.floor(w.tmp, out=w.tmp)
-    halves, quotient = w.halves, w.quotient
-    np.copyto(halves[0], w.tmp, casting="unsafe")
+    np.copyto(w.halves[0], w.tmp, casting="unsafe")
     np.multiply(w.tmp, 1e6, out=w.tmp)
     np.subtract(m, w.tmp, out=w.tmp)
-    np.copyto(halves[1], w.tmp, casting="unsafe")
-    rows = digits[1:13].reshape((2, 6) + x.shape)  # rows[h, j] holds digit 6h + j
-    for j in range(5, -1, -1):
-        np.floor_divide(halves, 10, out=quotient)
-        np.multiply(quotient, 10, out=w.product)
-        np.subtract(halves, w.product, out=rows[:, j], casting="unsafe")
-        halves, quotient = quotient, halves
+    np.copyto(w.halves[1], w.tmp, casting="unsafe")
+    _split_digits(w.halves, w.quotient, w.product, digits[1:13].reshape((2, 6) + x.shape))
     last = w.last  # the last nonzero digit
     np.not_equal(digits[1:13], 0, out=mask[:12])
     np.multiply(mask[:12], _DIGIT, out=w.ranks)

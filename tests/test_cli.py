@@ -16,6 +16,7 @@ import pytest
 import ucal
 from ucal import cli, engine, losses, minimax
 from ucal.cli import main
+from ucal.core import format_float
 from ucal.losses import VALIDATION_RANDOM_POINTS
 
 
@@ -364,11 +365,11 @@ class TestMinimaxCmd:
         for i in range(horizon):
             expected.append(",".join([
                 str(i),
-                engine.format_float(float(seqs.u[i])),
-                engine.format_float(float(seqs.v[i])),
-                engine.format_float(float(seqs.a[i])),
-                engine.format_float(1.0 / (horizon - i)),
-                engine.format_float(1.0 / (horizon - i + log_t)),
+                format_float(float(seqs.u[i])),
+                format_float(float(seqs.v[i])),
+                format_float(float(seqs.a[i])),
+                format_float(1.0 / (horizon - i)),
+                format_float(1.0 / (horizon - i + log_t)),
             ]) + "\n")
         assert path.read_text().splitlines(keepends=True) == expected
 
@@ -652,17 +653,26 @@ OUTPUT_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "read-only-directory",
+                                   "read-only-file"])
 def test_unwritable_output_refused_up_front(capsys, tmp_path, monkeypatch, command, where):
-    for name in ("run_trials", "play_games"):
-        monkeypatch.setattr(engine, name, _never_called)
+    monkeypatch.setattr(engine, "run_experiment", _never_called)
     for name in ("dp_value", "closed_form"):
         monkeypatch.setattr(minimax, name, _never_called)
-    path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    path = {"missing-directory": tmp_path / "missing" / "x.csv",
+            "directory": tmp_path}.get(where, tmp_path / "x.csv")
+    if where == "read-only-file":
+        path.write_text("kept\n")
+    if where.startswith("read-only"):
+        # a root process writes whatever the file modes say, so the denial is os.access's
+        denied, access = str(path if where == "read-only-file" else tmp_path), os.access
+        monkeypatch.setattr(os, "access", lambda target, mode, **kwargs: (
+            os.fspath(target) != denied and access(target, mode, **kwargs)))
     code, out, err = run_cli(OUTPUT_COMMANDS[command] + ["--output", str(path)], capsys)
     assert code == 2
-    assert out == "" and err.startswith(f"error: cannot write --output {path}")
-    assert list(tmp_path.iterdir()) == []
+    assert out == "" and err.startswith(f"error: cannot write --output {path}: ")
+    kept = {"x.csv": "kept\n"} if where == "read-only-file" else {}
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == kept
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
@@ -841,25 +851,32 @@ def test_regrets_pinned_at_full_precision(name):
 
 
 VALIDATE_DIGESTS = {
-    "brier": "ea98acbcd92d7e4b646af132c38ed4433bd3692461b6e465d2da15859760b9db",
-    "spherical": "1156cc55894f5a1588b3526fc48532b3176c3ac26aaea8fbc0f98879656b867b",
-    "squared": "1df5e8d6da8e6a61884ab74d0caca5e6776d39ce6c60cb54e083a1043e4ac46a",
-    "tsallis:1.5": "7799a64095c80f23e0e895241d1a58aabded05096419b6c814d97d009eed312b",
-    "vshaped": "235a567e8e52e5010e6e79844bbfea0309a97a80ed6712b6588c57f961b16cb3",
+    ("brier", 3): "ea98acbcd92d7e4b646af132c38ed4433bd3692461b6e465d2da15859760b9db",
+    ("brier", 10): "bb16fe1c3ccc38558c8d8debb26fb1aa3ccfc10455b0eb15f419171e40e2108a",
+    ("spherical", 3): "1156cc55894f5a1588b3526fc48532b3176c3ac26aaea8fbc0f98879656b867b",
+    ("spherical", 10): "c52efbfd019087fbcf91af8754c002b5d459c2f687341f04790a709a86c9c313",
+    ("squared", 3): "1df5e8d6da8e6a61884ab74d0caca5e6776d39ce6c60cb54e083a1043e4ac46a",
+    ("squared", 10): "50f146bfb55922eaa48d9cb5c4170604faabe3581829eb3759238118ee7044f3",
+    ("tsallis:1.5", 3): "7799a64095c80f23e0e895241d1a58aabded05096419b6c814d97d009eed312b",
+    ("tsallis:1.5", 10): "91792eb34b2fea0773afb238452a92ce29077efa012d2c2b74435d9cc6e2cb2d",
+    ("vshaped", 3): "235a567e8e52e5010e6e79844bbfea0309a97a80ed6712b6588c57f961b16cb3",
+    ("vshaped", 10): "cd367ce1bf9081448f37e297ca70f8c8cea8da7d9673519bcfc87caf1f6d4022",
 }
 
 
-@pytest.mark.parametrize("loss", sorted(VALIDATE_DIGESTS))
-def test_validate_output_pinned(capsys, loss):
-    """The printed report of ``validate --K 3 --samples 2000``, as sha256 digests.
+@pytest.mark.parametrize("loss, k", sorted(VALIDATE_DIGESTS))
+def test_validate_output_pinned(capsys, loss, k):
+    """The printed report of ``validate --K k --samples 2000``, as sha256 digests.
 
     Every number in it comes from the loss tables (properness, range,
     Lipschitz estimate, extremes), so a change that should leave the losses
-    as they are must leave these digests as they are.
+    as they are must leave these digests as they are.  At K = 10 the tables'
+    sums over the K axis are numpy's pairwise ones, not ``row_sum``'s column adds.
     """
-    code, out, _ = run_cli(["validate", "--loss", loss, "--K", "3", "--samples", "2000"], capsys)
+    code, out, _ = run_cli(["validate", "--loss", loss, "--K", str(k), "--samples", "2000"],
+                           capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_DIGESTS[loss]
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_DIGESTS[loss, k]
 
 
 def _import_ucal(module="ucal", **env):

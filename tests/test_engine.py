@@ -19,8 +19,8 @@ from ucal import (Adversary, Alternating, CustomLoss, FixedSequence, FollowTheLe
                   mean_of_counts, play_games, random_simplex_points, regret, run_game,
                   run_trials, summarize, sup_regret_mixture)
 from ucal import check_a_bounds, closed_form, dp_value, engine, value_lower_bound
-from ucal.core import SIMPLEX_TOL, uniform_point
-from ucal.engine import format_float, mixture_weight_grid
+from ucal.core import SIMPLEX_TOL, format_float, uniform_point
+from ucal.engine import mixture_weight_grid
 
 
 def _gen(seed, stream=0):
@@ -880,8 +880,8 @@ class TestRunExperiment:
         (None, [], 2, 1, 0, "one loss"),
         (None, [VShapedLoss()], 2.5, 1, 0, "trials must be an integer"),
         (None, [VShapedLoss()], 2, 1.5, 0, "workers must be an integer"),
-        (None, [VShapedLoss()], 0, 1, 0, "trials and workers must be >= 1"),
-        (None, [VShapedLoss()], 2, 0, 0, "trials and workers must be >= 1"),
+        (None, [VShapedLoss()], 0, 1, 0, "trials must be >= 1"),
+        (None, [VShapedLoss()], 2, 0, 0, "workers must be >= 1"),
         # the stream reads a seed as one unsigned 64-bit word: 2^64 would replay seed 0
         (None, [VShapedLoss()], 2, 1, 2 ** 63, "seed must lie in"),
         (None, [VShapedLoss()], 2, 1, -2 ** 63 - 1, "seed must lie in"),
@@ -1315,14 +1315,13 @@ def test_transcripts_are_views_of_one_block(adversary):
 
 def test_sweep_replies_build_no_loss_table(monkeypatch):
     # the benchmark sweep: FTPL-uniform vs greedy:squared, K = 3, T = 64..4096, 8 trials
-    tables, evaluate = [], ProperLoss._evaluate
+    tables, outcome_losses = [], ProperLoss.outcome_losses
 
-    def counted(self, p, y):
-        if y is None:  # every outcome at once: a (..., K) table
-            tables.append(np.shape(p))
-        return evaluate(self, p, y)
+    def counted(self, p):
+        tables.append(np.shape(p))
+        return outcome_losses(self, p)
 
-    monkeypatch.setattr(ProperLoss, "_evaluate", counted)
+    monkeypatch.setattr(ProperLoss, "outcome_losses", counted)
     SquaredLoss().outcome_losses([0.5, 0.5])
     assert tables == [(2,)]  # the wrapper sees the squared loss's table
     tables.clear()

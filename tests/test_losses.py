@@ -9,6 +9,7 @@ from ucal import (CustomLoss, MixtureLoss, ProperLoss, RngStream, SphericalLoss,
                   SquaredLoss, TsallisLoss, VShapedLoss, check_concavity, check_hessian_growth,
                   check_proper, check_range, estimate_lipschitz, one_hot,
                   random_simplex_points, simplex_mesh, uniform_point)
+from ucal.core import row_sum
 from ucal.losses import validation_points
 
 RNG = RngStream(2024, 0)
@@ -141,24 +142,37 @@ def savage_form(loss, points, y):
     return loss.univariate(points) + g[..., y] - (g * points).sum(axis=-1)
 
 
-class TestOutcomeLosses:
-    """The per-outcome table, and ``bivariate`` read from it, equal the Savage form exactly."""
+def table_form(loss, points):
+    """The (..., K) table written out: (f(p) + g) - <g, p>, -p / ||p|| or the affine mix."""
+    if isinstance(loss, MixtureLoss):
+        w = loss.weight
+        return w * table_form(loss.loss1, points) + (1 - w) * table_form(loss.loss2, points)
+    if isinstance(loss, SphericalLoss):
+        return -points / np.sqrt(row_sum(points * points))[..., None]
+    g = loss.subgradient(points)
+    return (loss.univariate(points)[..., None] + g) - row_sum(g * points)[..., None]
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
+
+class TestOutcomeLosses:
+    """The per-outcome table equals its formula, and its entries the Savage form, exactly."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 10, 16])
     def test_table_equals_savage_form(self, k):
         rng = RNG.generator()
-        stack = random_simplex_points(k, 24, rng).reshape(4, 6, k)
-        # kinks of the step-shaped loss and vertices, where ties and zeros sit
+        # random points, vertices and kinks; 70 and 68 rows take row_sum's column adds
+        # below K = 8, one row numpy's reduce, and K >= 8 its pairwise sums
+        points = _points_with_kinks(k, 70, rng)
         edges = np.vstack([uniform_point(k), one_hot(0, k), one_hot(k - 1, k)])
         custom = CustomLoss(lambda p: 1.0 - np.sum(p * p, axis=-1), lambda p: -2.0 * p)
         for loss in shipped_losses() + [custom]:
-            for points in (stack, edges, edges[0]):
-                table = loss.outcome_losses(points)
-                assert table.shape == points.shape
+            for stack in (points, points[:68].reshape(4, 17, k), points[:1], points[2], edges):
+                table = loss.outcome_losses(stack)
+                assert table.shape == stack.shape, loss
+                assert table.tobytes() == table_form(loss, stack).tobytes(), loss
                 for y in range(k):
-                    expected = savage_form(loss, points, y)
+                    expected = savage_form(loss, stack, y)
                     assert np.array_equal(table[..., y], expected), loss
-                    assert np.array_equal(loss.bivariate(points, y), expected), loss
+                    assert np.array_equal(loss.bivariate(stack, y), expected), loss
             every_outcome = [savage_form(loss, edges[0], y) for y in range(k)]
             assert np.array_equal(loss.bivariate(edges[0], np.arange(k)), every_outcome), loss
 

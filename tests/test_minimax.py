@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ucal import (check_a_bounds, closed_form, dp_value, optimal_q,
                   structural_identity_error, value_lower_bound)
-from ucal import cli, engine, minimax
+from ucal import cli, minimax
+from ucal.core import format_float
 from ucal.minimax import CHUNK_ROWS, CLOSED_FORM_MAX_HORIZON, _backward_step
 
 
@@ -417,22 +418,27 @@ def _random_doubles(count, seed):
     return values
 
 
+def _round_g12(values):
+    return minimax._round_g12(values, minimax._Work(values.shape))
+
+
 class TestCsvKernel:
-    """The vectorized dump rows equal ``engine.format_float`` value by value, r included."""
+    """The vectorized dump rows equal ``'%d'`` and ``format_float`` value by value."""
 
     @staticmethod
     def rows_both_ways(values):
+        """The dump's layout over ``values``: an int r, then five float columns."""
         values = np.asarray(values, dtype=float)
         values = np.concatenate([values, np.full(-values.size % 5, 1.0)])
         columns = values.reshape(5, -1)
         n = columns.shape[1]
-        r = (np.arange(n) * 7919 % 10 ** 7).astype(float)  # zero, short and 7-digit integers
-        got = minimax._csv_rows((r,) + tuple(columns))
-        want = "".join(",".join([engine.format_float(r[i])]
-                                + [engine.format_float(float(columns[c, i])) for c in range(5)])
+        rows = minimax._CsvRows(5, n)
+        rows.index[:] = np.arange(n) * 7919 % 10 ** 7  # zero, short and 7-digit integers
+        rows.x[:] = columns
+        got = "".join(rows.text())
+        want = "".join("%d," % rows.index[i]
+                       + ",".join(format_float(float(columns[c, i])) for c in range(5))
                        + "\n" for i in range(n))
-        # the %.12g text of an integral r below 10^12 is its %d text
-        assert [engine.format_float(x) for x in r] == [str(int(x)) for x in r]
         return got, want
 
     @pytest.mark.parametrize("name, values", [
@@ -455,26 +461,26 @@ class TestCsvKernel:
         values = np.concatenate([m * scale for scale in (1.0, 1e-11, 1e-20, 1e5)])
         got, want = self.rows_both_ways(np.concatenate([values, -values]))
         assert got == want
-        _, _, certified = minimax._round_g12(m)
+        _, _, certified = _round_g12(m)
         assert certified.all()
 
     def test_fallback_takes_what_it_cannot_certify(self):
         uncertain = np.concatenate([SPECIALS, TIES, [1e-12, 1e34]])
-        assert not minimax._round_g12(uncertain)[2].any()
+        assert not _round_g12(uncertain)[2].any()
         got, want = self.rows_both_ways(uncertain)
         assert got == want
 
     def test_most_values_take_the_fast_path(self):
-        _, _, certified = minimax._round_g12(np.concatenate([SWITCHES, POWERS]))
+        _, _, certified = _round_g12(np.concatenate([SWITCHES, POWERS]))
         assert certified.mean() > 0.5
-        m, exponent, certified = minimax._round_g12(np.array([1.5, -0.000123, 98765.4321e20]))
+        m, exponent, certified = _round_g12(np.array([1.5, -0.000123, 98765.4321e20]))
         assert certified.all()
         assert m.tolist() == [150000000000, 123000000000, 987654321000]
         assert exponent.tolist() == [0, -4, 24]
 
     def test_carry_into_a_new_digit(self):
         # 999999999999.6 rounds to 10^12: one more digit, exponent 12, exponent notation
-        m, exponent, certified = minimax._round_g12(np.array([999999999999.6, 9.999999999996e-5]))
+        m, exponent, certified = _round_g12(np.array([999999999999.6, 9.999999999996e-5]))
         assert certified.all() and m.tolist() == [10 ** 11] * 2
         assert exponent.tolist() == [12, -4]
         got, _ = self.rows_both_ways([999999999999.6, 9.999999999996e-5])
@@ -488,7 +494,7 @@ class TestDumpIndexAndRescale:
                      | {10 ** k for k in range(1, 8)})
 
     def test_each_index_renders_as_d(self):
-        rows = minimax._CsvRows(1, len(self.INDICES), index=True)
+        rows = minimax._CsvRows(1, len(self.INDICES))
         rows.index[:] = self.INDICES
         rows.x[0] = 0.5
         assert "".join(rows.text()).splitlines() == ["%d,0.5" % r for r in self.INDICES]
@@ -508,7 +514,7 @@ class TestDumpIndexAndRescale:
         monkeypatch.setattr(minimax, "_times_pow10", counted)
         for values, count in ((missed, 2), (np.array([1.5, -0.000123, 98765.4321e20]), 1)):
             scalings.clear()
-            assert minimax._round_g12(values)[2].all()
+            assert _round_g12(values)[2].all()
             assert len(scalings) == count
         got, want = TestCsvKernel.rows_both_ways(np.concatenate([missed, -missed]))
         assert got == want
