@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 _HOME = {name: module for module, names in {
     "adversaries": ("Adversary", "Alternating", "FixedSequence", "GreedyAdaptive",
                     "IidUniform"),
-    "core": ("RngStream", "mean_of_counts", "one_hot", "uniform_point", "validate_outcome",
-             "validate_simplex"),
+    "core": ("RngStream", "mean_of_counts", "one_hot", "uniform_point", "validate_simplex"),
     "engine": ("CalibrationEstimate", "RegretRecord", "Transcript", "benchmark_cost",
                "check_high_prob_bound", "estimate_calibration", "exact_binomial_mad",
                "play_games", "regret", "run_game", "run_trials", "summarize",

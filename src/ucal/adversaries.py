@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import validate_integer, validate_outcome
+from .core import outcome_indices, validate_integer
 from .losses import ProperLoss
 
 
@@ -58,7 +58,7 @@ class FixedSequence(Adversary):
 
     def __init__(self, k: int, sequence):
         super().__init__(k)
-        self.sequence = np.array([validate_outcome(y, k) for y in sequence], dtype=np.int64)
+        self.sequence = outcome_indices(np.array(sequence), k)  # a copy: the caller's is kept
         self.sequence.flags.writeable = False
 
     @classmethod

@@ -1,11 +1,13 @@
 """Simplex geometry, outcome encoding, count accumulation, and seeded RNG streams.
 
 Forecasts are probability vectors over ``k`` outcomes, outcomes are vertex
-indices in ``[0, k)``, and histories are integer count vectors.  Everything
-downstream (losses, forecasters, the experiment engine) builds on the
-helpers here, sums over the K axis with :func:`row_sum`, draws through
-the reproducible-stream contract of :class:`RngStream`, and prints its
-floats with :func:`format_float`.
+indices in ``[0, k)``, and histories are integer count vectors.  One rule,
+:func:`outcome_indices`, decides what an outcome is, for ``one_hot``, a
+fixed sequence, a transcript and every loss alike: an integer dtype, in
+``[0, k)``.  Everything downstream (losses, forecasters, the experiment
+engine) builds on the helpers here, sums over the K axis with
+:func:`row_sum`, draws through the reproducible-stream contract of
+:class:`RngStream`, and prints its floats with :func:`format_float`.
 """
 
 from __future__ import annotations
@@ -71,20 +73,20 @@ def uniform_point(k: int) -> np.ndarray:
 
 def one_hot(index: int, k: int) -> np.ndarray:
     """Vertex e_index of the simplex over ``k`` outcomes."""
-    validate_outcome(index, k)
-    v = np.zeros(k)
-    v[index] = 1.0
+    v = np.zeros(validate_integer(k, "k", 1))
+    v[outcome_indices(index, k).item()] = 1.0
     return v
 
 
-def validate_outcome(index: int, k: int) -> int:
-    """Check that ``index`` encodes one of ``k`` outcomes and return it as int."""
-    i = int(index)
-    if i != index:
-        raise ValueError(f"outcome index must be an integer, got {index!r}")
-    if not 0 <= i < k:
-        raise ValueError(f"outcome index {i} out of range [0, {k})")
-    return i
+def outcome_indices(y, k: int) -> np.ndarray:
+    """``y`` as int64 indices of ``k`` outcomes: floats, bools and any off [0, k) are refused."""
+    y = np.asarray(y)
+    if y.size and y.dtype.kind not in "iu":  # as numpy indexing does, refuse 1.7 and True
+        raise ValueError(f"outcome index must be an integer, got dtype {y.dtype}")
+    if y.size and (y.min() < 0 or y.max() >= k):  # before int64 wraps a uint64 above 2^63
+        bad = y.flat[np.argmax((y < 0) | (y >= k))]  # the first, in C order
+        raise ValueError(f"outcome index out of range: {bad} is not in [0, {k})")
+    return y.astype(np.int64, copy=False)
 
 
 def validate_integer(value, name: str, low: int | None = None) -> int:

@@ -23,8 +23,9 @@ with no worker count in it.  ``run_experiment``, one forecaster per horizon,
 maps them through one trial runner, ``_run_block``, in one process pool when
 there is more than one worker and job, as one task per worker.  The runner
 plays its job in one ``_play`` call, scores each horizon's games straight
-from the block and puts the regrets back at their trial rows, so the result
-does not depend on the worker count: every count plays the same blocks, and trial i plays on stream
+from the block and the outcome counts the kernel kept, and puts the regrets
+back at their trial rows, so the result does not depend on the worker
+count: every count plays the same blocks, and trial i plays on stream
 (base_seed, i) at every horizon.  ``run_trials`` is the one-forecaster case.
 
 Regret for a proper loss compares the forecaster's cumulative bivariate
@@ -62,10 +63,10 @@ from itertools import accumulate
 import numpy as np
 
 from .adversaries import Adversary
-from .core import (SIMPLEX_TOL, RngStream, mean_of_counts, row_sum, validate_integer,
-                   validate_simplex)
+from .core import (SIMPLEX_TOL, RngStream, mean_of_counts, outcome_indices, row_sum,
+                   validate_integer, validate_simplex)
 from .forecasters import Forecaster
-from .losses import ProperLoss, outcome_indices
+from .losses import ProperLoss
 
 
 @dataclass
@@ -232,8 +233,10 @@ def _play(forecasters, adversary: Adversary, rngs) -> list:
     horizon whose forecasts are not all finite, >= 0 and in rows summing to
     1 within ``SIMPLEX_TOL`` is refused, whatever rule made them; the check
     reads ``SCORE_CELLS`` cells at a time.
-    Returns one (forecasts (n, T, K), outcomes (n, T)) pair of views per
-    forecaster, each game's rows contiguous and games strided by max T.
+    Returns one (forecasts (n, T, K), outcomes (n, T), counts (n, K)) triple
+    per forecaster: views of the block, each game's rows contiguous and games
+    strided by max T, and the final outcome counts the kernel kept (adaptive:
+    its running counts; oblivious: the last prefix row plus the last outcome).
     """
     k, horizons, oblivious = adversary.k, [f.horizon for f in forecasters], _oblivious(adversary)
     stops = list(accumulate(map(len, rngs)))
@@ -292,7 +295,8 @@ def _play(forecasters, adversary: Adversary, rngs) -> list:
         if not _on_simplex(played):  # every rule: an override bypasses the leader's noise check
             raise ValueError(f"{type(forecaster).__name__} forecasts at T={horizon} must be "
                              f"finite, >= 0 and sum to 1 within {SIMPLEX_TOL}")
-        blocks.append((played, seen))
+        final = prefix[:, -1] + eye[seen[:, -1]] if oblivious else counts[start:stop]
+        blocks.append((played, seen, final))
     return blocks
 
 
@@ -329,7 +333,7 @@ def play_games(forecaster: Forecaster, adversary: Adversary, rngs) -> list[Trans
     _check_game(forecaster, adversary)
     if len(rngs) < 1:
         raise ValueError("need at least one game")
-    return [Transcript(*game) for game in zip(*_play([forecaster], adversary, [rngs])[0])]
+    return [Transcript(f, y) for f, y, _ in zip(*_play([forecaster], adversary, [rngs])[0])]
 
 
 def run_game(forecaster: Forecaster, adversary: Adversary,
@@ -351,18 +355,19 @@ def benchmark_cost(transcript: Transcript, loss: ProperLoss, point=None) -> floa
 
 def regret(transcript: Transcript, loss: ProperLoss) -> RegretRecord:
     """Cumulative loss of the played forecasts minus the benchmark cost: ``_score`` of one game."""
-    transcript.final_counts  # refuses bad outcomes in the transcript's own shapes
+    counts = transcript.final_counts[None]  # refuses bad outcomes in the transcript's own shapes
     game = transcript.forecasts[None], transcript.outcomes[None]  # views, a block of one
-    return RegretRecord(regret=float(_score(*game, [loss])[0, 0]))
+    return RegretRecord(regret=float(_score(*game, counts, [loss])[0, 0]))
 
 
-def _score(forecasts: np.ndarray, outcomes: np.ndarray, losses) -> np.ndarray:
+def _score(forecasts, outcomes, counts, losses) -> np.ndarray:
     """Regret matrix (n, len(losses)) of n games' forecasts (n, T, K) and outcomes (n, T).
 
     Games are scored whole, at least one and within ``SCORE_CELLS`` cells
     at a time.  A game's cost sums its own contiguous row of ``bivariate``,
-    which refuses bad outcomes before they are counted; its benchmark is a
-    ``matmul`` of its counts with the loss table at their mean.
+    which refuses bad outcomes; its benchmark is a ``matmul`` of its final
+    ``counts`` (n, K), the ones ``_play`` or ``Transcript.final_counts`` kept,
+    with the loss table at their mean.
     """
     n, horizon, k = forecasts.shape
     if horizon == 0:
@@ -372,11 +377,10 @@ def _score(forecasts: np.ndarray, outcomes: np.ndarray, losses) -> np.ndarray:
     for start in range(0, n, step):
         played, seen = forecasts[start:start + step], outcomes[start:start + step]
         costs = [loss.bivariate(played, seen).sum(axis=-1) for loss in losses]
-        counts = np.bincount((seen + k * np.arange(len(seen))[:, None]).ravel(),
-                             minlength=len(seen) * k).reshape(-1, k)
-        means = counts / counts.sum(axis=1, keepdims=True)
+        kept = counts[start:start + step]
+        means = kept / kept.sum(axis=1, keepdims=True)
         for j, loss in enumerate(losses):
-            bench = np.matmul(counts[:, None], loss.outcome_losses(means)[..., None])[:, 0, 0]
+            bench = np.matmul(kept[:, None], loss.outcome_losses(means)[..., None])[:, 0, 0]
             regrets[start:start + step, j] = costs[j] - bench
     return regrets
 
@@ -513,8 +517,8 @@ def sup_regret_mixture(transcript: Transcript, loss1: ProperLoss, loss2: ProperL
     affine in the mixture weight, so the exact sup is the larger endpoint
     regret, and a grid containing 0 and 1 attains it.
     """
-    transcript.final_counts  # refuses bad outcomes in the transcript's own shapes
-    r1, r2 = map(float, _score(transcript.forecasts[None], transcript.outcomes[None],
+    counts = transcript.final_counts[None]  # refuses bad outcomes in the transcript's own shapes
+    r1, r2 = map(float, _score(transcript.forecasts[None], transcript.outcomes[None], counts,
                                [loss1, loss2])[0])
     grid = mixture_weight_grid(eps)
     return float((grid * r1 + (1.0 - grid) * r2).max()), max(r1, r2)

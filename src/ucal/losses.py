@@ -50,7 +50,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import row_sum, uniform_point, validate_integer
+from .core import outcome_indices, row_sum, uniform_point, validate_integer
 
 
 def _as_points(p) -> np.ndarray:
@@ -65,17 +65,6 @@ def _finite_parameter(value, parameter: str) -> float:
     if not np.isfinite(value):
         raise ValueError(f"{parameter} must be finite, got {value}")
     return value
-
-
-def outcome_indices(y, k: int) -> np.ndarray:
-    """``y`` as int64 indices of ``k`` outcomes: floats, bools and any off [0, k) are refused."""
-    y = np.asarray(y)
-    if y.size and y.dtype.kind not in "iu":  # as numpy indexing does, refuse 1.7 and True
-        raise ValueError(f"outcome index must be an integer, got dtype {y.dtype}")
-    y = y.astype(np.int64, copy=False)
-    if y.size and (y.min() < 0 or y.max() >= k):
-        raise ValueError("outcome index out of range")
-    return y
 
 
 def _take_outcome(values: np.ndarray, y) -> np.ndarray:
@@ -199,7 +188,9 @@ class TsallisLoss(ProperLoss):
     per-coordinate second derivative grows no faster than
     alpha*(alpha-1)*max(1/p, 1/(1-p)), which is what ``check_hessian_growth``
     verifies.  The default scale 1/alpha keeps values inside [-1, 1]
-    (|(1-alpha) sum p^alpha + alpha p_y^(alpha-1)| <= alpha on the simplex).
+    (|(1-alpha) sum p^alpha + alpha p_y^(alpha-1)| <= alpha on the simplex);
+    an explicit scale declares that bound times the scale,
+    (-alpha * scale, alpha * scale).
     """
 
     def __init__(self, alpha: float, scale: float | None = None):
@@ -213,6 +204,7 @@ class TsallisLoss(ProperLoss):
             self.name = f"tsallis:{self.alpha:g}"
         else:
             self.name = f"tsallis:{self.alpha:g},{self.scale:g}"
+            self.range_bound = (-self.alpha * self.scale, self.alpha * self.scale)
 
     def univariate(self, p):
         p = _as_points(p)

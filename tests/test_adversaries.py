@@ -61,18 +61,20 @@ class TestFixedSequence:
             FixedSequence.from_file(2, path)
 
     @pytest.mark.parametrize("sequence, message", [
-        ([0, 2], r"outcome index 2 out of range \[0, 2\)"),
-        (np.array([1, -1]), r"outcome index -1 out of range"),
-        ([0, 1.5], r"outcome index must be an integer, got 1.5"),
-        (["1"], r"outcome index must be an integer, got '1'"),
-    ], ids=["above-K", "negative-array", "fraction", "string"])
+        ([0, 2], r"outcome index out of range: 2 is not in \[0, 2\)"),
+        (np.array([1, -1]), r"outcome index out of range: -1 is not in \[0, 2\)"),
+        ([0, 1.5], r"outcome index must be an integer, got dtype float64"),
+        (["1"], r"outcome index must be an integer, got dtype <U1"),
+        ((1.0, 0.0, True), r"outcome index must be an integer, got dtype float64"),
+        (np.array([True, False]), r"outcome index must be an integer, got dtype bool"),
+    ], ids=["above-K", "negative-array", "fraction", "string", "integral-floats-and-bool",
+            "bool-array"])
     def test_validates_indices(self, sequence, message):
         with pytest.raises(ValueError, match=message):
             FixedSequence(2, sequence)
 
-    @pytest.mark.parametrize("sequence", [[1, 0, 1], (1.0, 0.0, True),
-                                          np.array([1, 0, 1], np.uint8)],
-                             ids=["ints", "integral-floats-and-bool", "uint8"])
+    @pytest.mark.parametrize("sequence", [[1, 0, 1], np.array([1, 0, 1], np.uint8)],
+                             ids=["ints", "uint8"])
     def test_holds_one_read_only_int64_array(self, sequence):
         adv = FixedSequence(2, sequence)
         assert adv.sequence.dtype == np.int64 and not adv.sequence.flags.writeable

@@ -461,6 +461,23 @@ class TestValidateCmd:
         line = next(l for l in out.split("\n") if l.startswith("lipschitz"))
         assert float(line.split(":")[1]) <= 2.0 + 1e-5
 
+    @pytest.mark.parametrize("spec, hessian", [("tsallis:3", False), ("tsallis:2.5,0.2", False),
+                                               ("tsallis:2", True), ("tsallis:1.5,0.5", True)])
+    def test_hessian_check_only_where_alpha_at_most_two(self, capsys, spec, hessian):
+        # check_hessian_growth refuses alpha > 2; validate once ran it there and exited 1
+        code, out, err = run_cli(["validate", "--loss", spec, "--K", "3", "--samples", "500"],
+                                 capsys)
+        assert code == 0 and err == "" and out.splitlines()[-1] == "ok"
+        assert ("hessian growth" in out) == hessian
+
+    def test_scaled_tsallis_range_flagged_not_failed(self, capsys):
+        # its values reach scale * [-1, alpha - 1] = [-2, 1]; declared scale * [-alpha, alpha]
+        code, out, err = run_cli(["validate", "--loss", "tsallis:1.5,2", "--K", "3",
+                                  "--samples", "500"], capsys)
+        assert code == 0 and err == ""
+        assert "within declared [-3, 3]: True" in out
+        assert "flag: declared range [-3, 3] exceeds [-1, 1]" in out
+
     def test_tsallis_bad_alpha_usage_error(self, capsys):
         code, _, err = run_cli(["validate", "--loss", "tsallis:0.5"], capsys)
         assert code == 2

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucal import RngStream, mean_of_counts, one_hot, uniform_point, validate_simplex
-from ucal.core import row_sum, validate_integer, validate_outcome
+from ucal.core import outcome_indices, row_sum, validate_integer
 
 
 class TestMeanOfCounts:
@@ -82,8 +82,8 @@ class TestValidateSimplex:
 
 
 def test_fractional_outcome_index_refused():
-    with pytest.raises(ValueError, match="outcome index must be an integer, got 1.5"):
-        validate_outcome(1.5, 3)
+    with pytest.raises(ValueError, match="outcome index must be an integer, got dtype float64"):
+        outcome_indices(1.5, 3)
 
 
 class TestRngStream:
@@ -152,8 +152,39 @@ class TestValidateInteger:
 
 def test_one_hot_bounds():
     np.testing.assert_array_equal(one_hot(1, 3), [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(one_hot(np.uint8(2), 3), [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         one_hot(3, 3)
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+        one_hot(0, 2.5)  # as uniform_point refuses it, not numpy's TypeError
+
+
+@pytest.mark.parametrize("index, message", [
+    (True, "must be an integer, got dtype bool"),
+    (2.0, "must be an integer, got dtype float64"),
+    (np.float64(1.0), "must be an integer, got dtype float64"),
+    (-1, r"outcome index out of range: -1 is not in \[0, 3\)"),
+    (3, r"outcome index out of range: 3 is not in \[0, 3\)"),
+], ids=["bool", "integral-float", "numpy-float", "negative", "K"])
+def test_one_hot_takes_the_one_outcome_rule(index, message):
+    # one_hot(True, 3) once read True as 1 and filled every entry; 2.0 raised an IndexError
+    with pytest.raises(ValueError, match=message):
+        one_hot(index, 3)
+
+
+@pytest.mark.parametrize("y, bad", [([0, 1, 3, -1], 3), ([[0, 1], [-2, 5]], -2),
+                                    (np.array([2, 9], np.uint8), 9),
+                                    (np.array([1, 2**64 - 1], np.uint64), 2**64 - 1)])
+def test_out_of_range_names_first_bad_index(y, bad):
+    with pytest.raises(ValueError, match=rf"outcome index out of range: {bad} is not in \[0, 3\)"):
+        outcome_indices(y, 3)
+
+
+def test_outcome_indices_are_int64_copying_only_to_cast():
+    y = np.array([[2, 0], [1, 1]])
+    assert outcome_indices(y, 3) is y  # int64 already: no copy
+    assert outcome_indices(np.array([1, 0], np.uint16), 2).dtype == np.int64
+    assert outcome_indices(np.array([], dtype=float), 2).dtype == np.int64  # an empty history
 
 
 def _wide_floats(rng, shape):

@@ -668,7 +668,7 @@ class TestBlockScorer:
 
     @staticmethod
     def _blocks(kind, k, horizon, n=5):
-        """(forecasts, outcomes) blocks of n games as the trial path plays them."""
+        """(forecasts, outcomes, counts) blocks of n games as the trial path plays them."""
         def rngs():
             return [_gen(17, i) for i in range(n)]
 
@@ -687,20 +687,31 @@ class TestBlockScorer:
         # the default budget, one game per chunk, and chunks of two games with a remainder
         budgets = (engine.SCORE_CELLS, 1, horizon * k, 2 * horizon * k + 1)
         for kind in ("oblivious", "adaptive", "staircase"):
-            for forecasts, outcomes in self._blocks(kind, k, horizon):
+            for forecasts, outcomes, counts in self._blocks(kind, k, horizon):
                 alone = [Transcript(np.array(f), np.array(y)) for f, y in zip(forecasts, outcomes)]
                 expected = [[regret(game, loss).regret for loss in self.LOSSES] for game in alone]
                 for cells in budgets:
                     monkeypatch.setattr(engine, "SCORE_CELLS", cells)
-                    assert np.array_equal(engine._score(forecasts, outcomes, self.LOSSES),
+                    assert np.array_equal(engine._score(forecasts, outcomes, counts, self.LOSSES),
                                           expected), (kind, cells)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 64, 129])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_kernel_counts_are_final_counts(self, k, horizon):
+        # the counts the scorer reads are the ones the kernel kept, each game's own
+        for kind in ("oblivious", "adaptive", "staircase"):
+            for forecasts, outcomes, counts in self._blocks(kind, k, horizon):
+                assert counts.dtype == np.int64 and counts.shape == (len(outcomes), k), kind
+                for game, (f, y) in enumerate(zip(forecasts, outcomes)):
+                    assert np.array_equal(counts[game], Transcript(f, y).final_counts), (
+                        kind, game)
 
     @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 129])
     @pytest.mark.parametrize("k", [2, 3, 5, 10])
     def test_regret_is_cost_minus_benchmark(self, k, horizon):
         # the formula written out per transcript, apart from the scorer ``regret`` goes through
         for kind in ("oblivious", "adaptive", "staircase"):
-            for forecasts, outcomes in self._blocks(kind, k, horizon):
+            for forecasts, outcomes, _ in self._blocks(kind, k, horizon):
                 for f, y in zip(forecasts, outcomes):
                     game = Transcript(f, y)
                     for loss in self.LOSSES:
@@ -1292,9 +1303,9 @@ def test_oblivious_staircase_equals_each_horizon_alone(adversary):
         return [_gen(6, i) for i in range(trials)]
 
     blocks = engine._play(forecasters, oblivious, [rngs() for _ in forecasters])
-    assert [forecasts.shape for forecasts, _ in blocks] == [(trials, f.horizon, k)
-                                                          for f in forecasters]
-    for forecaster, (forecasts, outcomes) in zip(forecasters, blocks):
+    assert [forecasts.shape for forecasts, _, _ in blocks] == [(trials, f.horizon, k)
+                                                             for f in forecasters]
+    for forecaster, (forecasts, outcomes, _) in zip(forecasters, blocks):
         for against in (oblivious, reference):  # its block alone, and round by round
             for game, alone in enumerate(play_games(forecaster, against, rngs())):
                 assert forecasts[game].tobytes() == alone.forecasts.tobytes()
@@ -1328,7 +1339,7 @@ def test_sweep_replies_build_no_loss_table(monkeypatch):
     forecasters = [PerturbedLeaderUniform(3, 4096 >> i) for i in range(7)]
     rngs = [[_gen(7, trial) for trial in range(8)] for _ in forecasters]
     blocks = engine._play(forecasters, GreedyAdaptive(3, SquaredLoss()), rngs)
-    assert [outcomes.shape for _, outcomes in blocks] == [(8, 4096 >> i) for i in range(7)]
+    assert [outcomes.shape for _, outcomes, _ in blocks] == [(8, 4096 >> i) for i in range(7)]
     assert tables == []
 
 

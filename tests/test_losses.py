@@ -332,6 +332,19 @@ class TestBoundedness:
         lo, hi, ok = check_range(loss, pts, tol=1e-9)
         assert ok and hi > 1.0
 
+    @pytest.mark.parametrize("alpha, scale", [(1.5, 2.0), (1.5, 0.1), (2.5, 0.2), (3.0, 5.0),
+                                              (1.1, 1.0)])
+    def test_scaled_tsallis_declares_alpha_times_scale(self, alpha, scale):
+        # the values lie in scale * [-1, alpha - 1], inside scale * [-alpha, alpha]
+        loss = TsallisLoss(alpha, scale)
+        assert loss.range_bound == (-alpha * scale, alpha * scale)
+        lo, hi, ok = check_range(loss, validation_points(3, RNG.generator(), n_random=5000))
+        assert ok and lo >= -scale - 1e-9 and hi <= scale * (alpha - 1) + 1e-9
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_default_tsallis_declares_unit_range(self, alpha):
+        assert TsallisLoss(alpha).range_bound == (-1.0, 1.0)
+
 
 class TestMixture:
     def test_affine_identity_exact(self):
